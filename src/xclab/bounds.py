@@ -21,8 +21,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InputError
-from .exactla import ExactMatrix, conic_combination, format_rational, lp_solve, rank, rat
-from .polytope import Rectangle, SlackMatrix
+from .exactla import (
+    ExactMatrix,
+    common_denominator,
+    conic_combination,
+    lp_solve,
+    matrix_to_json,
+    rank,
+    rat,
+)
+from .polytope import Rectangle, SlackMatrix, as_matrix
 from .yannakakis import Factorization, verify_factorization
 
 
@@ -36,10 +44,6 @@ class _Forbidden:
 
 
 FORBIDDEN = _Forbidden()
-
-
-def _as_matrix(s: SlackMatrix | ExactMatrix) -> ExactMatrix:
-    return s.matrix if isinstance(s, SlackMatrix) else s
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class WeightMatrix:
 
     def frobenius_with(self, s: SlackMatrix | ExactMatrix) -> Fraction:
         """<W, S> with FORBIDDEN * 0 = 0 and FORBIDDEN * nonzero an error."""
-        m = _as_matrix(s)
+        m = as_matrix(s)
         if m.nrows != self.nrows or m.ncols != self.ncols:
             raise InputError("weight and slack dimensions differ")
         total = Fraction(0)
@@ -118,11 +122,7 @@ class RectangleValue:
 
 def _weight_int_grid(w: WeightMatrix) -> tuple[list[list[int | None]], int]:
     """Scale finite entries to integers; None marks FORBIDDEN."""
-    scale = 1
-    for row in w.entries:
-        for x in row:
-            if x is not FORBIDDEN:
-                scale = scale * x.denominator // math.gcd(scale, x.denominator)
+    scale = common_denominator(x for row in w.entries for x in row if x is not FORBIDDEN)
     grid = [
         [None if x is FORBIDDEN else int(x * scale) for x in row] for row in w.entries
     ]
@@ -249,7 +249,7 @@ def hyperplane_bound(
     """<W,S> / (max|S| * alpha), a lower bound on the nonnegative rank when
     alpha comes from exact max_rectangle_value.  Requires FORBIDDEN cells of
     W to sit on zero slack."""
-    m = _as_matrix(s)
+    m = as_matrix(s)
     inner = w.frobenius_with(m)
     alpha = rat(alpha)
     if alpha < 0:
@@ -273,7 +273,7 @@ def fooling_set_greedy(
 ) -> tuple[tuple[int, int], ...]:
     """Greedy fooling set: support cells no two of which fit in one support
     rectangle.  Its size lower-bounds the rectangle cover number."""
-    m = _as_matrix(s)
+    m = as_matrix(s)
     cells = [
         (i, j)
         for i in range(m.nrows)
@@ -369,7 +369,7 @@ def rectangle_cover_exact(
     """Exact minimum number of support rectangles covering the support of S,
     by branch and bound over maximal support rectangles.  Returns status
     "exceeded" when the combined search passes `limit` steps."""
-    m = _as_matrix(s)
+    m = as_matrix(s)
     if m.nrows > cap or m.ncols > cap:
         raise InputError(
             f"exact cover needs dimensions <= {cap}, got {m.nrows}x{m.ncols}"
@@ -622,7 +622,7 @@ def nmf_heuristic(
     alternating min-max-residual LP sweeps; a candidate counts only if exact
     conic repair of one side against the other reproduces S exactly.
     """
-    m = _as_matrix(s)
+    m = as_matrix(s)
     if r < 1:
         raise InputError("inner dimension must be >= 1")
     if r < rank(m):
@@ -682,7 +682,6 @@ class Certificate:
 class BoundConfig:
     cover_limit: int = 200_000
     cover_cap: int = 20
-    alpha_cap: int = 22
     nmf_restarts: int = 2
     nmf_cell_cap: int = 256
     nmf_max_tries: int = 3
@@ -706,7 +705,7 @@ def nonnegative_rank_bounds(
     lower = max over re-verified certificates (rank, fooling set, exact
     cover, user hyperplane bounds); upper = min(rows, cols, best verified
     heuristic factorization)."""
-    m = _as_matrix(s)
+    m = as_matrix(s)
     if not m.is_nonnegative():
         raise InputError("nonnegative rank is defined for nonnegative matrices")
     support = any(
@@ -773,8 +772,8 @@ def report_to_json(report: BoundReport, upper_witness_file: str | None = None) -
 
 def factorization_to_json(fac: Factorization) -> dict:
     return {
-        "left": [[format_rational(x) for x in row] for row in fac.left.rows()],
-        "right": [[format_rational(x) for x in row] for row in fac.right.rows()],
+        "left": matrix_to_json(fac.left.rows()),
+        "right": matrix_to_json(fac.right.rows()),
     }
 
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 One binary with subcommands, one result envelope.  Every run emits JSON of
-the shape {command, inputs, seed, threads, result, timing}; file inputs are
+the shape {command, inputs, seed, result, timing}; file inputs are
 recorded with their sha256 so pipelines can be chained and audited.  Results
 are deterministic given the recorded seed.  Envelopes chain directly: `gen`
 output is accepted wherever a polytope file is expected, `extend` output
@@ -39,7 +39,7 @@ from .errors import (
     NotAnExtensionError,
     NotDerivableError,
 )
-from .exactla import format_rational, rat
+from .exactla import format_rational, matrix_to_json, rat
 from .matchgen import (
     approximation_ratio,
     matching_polytope,
@@ -48,6 +48,8 @@ from .matchgen import (
     truncated_matching_relaxation,
 )
 from .polytope import (
+    load_json,
+    load_payload,
     lp_equal_under_projection,
     polytope_to_json,
     read_polytope,
@@ -86,32 +88,6 @@ def _file_input(path: str) -> dict:
     return {"path": path, "sha256": _sha256(path)}
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def _read_polytope(path: str):
-    try:
-        return read_polytope(path)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def _load_payload(path: str, key: str):
-    """Load a JSON payload, accepting either the bare object or a CLI
-    envelope whose result carries it under `key`."""
-    obj = _load_json(path)
-    if isinstance(obj, dict) and "command" in obj and isinstance(obj.get("result"), dict):
-        obj = obj["result"]
-    if isinstance(obj, dict) and isinstance(obj.get(key), dict):
-        obj = obj[key]
-    return obj
-
-
 def _row_filter(spec: str):
     """'all' keeps every row, 'oddset' the proper odd-set rows, anything
     else is a label prefix."""
@@ -120,6 +96,13 @@ def _row_filter(spec: str):
     if spec == "oddset":
         return odd_set_rows
     return lambda lab: lab.startswith(spec)
+
+
+def _slack_input(args):
+    """The slack matrix of the --input polytope restricted by --rows, and
+    the inputs record naming both."""
+    s = slack_matrix(read_polytope(args.input), _row_filter(args.rows))
+    return s, {"input": _file_input(args.input), "rows": args.rows}
 
 
 def _parse_edge(text: str) -> tuple[int, int]:
@@ -162,17 +145,16 @@ def _cmd_gen(args):
 
 
 def _cmd_slack(args):
-    poly = _read_polytope(args.input)
-    s = slack_matrix(poly, _row_filter(args.rows))
-    inputs = {"input": _file_input(args.input), "rows": args.rows}
+    s, inputs = _slack_input(args)
     if args.format == "matrix-text":
         return inputs, {"text": s.to_text()}, 0
+    entries = matrix_to_json(s.matrix.rows())
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow([""] + list(s.col_labels))
-        for i, lab in enumerate(s.row_labels):
-            writer.writerow([lab] + [format_rational(x) for x in s.matrix.row(i)])
+        for lab, row in zip(s.row_labels, entries):
+            writer.writerow([lab] + row)
         return inputs, {"text": buf.getvalue()}, 0
     return (
         inputs,
@@ -181,17 +163,14 @@ def _cmd_slack(args):
             "ncols": s.ncols,
             "row_labels": list(s.row_labels),
             "col_labels": list(s.col_labels),
-            "entries": [
-                [format_rational(x) for x in s.matrix.row(i)] for i in range(s.nrows)
-            ],
+            "entries": entries,
         },
         0,
     )
 
 
 def _cmd_bounds(args):
-    poly = _read_polytope(args.input)
-    s = slack_matrix(poly, _row_filter(args.rows))
+    s, inputs = _slack_input(args)
     config = BoundConfig(
         cover_limit=args.cover_limit,
         cover_cap=args.cover_cap,
@@ -208,24 +187,22 @@ def _cmd_bounds(args):
             json.dumps(factorization_to_json(report.upper_witness), indent=1) + "\n",
         )
         witness_file = args.witness_out
-    inputs = {"input": _file_input(args.input), "rows": args.rows}
     return inputs, report_to_json(report, witness_file), 0
 
 
 def _cmd_factorize(args):
-    poly = _read_polytope(args.input)
-    s = slack_matrix(poly, _row_filter(args.rows))
+    s, inputs = _slack_input(args)
     fac = nmf_heuristic(s, args.r, restarts=args.restarts, seed=args.seed)
-    inputs = {"input": _file_input(args.input), "rows": args.rows, "r": args.r}
+    inputs["r"] = args.r
     if fac is None:
         return inputs, {"found": False, "factorization": None}, 1
     return inputs, {"found": True, "factorization": factorization_to_json(fac)}, 0
 
 
 def _cmd_extend(args):
-    poly = _read_polytope(args.input)
+    poly = read_polytope(args.input)
     if args.factorization is not None:
-        fac = factorization_from_json(_load_payload(args.factorization, "factorization"))
+        fac = factorization_from_json(load_payload(args.factorization, "factorization"))
         inputs = {
             "input": _file_input(args.input),
             "factorization": _file_input(args.factorization),
@@ -238,8 +215,8 @@ def _cmd_extend(args):
 
 
 def _cmd_contract(args):
-    poly = _read_polytope(args.input)
-    ef = formulation_from_json(_load_payload(args.system, "formulation"))
+    poly = read_polytope(args.input)
+    ef = formulation_from_json(load_payload(args.system, "formulation"))
     fac = factorization_from_extension(poly, ef.to_xy_system())
     inputs = {
         "input": _file_input(args.input),
@@ -249,17 +226,13 @@ def _cmd_contract(args):
 
 
 def _cmd_cover(args):
-    poly = _read_polytope(args.input)
-    s = slack_matrix(poly, _row_filter(args.rows))
+    s, inputs = _slack_input(args)
     result = rectangle_cover_exact(s, limit=args.limit, cap=args.cap)
-    inputs = {"input": _file_input(args.input), "rows": args.rows}
     out = {
         "status": result.status,
         "size": result.size,
         "explored": result.explored,
-        "rectangles": None
-        if result.rectangles is None
-        else [_rect_json(r) for r in result.rectangles],
+        "rectangles": [_rect_json(r) for r in result.rectangles],
     }
     return inputs, out, 0 if result.status == "optimal" else 1
 
@@ -304,25 +277,21 @@ def _cmd_wdot(args):
         result["materialized"] = format_rational(mat)
         result["equal"] = mat == counting
     inputs = {"n": args.n, "t": args.t, "k": args.k, "crosscheck": args.crosscheck}
-    return inputs, result, 0
+    return inputs, result, 1 if result["equal"] is False else 0
 
 
-def _ground_rectangle(args):
+def _ground_rectangle(args, **param):
+    """The ground, the canonical rectangle of --e1/--e2, and the inputs
+    record, which also carries the verb's class parameter."""
     ground = CutMatchingGround.build(args.n, args.t)
     rect = canonical_rectangle(ground, _parse_edge(args.e1), _parse_edge(args.e2))
-    return ground, rect
+    inputs = {"n": args.n, "t": args.t, **param, "e1": args.e1, "e2": args.e2}
+    return ground, rect, inputs
 
 
 def _cmd_mu(args):
-    ground, rect = _ground_rectangle(args)
+    ground, rect, inputs = _ground_rectangle(args, ell=args.ell)
     value = mu(ground, rect, args.ell)
-    inputs = {
-        "n": args.n,
-        "t": args.t,
-        "ell": args.ell,
-        "e1": args.e1,
-        "e2": args.e2,
-    }
     result = {
         "mu": format_rational(value),
         "rectangle": {"n_rows": len(rect.rows), "n_cols": len(rect.cols)},
@@ -331,15 +300,8 @@ def _cmd_mu(args):
 
 
 def _cmd_rectvalue(args):
-    ground, rect = _ground_rectangle(args)
+    ground, rect, inputs = _ground_rectangle(args, k=args.k)
     report = rectangle_w_value(ground, rect, args.k)
-    inputs = {
-        "n": args.n,
-        "t": args.t,
-        "k": args.k,
-        "e1": args.e1,
-        "e2": args.e2,
-    }
     result = {
         "finite": report.finite,
         "value": None if report.value is None else format_rational(report.value),
@@ -351,20 +313,20 @@ def _cmd_rectvalue(args):
 
 
 def _cmd_bias(args):
-    obj = _load_json(args.input)
+    obj = load_json(args.input)
     try:
-        domains = obj["domains"]
+        domains = [tuple(d) for d in obj["domains"]]
         tuples = [tuple(row) for row in obj["tuples"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bias input needs 'domains' and 'tuples': {exc}") from exc
-    flagged = biased_indices(tuples, [tuple(d) for d in domains], args.eps)
+    flagged = biased_indices(tuples, domains, args.eps)
     inputs = {"input": _file_input(args.input), "eps": args.eps}
     return inputs, {"biased": list(flagged), "n_tuples": len(tuples)}, 0
 
 
 def _cmd_ratio(args):
-    relaxation = _read_polytope(args.relaxation)
-    poly = _read_polytope(args.polytope)
+    relaxation = read_polytope(args.relaxation)
+    poly = read_polytope(args.polytope)
     extras = tuple(_parse_objective(text) for text in args.objective)
     report = approximation_ratio(
         relaxation, poly, args.trials, args.seed, extra_objectives=extras
@@ -383,15 +345,15 @@ def _cmd_ratio(args):
 
 
 def _cmd_verify(args):
-    poly = _read_polytope(args.input)
+    poly = read_polytope(args.input)
     inputs = {"input": _file_input(args.input)}
     if args.factorization is not None:
-        fac = factorization_from_json(_load_payload(args.factorization, "factorization"))
+        fac = factorization_from_json(load_payload(args.factorization, "factorization"))
         inputs["factorization"] = _file_input(args.factorization)
         ok = verify_factorization(slack_matrix(poly, _row_filter(args.rows)), fac)
         result = {"check": "factorization", "ok": ok}
     elif args.system is not None:
-        ef = formulation_from_json(_load_payload(args.system, "formulation"))
+        ef = formulation_from_json(load_payload(args.system, "formulation"))
         inputs["system"] = _file_input(args.system)
         report = lp_equal_under_projection(
             poly, ef.to_xy_system(), args.trials, args.seed
@@ -415,7 +377,6 @@ def _cmd_verify(args):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in the envelope")
-    common.add_argument("--threads", type=int, default=1, help="worker cap, recorded in the envelope")
     common.add_argument("--output", default=None, help="write the envelope here instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -559,8 +520,6 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     try:
-        if args.threads < 1:
-            raise InputError(f"--threads must be at least 1, got {args.threads}")
         inputs, result, code = args.handler(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
@@ -570,7 +529,6 @@ def main(argv=None) -> int:
         NotAnExtensionError,
         NotDerivableError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -583,7 +541,6 @@ def main(argv=None) -> int:
         "command": args.verb,
         "inputs": inputs,
         "seed": args.seed,
-        "threads": args.threads,
         "result": result,
         "timing": {"seconds": round(time.monotonic() - start, 6)},
     }

@@ -3,7 +3,9 @@
 from .matrix import (
     ExactMatrix,
     Rational,
+    common_denominator,
     format_rational,
+    matrix_to_json,
     rank,
     rat,
     read_matrix,
@@ -15,9 +17,11 @@ __all__ = [
     "ExactMatrix",
     "LPResult",
     "Rational",
+    "common_denominator",
     "conic_combination",
     "format_rational",
     "lp_solve",
+    "matrix_to_json",
     "rank",
     "rat",
     "read_matrix",

@@ -8,7 +8,7 @@ exactly the canonical form we need.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 from ..errors import InputError
@@ -37,6 +37,17 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def matrix_to_json(rows: Iterable[Iterable[Fraction]]) -> list[list[str]]:
+    """Rows of rationals as nested lists of format_rational strings; the
+    ExactMatrix constructor is the inverse."""
+    return [[format_rational(x) for x in row] for row in rows]
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """Least positive integer whose product with every value is integral."""
+    return lcm(*(x.denominator for x in values))
 
 
 class ExactMatrix:
@@ -187,24 +198,14 @@ class ExactMatrix:
         return cls(rows)
 
 
-def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    """Scale each row by a positive integer to clear denominators.
-
-    Row scaling by positive factors preserves rank, so this is safe for
-    elimination work.
-    """
-    out = []
-    for row in m.rows():
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
-    return out
-
-
 def rank(m: ExactMatrix) -> int:
     """Exact rank via fraction-free (Bareiss) elimination over integers."""
-    a = _integer_rows(m)
+    # Scaling a row by a positive factor preserves rank, so each row is
+    # cleared of denominators on its own.
+    a = []
+    for row in m.rows():
+        scale = common_denominator(row)
+        a.append([int(x * scale) for x in row])
     nrows, ncols = len(a), len(a[0])
     r = 0
     prev = 1

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from ..errors import InputError
-from .matrix import ExactMatrix, rat
+from .matrix import ExactMatrix, common_denominator, rat
 
 _DEGENERATE_SWITCH = 8
 _PIVOT_CAP = 500_000
@@ -159,10 +158,7 @@ def _simplex(
     nstruct = len(col_var)
 
     def scaled_int_row(row: list[Fraction], rhs: Fraction) -> tuple[list[int], int]:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        scale = scale * rhs.denominator // gcd(scale, rhs.denominator)
+        scale = common_denominator((*row, rhs))
         out = [int(row[v] * scale) * s for v, s in col_var]
         return out, int(rhs * scale)
 
@@ -217,9 +213,7 @@ def _simplex(
         tableau.append(row)
 
     # Phase-2 objective row: z_j - c_j with the all-logical starting basis.
-    cscale = 1
-    for x in goal:
-        cscale = cscale * x.denominator // gcd(cscale, x.denominator)
+    cscale = common_denominator(goal)
     cint = {j: int(goal[v] * cscale) * s for j, (v, s) in enumerate(col_var)}
     obj2 = [-cint.get(j, 0) for j in range(width - 1)] + [0]
     # Phase-1 objective: maximize minus the sum of artificials.

@@ -133,11 +133,16 @@ def _matching_label(prefix: str, pairs: Sequence[tuple[int, int]]) -> str:
     return prefix + ",".join(f"{i}-{j}" for i, j in pairs)
 
 
+def _edge_row(edges: EdgeIndexing, ks: Iterable[int], value: Fraction) -> list[Fraction]:
+    """A vector over the edges: `value` at the indices ks, zero elsewhere."""
+    row = [Fraction(0)] * edges.n_edges
+    for k in ks:
+        row[k] = value
+    return row
+
+
 def _matching_vector(edges: EdgeIndexing, pairs: Sequence[tuple[int, int]]):
-    v = [Fraction(0)] * edges.n_edges
-    for i, j in pairs:
-        v[edges.index(i, j)] = Fraction(1)
-    return tuple(v)
+    return tuple(_edge_row(edges, (edges.index(i, j) for i, j in pairs), Fraction(1)))
 
 
 def canonical_odd_sets(n: int) -> tuple[tuple[int, ...], ...]:
@@ -164,10 +169,7 @@ def perfect_matching_polytope(n: int) -> Polytope:
     rhs: list[Fraction] = []
     labels: list[str] = []
     for u in canonical_odd_sets(n):
-        row = [Fraction(0)] * edges.n_edges
-        for k in edges.cut(u):
-            row[k] = Fraction(-1)
-        rows.append(row)
+        rows.append(_edge_row(edges, edges.cut(u), Fraction(-1)))
         rhs.append(Fraction(-1))
         if len(u) == 1:
             labels.append(f"oddset1:{u[0]}")
@@ -176,20 +178,12 @@ def perfect_matching_polytope(n: int) -> Polytope:
         else:
             labels.append("oddset:" + ",".join(map(str, u)))
     for k, (i, j) in enumerate(edges.pairs):
-        row = [Fraction(0)] * edges.n_edges
-        row[k] = Fraction(-1)
-        rows.append(row)
+        rows.append(_edge_row(edges, (k,), Fraction(-1)))
         rhs.append(Fraction(0))
         labels.append(f"nonneg:{i}-{j}")
 
-    eq_rows: list[list[Fraction]] = []
-    eq_labels: list[str] = []
-    for v in range(n):
-        row = [Fraction(0)] * edges.n_edges
-        for k in edges.cut([v]):
-            row[k] = Fraction(1)
-        eq_rows.append(row)
-        eq_labels.append(f"degree:{v}")
+    eq_rows = [_edge_row(edges, edges.cut([v]), Fraction(1)) for v in range(n)]
+    eq_labels = [f"degree:{v}" for v in range(n)]
 
     pms = enumerate_perfect_matchings(n)
     verts = [_matching_vector(edges, m) for m in pms]
@@ -206,35 +200,30 @@ def perfect_matching_polytope(n: int) -> Polytope:
     )
 
 
-def _matching_rows(n: int, max_odd: int):
-    """Shared row builder: degree bounds, interior odd sets up to max_odd,
-    nonnegativity."""
+def _matching_relaxation(n: int, max_odd: int) -> Polytope:
+    """Degree bounds, interior odd sets of size 3..max_odd, nonnegativity;
+    the integral matchings as the listed vertices."""
     edges = EdgeIndexing(n)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     labels: list[str] = []
     for v in range(n):
-        row = [Fraction(0)] * edges.n_edges
-        for k in edges.cut([v]):
-            row[k] = Fraction(1)
-        rows.append(row)
+        rows.append(_edge_row(edges, edges.cut([v]), Fraction(1)))
         rhs.append(Fraction(1))
         labels.append(f"degree:{v}")
     for size in range(3, max_odd + 1, 2):
         for u in combinations(range(n), size):
-            row = [Fraction(0)] * edges.n_edges
-            for k in edges.interior(u):
-                row[k] = Fraction(1)
-            rows.append(row)
+            rows.append(_edge_row(edges, edges.interior(u), Fraction(1)))
             rhs.append(Fraction((size - 1) // 2))
             labels.append("oddset:" + ",".join(map(str, u)))
     for k, (i, j) in enumerate(edges.pairs):
-        row = [Fraction(0)] * edges.n_edges
-        row[k] = Fraction(-1)
-        rows.append(row)
+        rows.append(_edge_row(edges, (k,), Fraction(-1)))
         rhs.append(Fraction(0))
         labels.append(f"nonneg:{i}-{j}")
-    return edges, rows, rhs, labels
+    matchings = enumerate_matchings(n)
+    verts = [_matching_vector(edges, m) for m in matchings]
+    vlabels = [_matching_label("m:", m) for m in matchings]
+    return Polytope.build(rows, rhs, verts, row_labels=labels, vertex_labels=vlabels)
 
 
 def matching_polytope(n: int) -> Polytope:
@@ -242,11 +231,7 @@ def matching_polytope(n: int) -> Polytope:
     inequalities x(E(U)) <= (|U|-1)/2, edge nonnegativity."""
     if n < 2:
         raise InputError(f"matching polytope needs n >= 2, got {n}")
-    edges, rows, rhs, labels = _matching_rows(n, n if n % 2 else n - 1)
-    matchings = enumerate_matchings(n)
-    verts = [_matching_vector(edges, m) for m in matchings]
-    vlabels = [_matching_label("m:", m) for m in matchings]
-    return Polytope.build(rows, rhs, verts, row_labels=labels, vertex_labels=vlabels)
+    return _matching_relaxation(n, n if n % 2 else n - 1)
 
 
 def truncated_matching_relaxation(n: int, s: int) -> Polytope:
@@ -262,11 +247,7 @@ def truncated_matching_relaxation(n: int, s: int) -> Polytope:
         raise InputError(f"odd-set threshold s must be odd, got {s}")
     if not 1 <= s <= n:
         raise InputError(f"s must lie in [1, {n}], got {s}")
-    edges, rows, rhs, labels = _matching_rows(n, s)
-    matchings = enumerate_matchings(n)
-    verts = [_matching_vector(edges, m) for m in matchings]
-    vlabels = [_matching_label("m:", m) for m in matchings]
-    return Polytope.build(rows, rhs, verts, row_labels=labels, vertex_labels=vlabels)
+    return _matching_relaxation(n, s)
 
 
 def odd_set_rows(label: str) -> bool:
@@ -367,12 +348,7 @@ def approximation_ratio(
     objectives += [
         tuple(rng.randint(0, 1000) for _ in range(poly.dim)) for _ in range(trials)
     ]
-    k_ineqs = ([list(r) for r in relaxation.ineq_coefs.rows()], list(relaxation.ineq_rhs))
-    k_eqs = (
-        ([list(r) for r in relaxation.eq_coefs.rows()], list(relaxation.eq_rhs))
-        if relaxation.eq_coefs is not None
-        else None
-    )
+    k_ineqs, k_eqs = relaxation.lp_system()
     best = Fraction(1)
     worst = objectives[0] if objectives else ()
     for c in objectives:

@@ -17,7 +17,15 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
-from .exactla import ExactMatrix, conic_combination, format_rational, lp_solve, rat
+from .exactla import (
+    ExactMatrix,
+    conic_combination,
+    format_rational,
+    lp_solve,
+    matrix_to_json,
+    rat,
+    read_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,11 @@ class Polytope:
                     return j, f"equality {i} ({self.eq_labels[i]})"
         return None
 
+    def lp_system(self) -> tuple[tuple, tuple | None]:
+        """(ineqs, eqs) in the form lp_solve takes."""
+        eqs = None if self.eq_coefs is None else (self.eq_coefs, self.eq_rhs)
+        return (self.ineq_coefs, self.ineq_rhs), eqs
+
     def contains(self, point: Sequence) -> bool:
         p = [rat(x) for x in point]
         if len(p) != self.dim:
@@ -161,6 +174,11 @@ class SlackMatrix:
             raise InputError("slack matrix text needs matrix plus two label lines")
         matrix = ExactMatrix.from_text("\n".join(lines[:-2]))
         return cls(matrix, tuple(lines[-2].split()), tuple(lines[-1].split()))
+
+
+def as_matrix(s: SlackMatrix | ExactMatrix) -> ExactMatrix:
+    """The bare matrix of a labelled slack matrix; plain matrices pass."""
+    return s.matrix if isinstance(s, SlackMatrix) else s
 
 
 @dataclass(frozen=True)
@@ -302,49 +320,37 @@ class XYSystem:
     def n_eqs(self) -> int:
         return len(self.eq_rhs)
 
-    def ineq_row(self, i: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction]:
-        bx = self.ineq_x.row(i) if self.ineq_x else (Fraction(0),) * self.x_dim
-        by = self.ineq_y.row(i) if self.ineq_y else (Fraction(0),) * self.y_dim
-        return bx, by, self.ineq_rhs[i]
+    def _joint(self, bx, by, rhs) -> tuple | None:
+        """One side over the joint (x, y) variables; a missing block reads
+        as zeros and a side without rows is None."""
+        if not rhs:
+            return None
+        zx, zy = (Fraction(0),) * self.x_dim, (Fraction(0),) * self.y_dim
+        rows = [
+            list(zx if bx is None else bx.row(i)) + list(zy if by is None else by.row(i))
+            for i in range(len(rhs))
+        ]
+        return rows, list(rhs)
 
-    def eq_row(self, i: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction]:
-        ex = self.eq_x.row(i) if self.eq_x else (Fraction(0),) * self.x_dim
-        ey = self.eq_y.row(i) if self.eq_y else (Fraction(0),) * self.y_dim
-        return ex, ey, self.eq_rhs[i]
+    def joint_systems(self) -> tuple[tuple | None, tuple | None]:
+        """(ineqs, eqs) over the joint (x, y) variables for lp_solve."""
+        return (
+            self._joint(self.ineq_x, self.ineq_y, self.ineq_rhs),
+            self._joint(self.eq_x, self.eq_y, self.eq_rhs),
+        )
 
-    def lift_system_for(self, x: Sequence[Fraction]) -> tuple[tuple, tuple | None]:
+    def lift_system_for(self, x: Sequence[Fraction]) -> tuple[tuple | None, tuple | None]:
         """Constraints over y once x is pinned: (ineqs, eqs) for lp_solve."""
-        ineq_rows, ineq_rhs = [], []
-        for i in range(self.n_ineqs):
-            bx, by, d = self.ineq_row(i)
-            ineq_rows.append(list(by))
-            ineq_rhs.append(d - sum(a * v for a, v in zip(bx, x) if a))
-        eq_rows, eq_rhs = [], []
-        for i in range(self.n_eqs):
-            ex, ey, f = self.eq_row(i)
-            eq_rows.append(list(ey))
-            eq_rhs.append(f - sum(a * v for a, v in zip(ex, x) if a))
-        ineqs = (ineq_rows, ineq_rhs) if ineq_rows else None
-        eqs = (eq_rows, eq_rhs) if eq_rows else None
-        return ineqs, eqs
-
-    def joint_ineqs(self) -> tuple | None:
-        if self.n_ineqs == 0:
-            return None
-        rows = []
-        for i in range(self.n_ineqs):
-            bx, by, _ = self.ineq_row(i)
-            rows.append(list(bx) + list(by))
-        return rows, list(self.ineq_rhs)
-
-    def joint_eqs(self) -> tuple | None:
-        if self.n_eqs == 0:
-            return None
-        rows = []
-        for i in range(self.n_eqs):
-            ex, ey, _ = self.eq_row(i)
-            rows.append(list(ex) + list(ey))
-        return rows, list(self.eq_rhs)
+        out = []
+        for side in self.joint_systems():
+            if side is not None:
+                rows, rhs = side
+                side = (
+                    [row[self.x_dim :] for row in rows],
+                    [d - sum(a * v for a, v in zip(row, x) if a) for row, d in zip(rows, rhs)],
+                )
+            out.append(side)
+        return out[0], out[1]
 
 
 @dataclass(frozen=True)
@@ -376,14 +382,8 @@ def lp_equal_under_projection(
             )
 
     rng = random.Random(seed)
-    p_ineqs = ([list(r) for r in poly.ineq_coefs.rows()], list(poly.ineq_rhs))
-    p_eqs = (
-        ([list(r) for r in poly.eq_coefs.rows()], list(poly.eq_rhs))
-        if poly.eq_coefs is not None
-        else None
-    )
-    q_ineqs = system.joint_ineqs()
-    q_eqs = system.joint_eqs()
+    p_ineqs, p_eqs = poly.lp_system()
+    q_ineqs, q_eqs = system.joint_systems()
     zeros_y = [0] * system.y_dim
     for t in range(trials):
         c = [rng.randint(-1000, 1000) for _ in range(poly.dim)]
@@ -412,44 +412,35 @@ def lp_equal_under_projection(
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _matrix_json(m: ExactMatrix | None) -> list[list[str]] | None:
-    if m is None:
-        return None
-    return [[format_rational(x) for x in row] for row in m.rows()]
+def _system_to_json(m: ExactMatrix, rhs: Sequence[Fraction]) -> dict:
+    return {"rows": matrix_to_json(m.rows()), "rhs": [format_rational(x) for x in rhs]}
 
 
 def polytope_to_json(poly: Polytope) -> dict:
+    eqs = None if poly.eq_coefs is None else _system_to_json(poly.eq_coefs, poly.eq_rhs)
     return {
         "dim": poly.dim,
-        "ineqs": {
-            "rows": _matrix_json(poly.ineq_coefs),
-            "rhs": [format_rational(x) for x in poly.ineq_rhs],
-        },
-        "eqs": None
-        if poly.eq_coefs is None
-        else {
-            "rows": _matrix_json(poly.eq_coefs),
-            "rhs": [format_rational(x) for x in poly.eq_rhs],
-        },
-        "vertices": [[format_rational(x) for x in v] for v in poly.vertices],
+        "ineqs": _system_to_json(poly.ineq_coefs, poly.ineq_rhs),
+        "eqs": eqs,
+        "vertices": matrix_to_json(poly.vertices),
         "row_labels": list(poly.row_labels),
         "eq_labels": list(poly.eq_labels),
         "vertex_labels": list(poly.vertex_labels),
     }
 
 
+def _file_matrix(path: str, base_dir: str | None) -> ExactMatrix:
+    """A matrix-text file named by a `{"file": ...}` reference; relative
+    paths resolve against the referring document's directory."""
+    return read_matrix(os.path.join(base_dir or "", path))
+
+
 def _system_from_json(obj: dict | None, base_dir: str | None, what: str):
     if obj is None:
         return None, ()
     if "file" in obj:
-        path = obj["file"]
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        with open(path, "r", encoding="utf-8") as fh:
-            aug = ExactMatrix.from_text(fh.read())
-        rows = [row[:-1] for row in aug.rows()]
-        rhs = [row[-1] for row in aug.rows()]
-        return ExactMatrix(rows), tuple(rhs)
+        aug = _file_matrix(obj["file"], base_dir).rows()
+        return ExactMatrix(row[:-1] for row in aug), tuple(row[-1] for row in aug)
     try:
         rows = obj["rows"]
         rhs = obj["rhs"]
@@ -470,10 +461,7 @@ def polytope_from_json(obj: dict, base_dir: str | None = None) -> Polytope:
         path = vertices.get("file")
         if path is None:
             raise InputError("vertices: need inline rows or a 'file' reference")
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        with open(path, "r", encoding="utf-8") as fh:
-            vertices = [list(row) for row in ExactMatrix.from_text(fh.read()).rows()]
+        vertices = _file_matrix(path, base_dir).rows()
     poly = Polytope.build(
         ineq_m,
         ineq_rhs,
@@ -495,11 +483,29 @@ def write_polytope(path: str, poly: Polytope) -> None:
         fh.write("\n")
 
 
-def read_polytope(path: str) -> Polytope:
+def load_json(path: str):
+    """Parse a JSON file; malformed JSON is an InputError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict) and "result" in obj and "polytope" in obj.get("result", {}):
-        obj = obj["result"]["polytope"]  # accept CLI envelopes for chaining
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def load_payload(path: str, key: str):
+    """Load a JSON payload, accepting either the bare object or a CLI
+    envelope whose result carries it under `key`.  Any other shape comes
+    back unchanged for the payload's own decoder to reject."""
+    obj = load_json(path)
+    if isinstance(obj, dict) and isinstance(obj.get("result"), dict):
+        obj = obj["result"]
+    if isinstance(obj, dict) and isinstance(obj.get(key), dict):
+        obj = obj[key]
+    return obj
+
+
+def read_polytope(path: str) -> Polytope:
+    obj = load_payload(path, "polytope")
     return polytope_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

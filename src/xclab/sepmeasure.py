@@ -16,8 +16,11 @@ polytope row corresponds to two ground rows when t = n - t.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -100,10 +103,6 @@ class MatchingCutInstance:
 
     @classmethod
     def from_mk(cls, m: int, k: int) -> "MatchingCutInstance":
-        if k < 5 or k % 2 == 0:
-            raise InputError(f"k must be odd and >= 5, got {k}")
-        if m < 1 or m % 2 == 0:
-            raise InputError(f"m must be odd and >= 1, got {m}")
         n = 3 * m * (k - 3) + 2 * k
         t = (m + 1) // 2 * (k - 3) + 3
         return cls(m, k, n, t)
@@ -190,6 +189,11 @@ def _cache_path(n: int, t: int) -> str | None:
 
 
 def _load_cached_table(n, t, n_cuts, n_matchings):
+    """The cached table, or None when it is absent or fails validation.
+
+    Per odd class ell <= t, the entry count must equal the closed-form
+    q_class_size.  Those sizes sum to the table's cell count, so a table
+    that passes also holds no even entry and none above t."""
     path = _cache_path(n, t)
     if path is None or not os.path.exists(path):
         return None
@@ -204,22 +208,34 @@ def _load_cached_table(n, t, n_cuts, n_matchings):
                 if len(row) != n_matchings:
                     return None
                 table.append(row)
-        return tuple(table)
     except (OSError, ValueError):
         return None
+    for ell in range(1, t + 1, 2):
+        if sum(row.count(ell) for row in table) != q_class_size(n, t, ell):
+            return None
+    return tuple(table)
 
 
 def _store_cached_table(n, t, table) -> None:
+    """Write through a temp file unique to this writer, then rename; a
+    failed write only costs the cache, so it warns instead of failing."""
     path = _cache_path(n, t)
     if path is None:
         return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {t} {len(table)} {len(table[0]) if table else 0}\n")
-        for row in table:
-            fh.write(" ".join(str(x) for x in row) + "\n")
-    os.replace(tmp, path)
+    tmp = None
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(f"{n} {t} {len(table)} {len(table[0]) if table else 0}\n")
+            for row in table:
+                fh.write(" ".join(str(x) for x in row) + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        print(f"warning: ground cache not written: {exc}", file=sys.stderr)
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotAnExtensionError, NotDerivableError
-from .exactla import ExactMatrix, conic_combination, format_rational, lp_solve, rat
-from .polytope import Polytope, SlackMatrix, XYSystem, slack_matrix
+from .exactla import (
+    ExactMatrix,
+    conic_combination,
+    format_rational,
+    lp_solve,
+    matrix_to_json,
+    rat,
+)
+from .polytope import Polytope, SlackMatrix, XYSystem, as_matrix, slack_matrix
 
 
 @dataclass(frozen=True)
@@ -46,13 +53,9 @@ class Factorization:
         return self.left @ self.right
 
 
-def _as_matrix(s: SlackMatrix | ExactMatrix) -> ExactMatrix:
-    return s.matrix if isinstance(s, SlackMatrix) else s
-
-
 def verify_factorization(s: SlackMatrix | ExactMatrix, fac: Factorization) -> bool:
     """Exact entrywise check that the factors reproduce the matrix."""
-    m = _as_matrix(s)
+    m = as_matrix(s)
     if fac.left.nrows != m.nrows or fac.right.ncols != m.ncols:
         raise InputError(
             f"factorization shape ({fac.left.nrows}x{fac.right.ncols}) does not "
@@ -63,7 +66,7 @@ def verify_factorization(s: SlackMatrix | ExactMatrix, fac: Factorization) -> bo
 
 def slack_variable_factorization(s: SlackMatrix | ExactMatrix) -> Factorization:
     """The trivial factorization (I, S): one y-variable per row of S."""
-    m = _as_matrix(s)
+    m = as_matrix(s)
     return Factorization(ExactMatrix.identity(m.nrows), m)
 
 
@@ -182,27 +185,20 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
     if r == 0:
         raise InputError("system has no inequality rows to act as facets")
 
+    ineqs, eqs = system.joint_systems()
     cols = []
     for j, x in enumerate(poly.vertices):
-        y = _lex_min_lift(system, x, j)
-        col = []
-        for i in range(r):
-            bx, by, d = system.ineq_row(i)
-            col.append(d - _dot(bx, x) - _dot(by, y))
+        xy = tuple(x) + tuple(_lex_min_lift(system, x, j))
+        col = [d - _dot(row, xy) for row, d in zip(*ineqs)]
         if any(c < 0 for c in col):
             raise NotAnExtensionError(j, f"lift of vertex {j} violates the system")
         cols.append(col)
     right = ExactMatrix(cols).transpose()
 
-    big_rows = []
-    for i in range(r):
-        bx, by, d = system.ineq_row(i)
-        big_rows.append(list(bx) + list(by) + [d])
-    for i in range(system.n_eqs):
-        ex, ey, f = system.eq_row(i)
-        row = list(ex) + list(ey) + [f]
-        big_rows.append(row)
-        big_rows.append([-t for t in row])
+    big_rows = [row + [d] for row, d in zip(*ineqs)]
+    if eqs is not None:
+        for row, f in zip(*eqs):
+            big_rows += [row + [f], [-t for t in row] + [-f]]
     big = ExactMatrix(big_rows)
 
     zeros_y = (Fraction(0),) * system.y_dim
@@ -222,14 +218,13 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
 # Serialization: polytope-style JSON over the joint (x, y) variables.
 
 def formulation_to_json(ef: ExtendedFormulation) -> dict:
-    joint = ef.eq_x.hstack(ef.eq_y)
     return {
         "x_dim": ef.x_dim,
         "y_dim": ef.y_dim,
         "variables": [f"x:{i}" for i in range(ef.x_dim)]
         + [f"y:{i}" for i in range(ef.y_dim)],
         "eqs": {
-            "rows": [[format_rational(x) for x in row] for row in joint.rows()],
+            "rows": matrix_to_json(ef.eq_x.hstack(ef.eq_y).rows()),
             "rhs": [format_rational(v) for v in ef.eq_rhs],
         },
     }
@@ -239,15 +234,14 @@ def formulation_from_json(obj: dict) -> ExtendedFormulation:
     try:
         x_dim = int(obj["x_dim"])
         y_dim = int(obj["y_dim"])
-        rows = obj["eqs"]["rows"]
-        rhs = obj["eqs"]["rhs"]
+        joint = ExactMatrix(obj["eqs"]["rows"])
+        rhs = tuple(rat(v) for v in obj["eqs"]["rhs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed extension JSON: {exc}") from exc
-    joint = ExactMatrix(rows)
     if joint.ncols != x_dim + y_dim:
         raise InputError(
             f"equality rows have {joint.ncols} columns, expected {x_dim + y_dim}"
         )
     eq_x = ExactMatrix([row[:x_dim] for row in joint.rows()])
     eq_y = ExactMatrix([row[x_dim:] for row in joint.rows()])
-    return ExtendedFormulation(x_dim, y_dim, eq_x, eq_y, tuple(rat(v) for v in rhs))
+    return ExtendedFormulation(x_dim, y_dim, eq_x, eq_y, rhs)

@@ -46,10 +46,10 @@ def square_file(tmp_path):
 def test_gen_envelope_schema(tmp_path):
     rc, env = run(["gen", "ppm", "--n", 6], tmp_path / "p.json")
     assert rc == 0
-    assert set(env) == {"command", "inputs", "seed", "threads", "result", "timing"}
+    assert set(env) == {"command", "inputs", "seed", "result", "timing"}
     assert env["command"] == "gen"
     assert env["inputs"] == {"family": "ppm", "n": 6}
-    assert env["seed"] == 0 and env["threads"] == 1
+    assert env["seed"] == 0
     assert len(env["result"]["polytope"]["vertices"]) == 15
     assert env["timing"]["seconds"] >= 0
 
@@ -66,7 +66,6 @@ def test_unknown_verb_and_bad_usage():
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     assert main(["gen", "ppm"]) == 2
-    assert main(["gen", "ppm", "--n", "4", "--threads", "0"]) == 2
 
 
 def test_envelope_chains_into_polytope_input(tmp_path):
@@ -218,6 +217,45 @@ def test_qsize(tmp_path):
     assert main(["qsize", "--n", "16", "--t", "4", "--ell", "3"]) == 2
 
 
+def test_wdot_crosscheck_mismatch_exits_1(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        "xclab.cli.ws_inner_product_materialized", lambda ground, k: Fraction(7, 4)
+    )
+    rc, env = run(
+        ["wdot", "--n", 10, "--t", 5, "--k", 5, "--crosscheck"], tmp_path / "w.json"
+    )
+    assert rc == 1
+    assert env["result"] == {"counting": "1", "materialized": "7/4", "equal": False}
+
+
+def test_corrupt_ground_cache_is_rebuilt(monkeypatch, tmp_path):
+    monkeypatch.setenv("XCLAB_CACHE_DIR", str(tmp_path / "cache"))
+    args = ["wdot", "--n", 10, "--t", 5, "--k", 5, "--crosscheck"]
+    assert run(args, tmp_path / "a.json")[0] == 0
+    table = tmp_path / "cache" / "ground-n10-t5.txt"
+    head, *body = table.read_text().splitlines()
+    corrupt = [" ".join("3" if x == "1" else x for x in ln.split()) for ln in body]
+    table.write_text("\n".join([head, *corrupt]) + "\n")
+
+    rc, env = run(args, tmp_path / "b.json")
+    assert rc == 0
+    assert env["result"] == {"counting": "1", "materialized": "1", "equal": True}
+    assert table.read_text().splitlines()[1:] == body
+
+
+def test_failed_cache_write_warns(monkeypatch, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv("XCLAB_CACHE_DIR", str(blocker / "cache"))
+    rc, env = run(
+        ["mu", "--n", 6, "--t", 3, "--ell", 3, "--e1", "0-1", "--e2", "2-3"],
+        tmp_path / "m.json",
+    )
+    assert rc == 0
+    assert rat(env["result"]["mu"]) > 0
+    assert "warning: ground cache not written" in capsys.readouterr().err
+
+
 def test_wdot_crosscheck(ground_cache, tmp_path):
     rc, env = run(
         ["wdot", "--n", 10, "--t", 5, "--k", 5, "--crosscheck"], tmp_path / "w.json"
@@ -278,6 +316,29 @@ def test_ratio_truncated_triangle(tmp_path):
     assert rc == 0
     assert env["result"]["ratio"] == "3/2"
     assert env["result"]["worst_objective"] == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "verb, payload",
+    [
+        ("slack", {"command": "gen", "result": None}),
+        ("slack", {"result": "polytope"}),
+        ("contract", {"x_dim": 1, "y_dim": 1, "eqs": {"rows": [[1, 1]], "rhs": 0}}),
+        ("contract", {"x_dim": 1, "y_dim": 1, "eqs": {"rows": 1, "rhs": [0]}}),
+        ("bias", {"domains": [0, 1], "tuples": [[0, 1]]}),
+    ],
+)
+def test_malformed_json_is_input_error(verb, payload, square_file, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    argv = {
+        "slack": ["slack", "--input", bad],
+        "contract": ["contract", "--input", square_file, "--system", bad],
+        "bias": ["bias", "--input", bad, "--eps", "1/2"],
+    }[verb]
+    out = tmp_path / "o.json"
+    assert main([str(a) for a in argv] + ["--output", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_missing_file_is_input_error(tmp_path):

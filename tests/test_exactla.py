@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from xclab.errors import InputError
 from xclab.exactla import (
     ExactMatrix,
+    common_denominator,
     conic_combination,
     format_rational,
     lp_solve,
+    matrix_to_json,
     rank,
     rat,
 )
@@ -96,6 +98,34 @@ def test_rank_agrees_with_duplicated_rows(rows):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rank_invariant_under_positive_row_scaling(data):
+    rows = data.draw(
+        st.lists(
+            st.lists(
+                st.fractions(min_value=-30, max_value=30, max_denominator=9),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    factors = data.draw(
+        st.lists(
+            st.fractions(min_value=F(1, 13), max_value=50, max_denominator=13),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    scaled = [[f * x for x in row] for f, row in zip(factors, rows)]
+    for row in scaled:
+        d = common_denominator(row)
+        assert all((d * x).denominator == 1 for x in row)
+    assert rank(ExactMatrix(scaled)) == rank(ExactMatrix(rows))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.lists(
         st.lists(
@@ -111,6 +141,7 @@ def test_matrix_text_round_trip(rows):
     m = ExactMatrix(rows)
     again = ExactMatrix.from_text(m.to_text())
     assert again == m
+    assert ExactMatrix(matrix_to_json(m.rows())) == m
 
 
 def test_matrix_text_errors():
