@@ -1,14 +1,17 @@
-"""Exact rational linear algebra: matrices, rank, LP, conic combinations."""
+"""Exact rational linear algebra: matrices, rank, unique solutions of linear
+systems, LP, conic combinations."""
 
 from .matrix import (
     ExactMatrix,
     Rational,
     common_denominator,
     format_rational,
+    integer_row,
     matrix_to_json,
     rank,
     rat,
     read_matrix,
+    solve_unique,
     write_matrix,
 )
 from .simplex import LPResult, conic_combination, lp_solve
@@ -20,10 +23,12 @@ __all__ = [
     "common_denominator",
     "conic_combination",
     "format_rational",
+    "integer_row",
     "lp_solve",
     "matrix_to_json",
     "rank",
     "rat",
     "read_matrix",
+    "solve_unique",
     "write_matrix",
 ]

@@ -8,7 +8,7 @@ exactly the canonical form we need.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from ..errors import InputError
@@ -48,6 +48,14 @@ def matrix_to_json(rows: Iterable[Iterable[Fraction]]) -> list[list[str]]:
 def common_denominator(values: Iterable[Fraction]) -> int:
     """Least positive integer whose product with every value is integral."""
     return lcm(*(x.denominator for x in values))
+
+
+def integer_row(row: Sequence[Fraction], rhs: Fraction) -> tuple[dict[int, int], int]:
+    """A row and its right-hand side times their common denominator: the
+    nonzero integer coefficients by column, and the integer right-hand side."""
+    scale = lcm(rhs.denominator, *(a.denominator for a in row if a))
+    coefs = {k: a.numerator * (scale // a.denominator) for k, a in enumerate(row) if a}
+    return coefs, rhs.numerator * (scale // rhs.denominator)
 
 
 class ExactMatrix:
@@ -234,6 +242,72 @@ def rank(m: ExactMatrix) -> int:
         if r == nrows:
             break
     return r
+
+
+def solve_unique(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[Fraction, ...] | str:
+    """The unique x with rows . x == rhs, else "inconsistent" when no x
+    solves the system or "not unique" when solutions form a line or more.
+
+    Sparse fraction-free elimination: each row is cleared of denominators
+    and reduced against the pivot rows taken so far, in the order taken, so
+    pivot row k is zero in the pivot columns of rows 1..k-1.  Once every
+    column has a pivot, the rows not yet read are only checked at the
+    solution.  An empty system is "not unique".
+    """
+    ncols = len(rows[0]) if rows else None
+    pivots: list[tuple[int, dict[int, int], int]] = []
+    solution = _back_substitute(pivots) if ncols == 0 else None
+    for row, b in zip(rows, rhs):
+        red, d = integer_row(row, b)
+        if solution is not None:
+            xs, den = solution
+            if sum(v * xs[k] for k, v in red.items()) != d * den:
+                return "inconsistent"
+            continue
+        for col, prow, pd in pivots:
+            f = red.get(col)
+            if not f:
+                continue
+            p = prow[col]
+            if p != 1:
+                red = {k: v * p for k, v in red.items()}
+            for k, v in prow.items():
+                t = red.get(k, 0) - f * v
+                if t:
+                    red[k] = t
+                else:
+                    del red[k]
+            d = d * p - f * pd
+            g = gcd(d, *red.values())
+            if g > 1:
+                red = {k: v // g for k, v in red.items()}
+                d //= g
+        if red:
+            pivots.append((min(red), red, d))
+            if len(pivots) == ncols:
+                solution = _back_substitute(pivots)
+        elif d:
+            return "inconsistent"
+    if solution is None:
+        return "not unique"
+    xs, den = solution
+    return tuple(Fraction(v, den) for v in xs)
+
+
+def _back_substitute(pivots) -> tuple[list[int], int]:
+    """Solve a full set of pivot rows from the last to the first; the
+    solution comes back as integers over one common denominator."""
+    x = [Fraction(0)] * len(pivots)
+    for col, prow, pd in reversed(pivots):
+        acc = Fraction(pd)
+        for k, v in prow.items():
+            if k != col:
+                acc -= v * x[k]
+        x[col] = acc / prow[col]
+    den = common_denominator(x)
+    return [v.numerator * (den // v.denominator) for v in x], den
 
 
 def write_matrix(path: str, m: ExactMatrix) -> None:

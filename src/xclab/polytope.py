@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -19,12 +20,15 @@ from typing import Callable, Iterable, Sequence
 from .errors import InputError
 from .exactla import (
     ExactMatrix,
+    common_denominator,
     conic_combination,
     format_rational,
+    integer_row,
     lp_solve,
     matrix_to_json,
     rat,
     read_matrix,
+    solve_unique,
 )
 
 
@@ -233,17 +237,53 @@ def slack_matrix(
 def verify_vertices(poly: Polytope) -> tuple[bool, int | None]:
     """Check that no listed vertex is a convex combination of the others.
 
-    Feasibility LP per vertex: nonnegative weights on the other vertices
-    summing to one that reproduce the point.  Returns (True, None) or
-    (False, first offending index).
+    A point listed twice fails at its first listing.  A point of P(H) at
+    which the tight inequality rows plus the equalities have rank dim is a
+    vertex of P(H), hence of conv(V), and passes by that rank certificate
+    alone.  Every other point, such as one of a relaxation whose P(H) is
+    larger than conv(V), gets a feasibility LP: nonnegative weights on the
+    other vertices summing to one that reproduce the point.  Returns
+    (True, None) or (False, first offending index).
     """
     verts = poly.vertices
-    for j in range(len(verts)):
+    counts = Counter(verts)
+    ineqs = list(map(integer_row, poly.ineq_coefs.rows(), poly.ineq_rhs))
+    eqs = []
+    if poly.eq_coefs is not None:
+        eqs = list(map(integer_row, poly.eq_coefs.rows(), poly.eq_rhs))
+    for j, v in enumerate(verts):
+        if counts[v] > 1:
+            return False, j
+        if _rank_certifies_vertex(poly, ineqs, eqs, v):
+            continue
         others = [verts[i] + (Fraction(1),) for i in range(len(verts)) if i != j]
-        target = verts[j] + (Fraction(1),)
+        target = v + (Fraction(1),)
         if conic_combination(ExactMatrix(others), target) is not None:
             return False, j
     return True, None
+
+
+def _rank_certifies_vertex(poly: Polytope, ineqs, eqs, v) -> bool:
+    """Whether v lies in P(H) and is the only solution of its tight rows
+    plus the equalities, that is, they have rank dim.  Slacks are scaled
+    integers over the support of v."""
+    scale = common_denominator(v)
+    supp = [(k, int(x * scale)) for k, x in enumerate(v) if x]
+    tight = []
+    for i, (row, b) in enumerate(ineqs):
+        s = b * scale - sum(row[k] * x for k, x in supp if k in row)
+        if s < 0:
+            return False
+        if s == 0:
+            tight.append(i)
+    if any(f * scale != sum(row[k] * x for k, x in supp if k in row) for row, f in eqs):
+        return False
+    rows = [poly.ineq_coefs.row(i) for i in tight]
+    rhs = [poly.ineq_rhs[i] for i in tight]
+    if poly.eq_coefs is not None:
+        rows += poly.eq_coefs.rows()
+        rhs += poly.eq_rhs
+    return solve_unique(rows, rhs) == v
 
 
 def face(poly: Polytope, tight_rows: Sequence[int]) -> Polytope:
@@ -353,6 +393,24 @@ class XYSystem:
         return out[0], out[1]
 
 
+def unique_lift(ineqs: tuple | None, eqs: tuple | None) -> tuple[Fraction, ...] | str:
+    """The only y satisfying a lift system from `lift_system_for`, found by
+    linear algebra: when the equality rows have full column rank, their
+    unique solution is checked against the inequality rows.  Returns the
+    point, "infeasible" when no y satisfies the system, or "not unique"
+    when the equalities leave y free and an LP has to decide."""
+    if eqs is None:
+        return "not unique"
+    point = solve_unique(*eqs)
+    if point == "inconsistent":
+        return "infeasible"
+    if isinstance(point, tuple) and ineqs is not None and any(
+        sum(a * y for a, y in zip(row, point) if a) > d for row, d in zip(*ineqs)
+    ):
+        return "infeasible"
+    return point
+
+
 @dataclass(frozen=True)
 class ProjectionReport:
     passed: bool
@@ -366,19 +424,24 @@ def lp_equal_under_projection(
     """Check that the x-projection of the system agrees with the polytope.
 
     Deterministic part: every vertex of the polytope lifts into the system
-    (feasibility LP over y).  Randomized part: for seeded integer objectives
-    on x, the exact maxima over both descriptions coincide.
+    (`unique_lift`, or a feasibility LP over y when the lift is not
+    unique).  Randomized part: for `trials` seeded integer objectives on x,
+    the exact maxima over both descriptions coincide.
     """
     if system.x_dim != poly.dim:
         raise InputError("system x-dimension does not match the polytope")
+    if trials < 0:
+        raise InputError(f"trials must be >= 0, got {trials}")
     for j, v in enumerate(poly.vertices):
         ineqs, eqs = system.lift_system_for(v)
-        res = lp_solve(ineqs, eqs, [0] * system.y_dim, sense="max")
-        if res.status != "optimal":
+        lift = unique_lift(ineqs, eqs)
+        if lift == "not unique":
+            lift = lp_solve(ineqs, eqs, [0] * system.y_dim, sense="max").status
+        if isinstance(lift, str) and lift != "optimal":
             return ProjectionReport(
                 False,
                 "vertex-lift",
-                {"vertex": j, "label": poly.vertex_labels[j], "status": res.status},
+                {"vertex": j, "label": poly.vertex_labels[j], "status": lift},
             )
 
     rng = random.Random(seed)
@@ -449,6 +512,10 @@ def _system_from_json(obj: dict | None, base_dir: str | None, what: str):
     return ExactMatrix(rows), tuple(rat(x) for x in rhs)
 
 
+def _list_of(value, item_type: type) -> bool:
+    return isinstance(value, list) and all(isinstance(x, item_type) for x in value)
+
+
 def polytope_from_json(obj: dict, base_dir: str | None = None) -> Polytope:
     try:
         ineq_m, ineq_rhs = _system_from_json(obj["ineqs"], base_dir, "ineqs")
@@ -462,15 +529,14 @@ def polytope_from_json(obj: dict, base_dir: str | None = None) -> Polytope:
         if path is None:
             raise InputError("vertices: need inline rows or a 'file' reference")
         vertices = _file_matrix(path, base_dir).rows()
+    elif not _list_of(vertices, list):
+        raise InputError("vertices: need a list of coordinate rows or a 'file' reference")
+    labels = {key: obj.get(key) for key in ("row_labels", "eq_labels", "vertex_labels")}
+    for key, value in labels.items():
+        if value is not None and not _list_of(value, str):
+            raise InputError(f"{key}: need a list of strings")
     poly = Polytope.build(
-        ineq_m,
-        ineq_rhs,
-        vertices,
-        eq_coefs=eq_m,
-        eq_rhs=eq_rhs,
-        row_labels=obj.get("row_labels"),
-        eq_labels=obj.get("eq_labels"),
-        vertex_labels=obj.get("vertex_labels"),
+        ineq_m, ineq_rhs, vertices, eq_coefs=eq_m, eq_rhs=eq_rhs, **labels
     )
     if "dim" in obj and obj["dim"] != poly.dim:
         raise InputError(f"declared dim {obj['dim']} but system has {poly.dim}")

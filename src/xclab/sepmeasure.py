@@ -188,6 +188,13 @@ def _cache_path(n: int, t: int) -> str | None:
     return os.path.join(root, f"ground-n{n}-t{t}.txt")
 
 
+def _cache_header(n, t, n_cuts, n_matchings) -> str:
+    """First line of a cache file: format name and version, then the shape.
+    A file whose header differs in any field, the version included, is
+    rebuilt."""
+    return f"xclab-ground 1 {n} {t} {n_cuts} {n_matchings}"
+
+
 def _load_cached_table(n, t, n_cuts, n_matchings):
     """The cached table, or None when it is absent or fails validation.
 
@@ -199,8 +206,7 @@ def _load_cached_table(n, t, n_cuts, n_matchings):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if [int(x) for x in header] != [n, t, n_cuts, n_matchings]:
+            if fh.readline().split() != _cache_header(n, t, n_cuts, n_matchings).split():
                 return None
             table = []
             for _ in range(n_cuts):
@@ -227,7 +233,7 @@ def _store_cached_table(n, t, table) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(f"{n} {t} {len(table)} {len(table[0]) if table else 0}\n")
+            fh.write(_cache_header(n, t, len(table), len(table[0]) if table else 0) + "\n")
             for row in table:
                 fh.write(" ".join(str(x) for x in row) + "\n")
         os.replace(tmp, path)

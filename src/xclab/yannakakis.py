@@ -23,7 +23,14 @@ from .exactla import (
     matrix_to_json,
     rat,
 )
-from .polytope import Polytope, SlackMatrix, XYSystem, as_matrix, slack_matrix
+from .polytope import (
+    Polytope,
+    SlackMatrix,
+    XYSystem,
+    as_matrix,
+    slack_matrix,
+    unique_lift,
+)
 
 
 @dataclass(frozen=True)
@@ -137,8 +144,14 @@ def _dot(a, b) -> Fraction:
 
 
 def _lex_min_lift(system: XYSystem, x, vertex_index: int):
-    """Deterministic lift of a pinned x: minimize y coordinates one at a
-    time, lowest index first, pinning each minimum before the next."""
+    """Deterministic lift of a pinned x: the lexicographically least y.
+
+    When the equality rows' y-block has rank y_dim, as in every
+    ExtendedFormulation from `extension_from_factorization`, the lift is
+    unique and `unique_lift` solves for it directly.  Otherwise LPs
+    minimize the y coordinates one at a time, lowest index first, pinning
+    each minimum before the next.
+    """
     ineqs, eqs = system.lift_system_for(x)
     if system.y_dim == 0:
         ok = (ineqs is None or all(b >= 0 for b in ineqs[1])) and (
@@ -147,6 +160,11 @@ def _lex_min_lift(system: XYSystem, x, vertex_index: int):
         if not ok:
             raise NotAnExtensionError(vertex_index)
         return ()
+    lift = unique_lift(ineqs, eqs)
+    if lift == "infeasible":
+        raise NotAnExtensionError(vertex_index)
+    if lift != "not unique":
+        return lift
     eq_rows = [] if eqs is None else list(eqs[0])
     eq_rhs = [] if eqs is None else list(eqs[1])
     point = None

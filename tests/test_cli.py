@@ -176,6 +176,27 @@ def test_extend_contract_verify_chain(tmp_path):
     assert env["result"]["ok"] is True
 
 
+def test_verify_system_trials(tmp_path):
+    rc, _ = run(["gen", "ppm", "--n", 4], tmp_path / "p.json")
+    rc, _ = run(["extend", "--input", tmp_path / "p.json"], tmp_path / "ef.json")
+    verify = ["verify", "--input", tmp_path / "p.json", "--system", tmp_path / "ef.json"]
+    out = tmp_path / "v.json"
+    assert main([str(a) for a in verify] + ["--trials", "-3", "--output", str(out)]) == 2
+    assert not out.exists()
+    # zero trials still runs the vertex-lift check
+    rc, env = run(verify + ["--trials", 0], out)
+    assert rc == 0
+    assert env["result"]["ok"] is True
+    # lowering one right-hand side leaves a vertex tight on that row unliftable
+    ef = json.loads((tmp_path / "ef.json").read_text())
+    rhs = ef["result"]["formulation"]["eqs"]["rhs"]
+    rhs[0] = str(rat(rhs[0]) - 1)
+    (tmp_path / "ef.json").write_text(json.dumps(ef))
+    rc, env = run(verify + ["--trials", 0], out)
+    assert rc == 1
+    assert env["result"]["reason"] == "vertex-lift"
+
+
 def test_verify_vertices_failure(tmp_path):
     obj = polytope_to_json(hypercube_polytope(2))
     obj["vertices"].append(["1/2", "1/2"])
@@ -241,6 +262,23 @@ def test_corrupt_ground_cache_is_rebuilt(monkeypatch, tmp_path):
     assert rc == 0
     assert env["result"] == {"counting": "1", "materialized": "1", "equal": True}
     assert table.read_text().splitlines()[1:] == body
+
+
+@pytest.mark.parametrize("stale", ["6 3 20 15", "xclab-ground 2 6 3 20 15"])
+def test_stale_ground_cache_header_is_rebuilt(stale, monkeypatch, tmp_path):
+    monkeypatch.setenv("XCLAB_CACHE_DIR", str(tmp_path / "cache"))
+    args = ["mu", "--n", 6, "--t", 3, "--ell", 3, "--e1", "0-1", "--e2", "2-3"]
+    rc, first = run(args, tmp_path / "a.json")
+    assert rc == 0
+    table = tmp_path / "cache" / "ground-n6-t3.txt"
+    head, *body = table.read_text().splitlines()
+    assert head == "xclab-ground 1 6 3 20 15"
+    table.write_text("\n".join([stale, *body]) + "\n")
+
+    rc, again = run(args, tmp_path / "b.json")
+    assert rc == 0
+    assert again["result"] == first["result"]
+    assert table.read_text().splitlines() == [head, *body]
 
 
 def test_failed_cache_write_warns(monkeypatch, tmp_path, capsys):
@@ -326,6 +364,9 @@ def test_ratio_truncated_triangle(tmp_path):
         ("contract", {"x_dim": 1, "y_dim": 1, "eqs": {"rows": [[1, 1]], "rhs": 0}}),
         ("contract", {"x_dim": 1, "y_dim": 1, "eqs": {"rows": 1, "rhs": [0]}}),
         ("bias", {"domains": [0, 1], "tuples": [[0, 1]]}),
+        ("slack", {**polytope_to_json(hypercube_polytope(2)), "vertices": 5}),
+        ("slack", {**polytope_to_json(hypercube_polytope(2)), "row_labels": 5}),
+        ("slack", {**polytope_to_json(hypercube_polytope(2)), "eq_labels": 5}),
     ],
 )
 def test_malformed_json_is_input_error(verb, payload, square_file, tmp_path):

@@ -19,6 +19,7 @@ from xclab.exactla import (
     matrix_to_json,
     rank,
     rat,
+    solve_unique,
 )
 
 F = Fraction
@@ -271,3 +272,48 @@ def test_lp_random_small_feasible(seed):
     for row, b in zip(rows, rhs):
         assert sum(F(a) * x for a, x in zip(row, res.point)) <= b
     assert sum(F(a) * x for a, x in zip(c, res.point)) == res.value
+
+
+def test_solve_unique_examples():
+    assert solve_unique([[1, 1], [1, -1]], [3, 1]) == (F(2), F(1))
+    assert solve_unique([[F(1, 2), 0], [0, 3]], [1, 1]) == (F(2), F(1, 3))
+    assert solve_unique([[1, 1]], [1]) == "not unique"
+    assert solve_unique([[1, 1], [2, 2]], [1, 3]) == "inconsistent"
+    assert solve_unique([[1, 1], [2, 2], [1, 0]], [1, 2, 0]) == (F(0), F(1))
+    # full rank after two rows; the third is only checked at the solution
+    assert solve_unique([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) == "inconsistent"
+    # inconsistency wins over rank deficiency
+    assert solve_unique([[1, 1, 0], [1, 1, 0]], [1, 2]) == "inconsistent"
+    assert solve_unique([], []) == "not unique"
+    assert solve_unique([[], []], [0, 0]) == ()
+    assert solve_unique([[], []], [0, 1]) == "inconsistent"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_solve_unique_agrees_with_rank(data):
+    # A x = b has a solution iff rank [A | b] == rank A, and it is unique
+    # iff moreover rank A == ncols.
+    ncols = data.draw(st.integers(1, 4))
+    entry = st.fractions(-3, 3, max_denominator=3)
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=4)
+    )
+    # rows combined from earlier ones make rank deficiency common
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(-2, 2))
+        rows.insert(data.draw(st.integers(0, len(rows))), [a + c * b for a, b in zip(rows[i], rows[j])])
+    x0 = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=ncols, max_size=ncols))
+    rhs = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in rows]
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rhs[i] += data.draw(st.fractions(-2, 2, max_denominator=2))
+    out = solve_unique(rows, rhs)
+    r = rank(ExactMatrix(rows))
+    if rank(ExactMatrix([row + [b] for row, b in zip(rows, rhs)])) > r:
+        assert out == "inconsistent"
+    elif r < ncols:
+        assert out == "not unique"
+    else:
+        assert all(sum((a * x for a, x in zip(row, out)), F(0)) == b for row, b in zip(rows, rhs))

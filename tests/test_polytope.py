@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xclab.errors import InputError
-from xclab.exactla import ExactMatrix, rat, write_matrix
+from xclab.exactla import ExactMatrix, conic_combination, rat, write_matrix
 from xclab.polytope import (
     Polytope,
     SlackMatrix,
@@ -95,6 +97,85 @@ def test_verify_vertices_clean_and_dirty():
         list(p.vertices) + [(Fraction(1, 2), Fraction(1, 2))],
     )
     assert verify_vertices(dirty) == (False, 3)
+
+
+def test_verify_vertices_rejects_duplicates_first():
+    p = hypercube_polytope(2)
+    verts = list(p.vertices)
+    dup = Polytope.build(
+        p.ineq_coefs, p.ineq_rhs, verts[:2] + [verts[3], verts[1]] + verts[2:]
+    )
+    assert verify_vertices(dup) == (False, 1)
+
+
+def test_verify_vertices_takes_no_lp_at_rank_certified_vertices(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran for a rank-certified vertex")
+
+    monkeypatch.setattr("xclab.polytope.conic_combination", no_lp)
+    assert verify_vertices(hypercube_polytope(3)) == (True, None)
+    assert verify_vertices(cross_polytope(3)) == (True, None)
+
+
+def test_verify_vertices_relaxation_falls_back_to_lp():
+    # the square as P(H) around a triangle: (1/2, 1) is a vertex of the
+    # triangle but not of the square, so only the LP can accept it
+    square = hypercube_polytope(2)
+    tri = Polytope.build(
+        square.ineq_coefs, square.ineq_rhs, [(0, 0), (1, 0), (Fraction(1, 2), 1)]
+    )
+    assert verify_vertices(tri) == (True, None)
+
+
+def _verify_by_lp(poly):
+    """Reference: one feasibility LP per listed point."""
+    verts = poly.vertices
+    for j in range(len(verts)):
+        others = [verts[i] + (Fraction(1),) for i in range(len(verts)) if i != j]
+        if conic_combination(ExactMatrix(others), verts[j] + (Fraction(1),)) is not None:
+            return False, j
+    return True, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_vertices_matches_lp_reference(data):
+    """Random 0/1 point sets inside the cube, sometimes cut by one valid
+    inequality and lifted by a pinned coordinate, with an extra point
+    added: a duplicate, a convex combination, or a half-integral point
+    of the cube that may or may not be a vertex of the hull."""
+    d = data.draw(st.integers(2, 4))
+    corners = st.tuples(*[st.integers(0, 1)] * d)
+    verts = data.draw(st.lists(corners, min_size=2, max_size=6, unique=True))
+    verts = [tuple(Fraction(x) for x in v) for v in verts]
+    kind = data.draw(st.sampled_from(["none", "duplicate", "combination", "half"]))
+    if kind == "duplicate":
+        extra = data.draw(st.sampled_from(verts))
+    elif kind == "combination":
+        picks = data.draw(st.lists(st.sampled_from(verts), min_size=2, max_size=3))
+        weights = data.draw(st.lists(st.integers(1, 3), min_size=len(picks), max_size=len(picks)))
+        total = sum(weights)
+        extra = tuple(
+            sum(Fraction(w, total) * v[k] for w, v in zip(weights, picks)) for k in range(d)
+        )
+    else:
+        extra = tuple(Fraction(x, 2) for x in data.draw(st.tuples(*[st.integers(0, 2)] * d)))
+    if kind != "none":
+        verts.insert(data.draw(st.integers(0, len(verts))), extra)
+
+    cube = hypercube_polytope(d)
+    rows, rhs = [list(r) for r in cube.ineq_coefs.rows()], list(cube.ineq_rhs)
+    if data.draw(st.booleans()):
+        cut = data.draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d))
+        rows.append(cut)
+        rhs.append(max(sum(c * x for c, x in zip(cut, v)) for v in verts))
+    eqs = {}
+    if data.draw(st.booleans()):
+        verts = [v + (Fraction(1),) for v in verts]
+        rows = [r + [0] for r in rows]
+        eqs = {"eq_coefs": [[0] * d + [1]], "eq_rhs": [1]}
+    poly = Polytope.build(rows, rhs, verts, **eqs)
+    assert verify_vertices(poly) == _verify_by_lp(poly)
 
 
 def test_face_of_square_edge():

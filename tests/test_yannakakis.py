@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xclab.errors import InputError, NotAnExtensionError, NotDerivableError
-from xclab.exactla import ExactMatrix, rat
+from xclab.exactla import ExactMatrix, lp_solve, rat
 from xclab.polytope import (
     Polytope,
     XYSystem,
@@ -15,6 +17,7 @@ from xclab.polytope import (
 from xclab.yannakakis import (
     ExtendedFormulation,
     Factorization,
+    _lex_min_lift,
     extension_from_factorization,
     factorization_from_extension,
     formulation_from_json,
@@ -172,6 +175,90 @@ def test_unbounded_lift_raises():
     )
     with pytest.raises(InputError, match="unbounded"):
         factorization_from_extension(p, sys)
+
+
+def test_unique_lifts_take_no_lp(monkeypatch):
+    # a slack-variable extension has one lift per vertex, found by algebra
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran for a unique lift")
+
+    monkeypatch.setattr("xclab.yannakakis.lp_solve", no_lp)
+    p = hypercube_polytope(3)
+    s = slack_matrix(p)
+    ef = extension_from_factorization(p, slack_variable_factorization(s))
+    assert verify_factorization(s, factorization_from_extension(p, ef.to_xy_system()))
+
+
+def _lex_lift_by_lp(system, x, vertex_index):
+    """Reference: the lexicographic LP sequence for every lift."""
+    ineqs, eqs = system.lift_system_for(x)
+    eq_rows = [] if eqs is None else list(eqs[0])
+    eq_rhs = [] if eqs is None else list(eqs[1])
+    point = None
+    for i in range(system.y_dim):
+        obj = [0] * system.y_dim
+        obj[i] = 1
+        res = lp_solve(ineqs, (eq_rows, eq_rhs) if eq_rows else None, obj, sense="min")
+        if res.status == "infeasible":
+            raise NotAnExtensionError(vertex_index)
+        pin = [Fraction(0)] * system.y_dim
+        pin[i] = Fraction(1)
+        eq_rows.append(pin)
+        eq_rhs.append(res.value)
+        point = res.point
+    return point
+
+
+def _lift_outcome(lift, system, x):
+    try:
+        return lift(system, x, 7)
+    except NotAnExtensionError as exc:
+        return ("no lift", exc.vertex_index)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_direct_lift_matches_lex_lp_sequence(data):
+    """Equality-form systems with y >= 0 and a few mixed inequalities; the
+    y-block may be square, tall or short (then both sides run LPs)."""
+    small = st.integers(-2, 2)
+    x_dim = data.draw(st.integers(1, 3))
+    y_dim = data.draw(st.integers(1, 3))
+    n_eq = data.draw(st.integers(max(1, y_dim - 1), y_dim + 1))
+    n_mixed = data.draw(st.integers(0, 2))
+
+    def block(nrows, ncols):
+        return [data.draw(st.lists(small, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+
+    eq_x, eq_y = block(n_eq, x_dim), block(n_eq, y_dim)
+    mix_x, mix_y = block(n_mixed, x_dim), block(n_mixed, y_dim)
+    x0 = data.draw(st.lists(small, min_size=x_dim, max_size=x_dim))
+    y0 = data.draw(st.lists(st.integers(0, 3), min_size=y_dim, max_size=y_dim))
+
+    def at(rows_x, rows_y, i):
+        return sum(a * v for a, v in zip(rows_x[i], x0)) + sum(a * v for a, v in zip(rows_y[i], y0))
+
+    # (x0, y0) satisfies the system; a mixed row's slack at it is 0, 1 or 2,
+    # or -1 so that x0 has no lift at all
+    eq_rhs = [at(eq_x, eq_y, i) for i in range(n_eq)]
+    mix_rhs = [at(mix_x, mix_y, i) + data.draw(st.integers(-1, 2)) for i in range(n_mixed)]
+    nonneg_y = [[-int(i == j) for j in range(y_dim)] for i in range(y_dim)]
+    system = XYSystem(
+        x_dim=x_dim,
+        y_dim=y_dim,
+        ineq_x=ExactMatrix([[0] * x_dim for _ in range(y_dim)] + mix_x),
+        ineq_y=ExactMatrix(nonneg_y + mix_y),
+        ineq_rhs=tuple(rat(v) for v in [0] * y_dim + mix_rhs),
+        eq_x=ExactMatrix(eq_x),
+        eq_y=ExactMatrix(eq_y),
+        eq_rhs=tuple(rat(v) for v in eq_rhs),
+    )
+    x1 = data.draw(st.lists(small, min_size=x_dim, max_size=x_dim))
+    for x in (x0, x1):
+        x = tuple(rat(v) for v in x)
+        assert _lift_outcome(_lex_min_lift, system, x) == _lift_outcome(
+            _lex_lift_by_lp, system, x
+        )
 
 
 def test_formulation_json_round_trip():
