@@ -734,12 +734,8 @@ def nonnegative_rank_bounds(
 
     lower = max(c.value for c in certs)
 
-    if m.nrows <= m.ncols:
-        upper = m.nrows
-        witness = Factorization(ExactMatrix.identity(m.nrows), m)
-    else:
-        upper = m.ncols
-        witness = Factorization(m, ExactMatrix.identity(m.ncols))
+    upper = min(m.nrows, m.ncols)
+    witness = _padded_trivial(m, upper)
     if m.nrows * m.ncols <= config.nmf_cell_cap:
         tried = 0
         for r in range(max(lower, 1), upper):

@@ -20,7 +20,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 
@@ -55,6 +54,7 @@ from .polytope import (
     read_polytope,
     slack_matrix,
     verify_vertices,
+    write_atomic,
 )
 from .sepmeasure import (
     CutMatchingGround,
@@ -182,7 +182,7 @@ def _cmd_bounds(args):
     report = nonnegative_rank_bounds(s, config)
     witness_file = None
     if args.witness_out and report.upper_witness is not None:
-        _write_text(
+        write_atomic(
             args.witness_out,
             json.dumps(factorization_to_json(report.upper_witness), indent=1) + "\n",
         )
@@ -496,19 +496,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write atomically so a failed run leaves no partial artifact."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _emit(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _write_text(path, text)
+        write_atomic(path, text)
 
 
 def main(argv=None) -> int:
@@ -521,6 +513,18 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         inputs, result, code = args.handler(args)
+        if getattr(args, "format", "json") != "json":
+            text = result["text"]
+        else:
+            envelope = {
+                "command": args.verb,
+                "inputs": inputs,
+                "seed": args.seed,
+                "result": result,
+                "timing": {"seconds": round(time.monotonic() - start, 6)},
+            }
+            text = json.dumps(envelope, indent=1) + "\n"
+        _emit(args.output, text)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 1
@@ -532,19 +536,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-
-    if getattr(args, "format", "json") != "json":
-        _emit(args.output, result["text"])
-        return code
-
-    envelope = {
-        "command": args.verb,
-        "inputs": inputs,
-        "seed": args.seed,
-        "result": result,
-        "timing": {"seconds": round(time.monotonic() - start, 6)},
-    }
-    _emit(args.output, json.dumps(envelope, indent=1) + "\n")
     return code
 
 

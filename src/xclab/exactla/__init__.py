@@ -3,10 +3,10 @@ systems, LP, conic combinations."""
 
 from .matrix import (
     ExactMatrix,
+    IntegerRows,
     Rational,
     common_denominator,
     format_rational,
-    integer_row,
     matrix_to_json,
     rank,
     rat,
@@ -18,12 +18,12 @@ from .simplex import LPResult, conic_combination, lp_solve
 
 __all__ = [
     "ExactMatrix",
+    "IntegerRows",
     "LPResult",
     "Rational",
     "common_denominator",
     "conic_combination",
     "format_rational",
-    "integer_row",
     "lp_solve",
     "matrix_to_json",
     "rank",

@@ -50,12 +50,48 @@ def common_denominator(values: Iterable[Fraction]) -> int:
     return lcm(*(x.denominator for x in values))
 
 
-def integer_row(row: Sequence[Fraction], rhs: Fraction) -> tuple[dict[int, int], int]:
-    """A row and its right-hand side times their common denominator: the
-    nonzero integer coefficients by column, and the integer right-hand side."""
-    scale = lcm(rhs.denominator, *(a.denominator for a in row if a))
-    coefs = {k: a.numerator * (scale // a.denominator) for k, a in enumerate(row) if a}
-    return coefs, rhs.numerator * (scale // rhs.denominator)
+class IntegerRows:
+    """A row system a_i . x against b_i, each row and its right-hand side
+    times their common denominator scales[i]: rows[i] holds the nonzero
+    integer coefficients by column, rhs[i] the integer right-hand side.
+
+    The slacks b_i - a_i . x of a rational point come out exact: the point
+    is scaled by the common denominator of its coordinates, and only its
+    support is read.
+    """
+
+    __slots__ = ("rows", "rhs", "scales")
+
+    def __init__(self, rows: Iterable[Sequence[Fraction]], rhs: Iterable[Fraction]):
+        self.rows: list[dict[int, int]] = []
+        self.rhs: list[int] = []
+        self.scales: list[int] = []
+        for row, b in zip(rows, rhs):
+            scale = lcm(b.denominator, common_denominator(row))
+            self.rows.append(
+                {k: a.numerator * (scale // a.denominator) for k, a in enumerate(row) if a}
+            )
+            self.rhs.append(b.numerator * (scale // b.denominator))
+            self.scales.append(scale)
+
+    def _scaled(self, x: Sequence[Fraction]) -> tuple[list[int], int]:
+        den = common_denominator(x)
+        supp = [(k, v.numerator * (den // v.denominator)) for k, v in enumerate(x) if v]
+        return [
+            d * den - sum(row[k] * v for k, v in supp if k in row)
+            for row, d in zip(self.rows, self.rhs)
+        ], den
+
+    def scaled_slacks(self, x: Sequence[Fraction]) -> list[int]:
+        """Per row, (b_i - a_i . x) times scales[i] times the common
+        denominator of x: integers with the exact sign and zero pattern of
+        the slacks."""
+        return self._scaled(x)[0]
+
+    def slacks(self, x: Sequence[Fraction]) -> list[Fraction]:
+        """Per row, the exact slack b_i - a_i . x."""
+        values, den = self._scaled(x)
+        return [Fraction(s, c * den) for s, c in zip(values, self.scales)]
 
 
 class ExactMatrix:
@@ -259,8 +295,8 @@ def solve_unique(
     ncols = len(rows[0]) if rows else None
     pivots: list[tuple[int, dict[int, int], int]] = []
     solution = _back_substitute(pivots) if ncols == 0 else None
-    for row, b in zip(rows, rhs):
-        red, d = integer_row(row, b)
+    system = IntegerRows(rows, rhs)  # this call's own rows, reduced in place
+    for red, d in zip(system.rows, system.rhs):
         if solution is not None:
             xs, den = solution
             if sum(v * xs[k] for k, v in red.items()) != d * den:

@@ -335,11 +335,12 @@ def approximation_ratio(
     point of a relaxation."""
     if relaxation.dim != poly.dim:
         raise InputError("relaxation and polytope dimensions differ")
-    for j, v in enumerate(poly.vertices):
-        if not relaxation.contains(v):
-            raise InputError(
-                f"vertex {j} ({poly.vertex_labels[j]}) violates the relaxation"
-            )
+    if trials < 0:
+        raise InputError(f"trials must be >= 0, got {trials}")
+    bad = relaxation.first_violation(poly.vertices)
+    if bad is not None:
+        j = bad[0]
+        raise InputError(f"vertex {j} ({poly.vertex_labels[j]}) violates the relaxation")
     rng = random.Random(seed)
     objectives: list[tuple[int, ...]] = [tuple(int(x) for x in c) for c in extra_objectives]
     for c in objectives:

@@ -9,9 +9,11 @@ rank question downstream.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,10 +22,9 @@ from typing import Callable, Iterable, Sequence
 from .errors import InputError
 from .exactla import (
     ExactMatrix,
-    common_denominator,
+    IntegerRows,
     conic_combination,
     format_rational,
-    integer_row,
     lp_solve,
     matrix_to_json,
     rat,
@@ -101,25 +102,29 @@ class Polytope:
             raise InputError("equality label count mismatch")
 
         poly = cls(a, b, e, f, verts, rl, el, vl)
-        bad = poly._first_violating_vertex()
+        bad = poly.first_violation(verts)
         if bad is not None:
             j, why = bad
             raise InputError(f"vertex {j} ({vl[j]}) violates the system: {why}")
         return poly
 
-    def _first_violating_vertex(self) -> tuple[int, str] | None:
-        arows = [_sparse(row) for row in self.ineq_coefs.rows()]
-        erows = [_sparse(row) for row in self.eq_coefs.rows()] if self.eq_coefs else []
-        for j, v in enumerate(self.vertices):
-            supp = [(k, x) for k, x in enumerate(v) if x]
-            for i, row in enumerate(arows):
-                val = sum(row[k] * x for k, x in supp if k in row)
-                if val > self.ineq_rhs[i]:
+    def all_rows(self) -> tuple[tuple, tuple]:
+        """(rows, rhs): the inequality rows, then the equality rows."""
+        if self.eq_coefs is None:
+            return self.ineq_coefs.rows(), self.ineq_rhs
+        return self.ineq_coefs.rows() + self.eq_coefs.rows(), self.ineq_rhs + self.eq_rhs
+
+    def first_violation(self, points) -> tuple[int, str] | None:
+        """The index of the first point outside the system, with the first
+        row it violates, inequalities before equalities; None when every
+        point satisfies the system."""
+        system, m = IntegerRows(*self.all_rows()), self.n_ineqs
+        for j, v in enumerate(points):
+            for i, s in enumerate(system.scaled_slacks(v)):
+                if i < m and s < 0:
                     return j, f"inequality {i} ({self.row_labels[i]})"
-            for i, row in enumerate(erows):
-                val = sum(row[k] * x for k, x in supp if k in row)
-                if val != self.eq_rhs[i]:
-                    return j, f"equality {i} ({self.eq_labels[i]})"
+                if i >= m and s:
+                    return j, f"equality {i - m} ({self.eq_labels[i - m]})"
         return None
 
     def lp_system(self) -> tuple[tuple, tuple | None]:
@@ -131,18 +136,7 @@ class Polytope:
         p = [rat(x) for x in point]
         if len(p) != self.dim:
             raise InputError("point dimension mismatch")
-        for row, b in zip(self.ineq_coefs.rows(), self.ineq_rhs):
-            if sum(a * x for a, x in zip(row, p) if a) > b:
-                return False
-        if self.eq_coefs is not None:
-            for row, f in zip(self.eq_coefs.rows(), self.eq_rhs):
-                if sum(a * x for a, x in zip(row, p) if a) != f:
-                    return False
-        return True
-
-
-def _sparse(row: Sequence[Fraction]) -> dict[int, Fraction]:
-    return {k: a for k, a in enumerate(row) if a}
+        return self.first_violation([p]) is None
 
 
 @dataclass(frozen=True)
@@ -218,17 +212,10 @@ def slack_matrix(
     ]
     if not idx:
         raise InputError("row filter keeps no rows")
-    supports = [[(k, x) for k, x in enumerate(v) if x] for v in poly.vertices]
-    rows = []
-    for i in idx:
-        row = _sparse(poly.ineq_coefs.row(i))
-        b = poly.ineq_rhs[i]
-        out = []
-        for supp in supports:
-            out.append(b - sum(row[k] * x for k, x in supp if k in row))
-        rows.append(out)
+    system = IntegerRows([poly.ineq_coefs.row(i) for i in idx], [poly.ineq_rhs[i] for i in idx])
+    cols = [system.slacks(v) for v in poly.vertices]
     return SlackMatrix(
-        ExactMatrix(rows),
+        ExactMatrix(zip(*cols)),
         tuple(poly.row_labels[i] for i in idx),
         poly.vertex_labels,
     )
@@ -247,14 +234,11 @@ def verify_vertices(poly: Polytope) -> tuple[bool, int | None]:
     """
     verts = poly.vertices
     counts = Counter(verts)
-    ineqs = list(map(integer_row, poly.ineq_coefs.rows(), poly.ineq_rhs))
-    eqs = []
-    if poly.eq_coefs is not None:
-        eqs = list(map(integer_row, poly.eq_coefs.rows(), poly.eq_rhs))
+    system = IntegerRows(*poly.all_rows())
     for j, v in enumerate(verts):
         if counts[v] > 1:
             return False, j
-        if _rank_certifies_vertex(poly, ineqs, eqs, v):
+        if _rank_certifies_vertex(poly, system, v):
             continue
         others = [verts[i] + (Fraction(1),) for i in range(len(verts)) if i != j]
         target = v + (Fraction(1),)
@@ -263,27 +247,17 @@ def verify_vertices(poly: Polytope) -> tuple[bool, int | None]:
     return True, None
 
 
-def _rank_certifies_vertex(poly: Polytope, ineqs, eqs, v) -> bool:
+def _rank_certifies_vertex(poly: Polytope, system: IntegerRows, v) -> bool:
     """Whether v lies in P(H) and is the only solution of its tight rows
-    plus the equalities, that is, they have rank dim.  Slacks are scaled
-    integers over the support of v."""
-    scale = common_denominator(v)
-    supp = [(k, int(x * scale)) for k, x in enumerate(v) if x]
-    tight = []
-    for i, (row, b) in enumerate(ineqs):
-        s = b * scale - sum(row[k] * x for k, x in supp if k in row)
-        if s < 0:
-            return False
-        if s == 0:
-            tight.append(i)
-    if any(f * scale != sum(row[k] * x for k, x in supp if k in row) for row, f in eqs):
+    plus the equalities, that is, they have rank dim.  `system` holds the
+    rows of `poly.all_rows()`."""
+    m = poly.n_ineqs
+    slacks = system.scaled_slacks(v)
+    if any(s < 0 for s in slacks[:m]) or any(slacks[m:]):
         return False
-    rows = [poly.ineq_coefs.row(i) for i in tight]
-    rhs = [poly.ineq_rhs[i] for i in tight]
-    if poly.eq_coefs is not None:
-        rows += poly.eq_coefs.rows()
-        rhs += poly.eq_rhs
-    return solve_unique(rows, rhs) == v
+    rows, rhs = poly.all_rows()
+    tight = [i for i, s in enumerate(slacks) if s == 0]  # every equality is tight here
+    return solve_unique([rows[i] for i in tight], [rhs[i] for i in tight]) == v
 
 
 def face(poly: Polytope, tight_rows: Sequence[int]) -> Polytope:
@@ -310,16 +284,8 @@ def face(poly: Polytope, tight_rows: Sequence[int]) -> Polytope:
     new_eq_rhs = tuple(poly.eq_rhs) + tuple(moved_rhs)
     new_eq_labels = tuple(poly.eq_labels) + tuple(poly.row_labels[i] for i in tight)
 
-    vert_idx = []
-    for j, v in enumerate(poly.vertices):
-        ok = True
-        for i in tight:
-            row = poly.ineq_coefs.row(i)
-            if sum(a * x for a, x in zip(row, v) if a) != poly.ineq_rhs[i]:
-                ok = False
-                break
-        if ok:
-            vert_idx.append(j)
+    moved_rows = IntegerRows(moved.rows(), moved_rhs)
+    vert_idx = [j for j, v in enumerate(poly.vertices) if not any(moved_rows.scaled_slacks(v))]
     if not vert_idx:
         raise InputError("face is empty: no vertex is tight on all chosen rows")
     kept = [poly.vertices[j] for j in vert_idx]
@@ -381,14 +347,12 @@ class XYSystem:
 
     def lift_system_for(self, x: Sequence[Fraction]) -> tuple[tuple | None, tuple | None]:
         """Constraints over y once x is pinned: (ineqs, eqs) for lp_solve."""
+        xy = tuple(x) + (Fraction(0),) * self.y_dim
         out = []
         for side in self.joint_systems():
             if side is not None:
                 rows, rhs = side
-                side = (
-                    [row[self.x_dim :] for row in rows],
-                    [d - sum(a * v for a, v in zip(row, x) if a) for row, d in zip(rows, rhs)],
-                )
+                side = ([row[self.x_dim :] for row in rows], IntegerRows(rows, rhs).slacks(xy))
             out.append(side)
         return out[0], out[1]
 
@@ -405,7 +369,7 @@ def unique_lift(ineqs: tuple | None, eqs: tuple | None) -> tuple[Fraction, ...] 
     if point == "inconsistent":
         return "infeasible"
     if isinstance(point, tuple) and ineqs is not None and any(
-        sum(a * y for a, y in zip(row, point) if a) > d for row, d in zip(*ineqs)
+        s < 0 for s in IntegerRows(*ineqs).scaled_slacks(point)
     ):
         return "infeasible"
     return point
@@ -543,10 +507,27 @@ def polytope_from_json(obj: dict, base_dir: str | None = None) -> Polytope:
     return poly
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write through a temp file unique to this writer in the target's
+    directory, then rename it into place.  On any failure the temp file is
+    removed and the error re-raised, so a failed write leaves nothing.  The
+    file gets the mode a plain open() would give it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_polytope(path: str, poly: Polytope) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(polytope_to_json(poly), fh, indent=1)
-        fh.write("\n")
+    write_atomic(path, json.dumps(polytope_to_json(poly), indent=1) + "\n")
 
 
 def load_json(path: str):

@@ -16,11 +16,10 @@ polytope row corresponds to two ground rows when t = n - t.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import sys
-import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,7 +29,7 @@ from .bounds import FORBIDDEN, WeightMatrix
 from .errors import InputError
 from .exactla import ExactMatrix, rat
 from .matchgen import double_factorial, enumerate_perfect_matchings
-from .polytope import Rectangle
+from .polytope import Rectangle, write_atomic
 
 MATERIALIZE_CAP = 1_000_000
 
@@ -223,25 +222,18 @@ def _load_cached_table(n, t, n_cuts, n_matchings):
 
 
 def _store_cached_table(n, t, table) -> None:
-    """Write through a temp file unique to this writer, then rename; a
-    failed write only costs the cache, so it warns instead of failing."""
+    """Write atomically; a failed write only costs the cache, so it warns
+    instead of failing."""
     path = _cache_path(n, t)
     if path is None:
         return
-    tmp = None
+    lines = [_cache_header(n, t, len(table), len(table[0]) if table else 0)]
+    lines += [" ".join(str(x) for x in row) for row in table]
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(_cache_header(n, t, len(table), len(table[0]) if table else 0) + "\n")
-            for row in table:
-                fh.write(" ".join(str(x) for x in row) + "\n")
-        os.replace(tmp, path)
+        write_atomic(path, "\n".join(lines) + "\n")
     except OSError as exc:
         print(f"warning: ground cache not written: {exc}", file=sys.stderr)
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +283,21 @@ def ws_inner_product_materialized(ground: CutMatchingGround, k: int) -> Fraction
 # ---------------------------------------------------------------------------
 # Rectangles over the ground and their measures
 
+def _class_hits(ground: CutMatchingGround, rect: Rectangle) -> Counter:
+    """Per crossing count ell, how many cells of the rectangle lie in Q_ell."""
+    cols = sorted(rect.cols)
+    hits = Counter()
+    for i in rect.rows:
+        hits.update(map(ground._table[i].__getitem__, cols))
+    return hits
+
+
 def mu(ground: CutMatchingGround, rect: Rectangle, ell: int) -> Fraction:
     """Uniform measure of the rectangle within class Q_ell."""
     size = q_class_size(ground.n, ground.t, ell)
     if size == 0:
         raise InputError(f"class Q_{ell} is empty for n={ground.n}, t={ground.t}")
-    cols = sorted(rect.cols)
-    hits = 0
-    for i in rect.rows:
-        row = ground._table[i]
-        hits += sum(1 for j in cols if row[j] == ell)
-    return Fraction(hits, size)
+    return Fraction(_class_hits(ground, rect)[ell], size)
 
 
 def _check_edge(n: int, edge) -> tuple[int, int]:
@@ -347,16 +343,12 @@ class RectangleWReport:
 
 
 def rectangle_w_value(ground: CutMatchingGround, rect: Rectangle, k: int) -> RectangleWReport:
-    weight_values(ground.n, ground.t, k)  # validates the classes exist
-    cols = sorted(rect.cols)
-    q1_hits = 0
-    for i in rect.rows:
-        row = ground._table[i]
-        q1_hits += sum(1 for j in cols if row[j] == 1)
-    if q1_hits:
-        return RectangleWReport(False, None, None, None, q1_hits)
-    m3 = mu(ground, rect, 3)
-    mk = mu(ground, rect, k)
+    weight_values(ground.n, ground.t, k)  # validates that Q_3 and Q_k are nonempty
+    hits = _class_hits(ground, rect)
+    if hits[1]:
+        return RectangleWReport(False, None, None, None, hits[1])
+    m3 = Fraction(hits[3], q_class_size(ground.n, ground.t, 3))
+    mk = Fraction(hits[k], q_class_size(ground.n, ground.t, k))
     return RectangleWReport(True, m3 - mk / (k - 1), m3, mk, 0)
 
 

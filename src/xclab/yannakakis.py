@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import InputError, NotAnExtensionError, NotDerivableError
 from .exactla import (
     ExactMatrix,
+    IntegerRows,
     conic_combination,
     format_rational,
     lp_solve,
@@ -139,10 +140,6 @@ def extension_from_factorization(poly: Polytope, fac: Factorization) -> Extended
     return ExtendedFormulation(poly.dim, fac.r, eq_x, eq_y, rhs)
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b) if x), Fraction(0))
-
-
 def _lex_min_lift(system: XYSystem, x, vertex_index: int):
     """Deterministic lift of a pinned x: the lexicographically least y.
 
@@ -204,10 +201,10 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
         raise InputError("system has no inequality rows to act as facets")
 
     ineqs, eqs = system.joint_systems()
+    ineq_rows = IntegerRows(*ineqs)
     cols = []
     for j, x in enumerate(poly.vertices):
-        xy = tuple(x) + tuple(_lex_min_lift(system, x, j))
-        col = [d - _dot(row, xy) for row, d in zip(*ineqs)]
+        col = ineq_rows.slacks(tuple(x) + tuple(_lex_min_lift(system, x, j)))
         if any(c < 0 for c in col):
             raise NotAnExtensionError(j, f"lift of vertex {j} violates the system")
         cols.append(col)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -60,6 +62,21 @@ def test_gen_validation(tmp_path):
     assert not out.exists()
     assert main(["gen", "pm-truncated", "--n", "5", "--output", str(out)]) == 2
     assert not out.exists()
+
+
+def test_output_write_failure_is_input_error(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    out.mkdir()
+    assert main(["gen", "ppm", "--n", "4", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert list(out.iterdir()) == []
+    # a written artifact gets the mode a plain open() would give it
+    out.rmdir()
+    assert main(["gen", "ppm", "--n", "4", "--output", str(out)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 def test_unknown_verb_and_bad_usage():
@@ -354,6 +371,20 @@ def test_ratio_truncated_triangle(tmp_path):
     assert rc == 0
     assert env["result"]["ratio"] == "3/2"
     assert env["result"]["worst_objective"] == [1, 1, 1]
+
+
+def test_ratio_trials(tmp_path):
+    run(["gen", "pm-truncated", "--n", 3, "--s", 1], tmp_path / "relax.json")
+    run(["gen", "pm", "--n", 3], tmp_path / "pm.json")
+    ratio = ["ratio", "--relaxation", tmp_path / "relax.json", "--polytope", tmp_path / "pm.json"]
+    out = tmp_path / "r.json"
+    assert main([str(a) for a in ratio] + ["--trials", "-3", "--output", str(out)]) == 2
+    assert not out.exists()
+    # zero trials still measures the given objectives
+    rc, env = run(ratio + ["--trials", 0, "--objective", "1,1,1"], out)
+    assert rc == 0
+    assert env["result"]["ratio"] == "3/2"
+    assert env["result"]["trials"] == 1
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xclab.errors import InputError
@@ -86,6 +86,88 @@ def test_slack_matrix_text_round_trip():
 def test_slack_matrix_rejects_negative():
     with pytest.raises(InputError, match="negative"):
         SlackMatrix(ExactMatrix([[1, -1]]), ("r",), ("a", "b"))
+
+
+def _ref_slack(row, b, x):
+    """b - a . x in plain Fractions."""
+    return b - sum(a * v for a, v in zip(row, x))
+
+
+def _ref_violation(rows, rhs, eq_rows, eq_rhs, x):
+    """The first row x violates, inequalities before equalities, as
+    (kind, index), or None."""
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        if _ref_slack(row, b, x) < 0:
+            return "inequality", i
+    for i, (row, f) in enumerate(zip(eq_rows, eq_rhs)):
+        if _ref_slack(row, f, x) != 0:
+            return "equality", i
+    return None
+
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_offsets = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(0, 5), st.integers(1, 4))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_slack_evaluation_matches_fraction_reference(data):
+    """slack_matrix, contains and the rejection message of Polytope.build
+    agree with b - a . x in plain Fractions, on random rows, right-hand
+    sides and points with non-unit denominators, so every row carries its
+    own scale."""
+    d = data.draw(st.integers(1, 4))
+    vec = st.lists(_rationals, min_size=d, max_size=d)
+    rows = data.draw(st.lists(vec, min_size=1, max_size=5))
+    points = data.draw(st.lists(vec, min_size=2, max_size=5))
+    eq_rows, eq_rhs = [], []
+    if d >= 2 and data.draw(st.booleans()):
+        # One equality; every point's last coordinate is solved onto it.
+        e = data.draw(vec.filter(lambda r: r[-1] != 0))
+        f = data.draw(_rationals)
+        for x in points:
+            x[-1] = _ref_slack(e[:-1], f, x[:-1]) / e[-1]
+        eq_rows, eq_rhs = [e], [f]
+    points = [tuple(x) for x in points]
+    assume(len(set(points)) >= 2)
+    # every row valid, and tight at some point unless it is offset
+    rhs = [
+        max(sum(a * v for a, v in zip(row, x)) for x in points) + data.draw(_offsets)
+        for row in rows
+    ]
+    eqs = {"eq_coefs": eq_rows, "eq_rhs": eq_rhs} if eq_rows else {}
+
+    poly = Polytope.build(rows, rhs, points, **eqs)
+    keep = data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))
+    s = slack_matrix(poly, lambda lab: int(lab.split(":")[1]) in keep)
+    assert s.matrix.rows() == tuple(
+        tuple(_ref_slack(rows[i], rhs[i], x) for x in points) for i in sorted(keep)
+    )
+
+    p, q = data.draw(st.sampled_from(points)), data.draw(st.sampled_from(points))
+    midpoint = tuple((u + v) / 2 for u, v in zip(p, q))
+    query = data.draw(st.sampled_from([p, midpoint, tuple(data.draw(vec))]))
+    expected = _ref_violation(rows, rhs, eq_rows, eq_rhs, query) is None
+    assert poly.contains(query) == expected
+
+    low_rhs = [b - data.draw(_offsets) for b in rhs]
+    low_eq_rhs = [f - data.draw(_offsets) for f in eq_rhs]
+    if eq_rows:
+        eqs["eq_rhs"] = low_eq_rhs
+    for j, x in enumerate(points):
+        bad = _ref_violation(rows, low_rhs, eq_rows, low_eq_rhs, x)
+        if bad is not None:
+            kind, i = bad
+            label = f"{'row' if kind == 'inequality' else 'eq'}:{i}"
+            message = f"vertex {j} (vertex:{j}) violates the system: {kind} {i} ({label})"
+            with pytest.raises(InputError) as err:
+                Polytope.build(rows, low_rhs, points, **eqs)
+            assert str(err.value) == message
+            break
+    else:
+        Polytope.build(rows, low_rhs, points, **eqs)
 
 
 def test_verify_vertices_clean_and_dirty():
