@@ -207,7 +207,7 @@ class ExactMatrix:
         return total
 
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for row in self._rows for x in row)
+        return all(x.numerator >= 0 for row in self._rows for x in row)
 
     def to_text(self) -> str:
         lines = [f"{self._nrows} {self._ncols}"]

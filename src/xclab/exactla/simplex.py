@@ -1,11 +1,24 @@
 """Exact linear programming over the rationals.
 
-Two-phase primal simplex on an integer tableau: the tableau always equals
-det(basis) times the true rational dictionary, so every entry stays an
-integer (adjugate argument) and every pivot divides exactly by the previous
-pivot.  Pivot choice is Dantzig's rule, switching to Bland's rule after a
-streak of degenerate pivots, which keeps runs fast and still guarantees
-termination.  All decisions compare integers, never floats.
+Two-phase primal simplex with integer-preserving pivots (Edmonds): the full
+tableau always equals det(basis) times the true rational one, so every entry
+stays an integer (adjugate argument) and every pivot divides exactly by the
+previous pivot.  In that tableau a basic column is `den` in its own row and
+0 in every other row, the objective rows included, so the solver never
+stores it.  It keeps an integer dictionary instead: each row holds one slot
+per nonbasic column, then the right-hand side, and `cols` maps each slot to
+its tableau column id.  A pivot swaps the entering and the leaving variable
+in their shared slot.  A row that the pivot does not touch (its entry in
+the entering column is zero) keeps the scale of its last update, so each
+row carries its own scale; a row at scale d is the full tableau's row times
+d / den.  Every decision reads signs or ratios within one row, and every
+rule compares column ids, never slots, so the pivots, points and values are
+exactly those of the full tableau.
+
+Pivot choice is Dantzig's rule (ties to the smallest column id), switching
+to Bland's rule after a streak of degenerate pivots, which keeps runs fast
+and still guarantees termination.  The ratio test breaks ties by basis id.
+All decisions compare integers, never floats.
 """
 
 from __future__ import annotations
@@ -86,13 +99,13 @@ def lp_solve(
     if isinstance(point, str):
         return LPResult(status=point)
 
+    # Independent checks of the solver; explicit so that `python -O` keeps them.
     for row, rhs in zip(le_rows, le_rhs):
-        slack = rhs - sum(a * x for a, x in zip(row, point) if a)
-        assert slack >= 0, "solver returned an infeasible point"
+        if sum(a * x for a, x in zip(row, point) if a) > rhs:
+            raise AssertionError("solver returned an infeasible point")
     for row, rhs in zip(eq_rows, eq_rhs):
-        assert sum(a * x for a, x in zip(row, point) if a) == rhs, (
-            "solver returned a point violating an equality"
-        )
+        if sum(a * x for a, x in zip(row, point) if a) != rhs:
+            raise AssertionError("solver returned a point violating an equality")
     value = sum(a * x for a, x in zip(c, point))
     return LPResult(status="optimal", value=value, point=tuple(point))
 
@@ -123,8 +136,10 @@ def conic_combination(
             return None
         raise AssertionError("feasibility program cannot be unbounded")
     for erow, erhs in zip(eq_rows, tgt):
-        assert sum(a * x for a, x in zip(erow, point) if a) == erhs
-    assert all(x >= 0 for x in point)
+        if sum(a * x for a, x in zip(erow, point) if a) != erhs:
+            raise AssertionError("solver returned a point off the target")
+    if any(x < 0 for x in point):
+        raise AssertionError("solver returned a negative multiplier")
     return tuple(point)
 
 
@@ -159,10 +174,10 @@ def _simplex(
 
     def scaled_int_row(row: list[Fraction], rhs: Fraction) -> tuple[list[int], int]:
         scale = common_denominator((*row, rhs))
-        out = [int(row[v] * scale) * s for v, s in col_var]
-        return out, int(rhs * scale)
+        out = [row[v].numerator * (scale // row[v].denominator) * s for v, s in col_var]
+        return out, rhs.numerator * (scale // rhs.denominator)
 
-    # Assemble tableau rows; record which need a slack or an artificial.
+    # Assemble rows, each with a nonnegative right-hand side.
     body: list[list[int]] = []
     kinds: list[str] = []  # "slack" | "flipped" | "eq"
     for ridx in kept_le:
@@ -181,198 +196,164 @@ def _simplex(
             body.append([-a for a in coefs] + [-irhs])
         kinds.append("eq")
 
-    m = len(body)
-    nslack = sum(1 for k in kinds if k == "slack")
-    nsurplus = sum(1 for k in kinds if k == "flipped")
-    nart = sum(1 for k in kinds if k != "slack")
-    width = nstruct + nslack + nsurplus + nart + 1
-
-    tableau: list[list[int]] = []
+    # Tableau column ids: the structural columns, then one slack (basic) or
+    # surplus (nonbasic) column per inequality row, then one artificial
+    # (basic) per flipped or equality row.  Slots start out as the
+    # structural and surplus columns.
+    flipped = [i for i, kind in enumerate(kinds) if kind == "flipped"]
+    cols = list(range(nstruct)) + [nstruct + i for i in flipped]
+    rows: list[list[int]] = []
     basis: list[int] = []
     art_cols: set[int] = set()
-    slack_at = nstruct
-    art_at = nstruct + nslack + nsurplus
     for i, kind in enumerate(kinds):
-        row = body[i][:-1] + [0] * (nslack + nsurplus + nart) + [body[i][-1]]
+        rows.append(body[i][:-1] + [-(i == f) for f in flipped] + body[i][-1:])
         if kind == "slack":
-            row[slack_at] = 1
-            basis.append(slack_at)
-            slack_at += 1
-        elif kind == "flipped":
-            row[slack_at] = -1  # surplus
-            slack_at += 1
-            row[art_at] = 1
-            basis.append(art_at)
-            art_cols.add(art_at)
-            art_at += 1
+            basis.append(nstruct + i)
         else:
-            row[art_at] = 1
-            basis.append(art_at)
-            art_cols.add(art_at)
-            art_at += 1
-        tableau.append(row)
+            basis.append(nstruct + len(kept_le) + len(art_cols))
+            art_cols.add(basis[-1])
 
     # Phase-2 objective row: z_j - c_j with the all-logical starting basis.
-    cscale = common_denominator(goal)
-    cint = {j: int(goal[v] * cscale) * s for j, (v, s) in enumerate(col_var)}
-    obj2 = [-cint.get(j, 0) for j in range(width - 1)] + [0]
-    # Phase-1 objective: maximize minus the sum of artificials.
-    obj1 = [0] * width
-    for i in range(m):
-        if basis[i] in art_cols:
-            for j in range(width):
-                obj1[j] -= tableau[i][j]
-    for j in art_cols:
-        obj1[j] += 1
-
-    state = _State(tableau, basis, obj1, obj2, width)
+    obj2 = [-a for a in scaled_int_row(goal, Fraction(0))[0]] + [0] * (len(flipped) + 1)
+    state = _State(rows, basis, cols, [obj2])
 
     if art_cols:
-        _optimize(state, phase=1, barred=frozenset())
-        if state.obj1[-1] != 0:
+        # Phase-1 objective: maximize minus the sum of artificials.
+        obj1 = [-sum(c) for c in zip(*(r for r, b in zip(rows, basis) if b in art_cols))]
+        state.objs.append(obj1)
+        _optimize(state, obj1, phase=1)
+        if obj1[-1] != 0:
             return "infeasible"
+        state.objs.pop()
         _drive_out_artificials(state, art_cols)
         _drop_columns(state, art_cols)
 
-    status = _optimize(state, phase=2, barred=frozenset())
-    if status == "unbounded":
+    if _optimize(state, state.objs[0], phase=2) == "unbounded":
         return "unbounded"
 
-    values = [Fraction(0)] * len(col_var)
-    for i, b in enumerate(state.basis):
-        if b < len(col_var):
-            values[b] = Fraction(state.tableau[i][-1], state.den)
     point = [Fraction(0)] * nvars
-    for (v, s), val in zip(col_var, values):
-        point[v] += val if s > 0 else -val
+    for row, d, b in zip(state.rows, state.scales, state.basis):
+        if b < nstruct:
+            v, s = col_var[b]
+            point[v] += Fraction(s * row[-1], d)
     return point
 
 
 class _State:
-    __slots__ = ("tableau", "basis", "obj1", "obj2", "width", "den")
+    """`rows[i]` is `scales[i]` times row i of the true dictionary over the
+    slots, then its right-hand side; `objs` holds the objective rows in the
+    same layout, at scale `den`, the determinant of the basis.  `cols[s]` is
+    the column id of slot s, `basis[i]` that of row i's basic variable."""
 
-    def __init__(self, tableau, basis, obj1, obj2, width):
-        self.tableau = tableau
+    __slots__ = ("rows", "scales", "basis", "cols", "objs", "den")
+
+    def __init__(self, rows, basis, cols, objs):
+        self.rows = rows
+        self.scales = [1] * len(rows)
         self.basis = basis
-        self.obj1 = obj1
-        self.obj2 = obj2
-        self.width = width
+        self.cols = cols
+        self.objs = objs
         self.den = 1
 
 
-def _pivot(state: _State, r: int, c: int) -> None:
-    """Integer pivot keeping tableau = den * true dictionary."""
-    tab = state.tableau
-    den = state.den
-    prow = tab[r]
-    p = prow[c]
+def _pivot(state: _State, r: int, s: int) -> None:
+    """Integer pivot on row r and slot s; the leaving variable takes slot s.
+
+    A row whose slot-s entry f is zero keeps its true values, so it is left
+    alone at its old scale: each row is rescaled only when a pivot touches
+    it.  At scale d, (a * p - f * b) / d is the full tableau's next entry,
+    so the division is exact; when p == d, only the pivot row's support
+    changes.
+    """
+    den, rows, scales = state.den, state.rows, state.scales
+    prow = rows[r]
+    if scales[r] != den:
+        prow[:] = [a * den // scales[r] if a else 0 for a in prow]
+    p = prow[s]
     assert p != 0
-    for row in tab:
-        if row is prow:
-            continue
-        f = row[c]
-        if f:
-            for j in range(state.width):
-                row[j] = (row[j] * p - f * prow[j]) // den
+    support = [(j, b) for j, b in enumerate(prow) if b]
+
+    def eliminate(row: list[int], d: int) -> None:
+        f = row[s]
+        if p == d:
+            for j, b in support:
+                row[j] -= f * b // d
+        else:
+            row[:] = [(a * p - f * b) // d if a or b else 0 for a, b in zip(row, prow)]
+        row[s] = -(f * den // d)
+
+    for i, row in enumerate(rows):
+        if row[s] and i != r:
+            eliminate(row, scales[i])
+            scales[i] = p
+    for obj in state.objs:
+        if obj[s]:
+            eliminate(obj, den)
         elif p != den:
-            for j in range(state.width):
-                row[j] = row[j] * p // den
-    for obj in (state.obj1, state.obj2):
-        f = obj[c]
-        if f:
-            for j in range(state.width):
-                obj[j] = (obj[j] * p - f * prow[j]) // den
-        elif p != den:
-            for j in range(state.width):
-                obj[j] = obj[j] * p // den
-    state.den = p
-    state.basis[r] = c
-    if state.den < 0:
+            obj[:] = [a * p // den if a else 0 for a in obj]
+    prow[s] = den
+    scales[r] = state.den = p
+    state.basis[r], state.cols[s] = state.cols[s], state.basis[r]
+    if p < 0:
         # Only reachable from artificial drive-out pivots on a zero row.
-        for row in tab:
-            for j in range(state.width):
-                row[j] = -row[j]
-        for obj in (state.obj1, state.obj2):
-            for j in range(state.width):
-                obj[j] = -obj[j]
-        state.den = -state.den
+        for i, row in enumerate(rows):
+            if scales[i] < 0:
+                row[:] = [-a for a in row]
+                scales[i] = -p
+        for obj in state.objs:
+            obj[:] = [-a for a in obj]
+        state.den = -p
 
 
-def _optimize(state: _State, phase: int, barred: frozenset[int]) -> str:
-    obj = state.obj1 if phase == 1 else state.obj2
-    tab = state.tableau
-    rule = "dantzig"
+def _optimize(state: _State, obj: list[int], phase: int) -> str:
     stall = 0
     for _ in range(_PIVOT_CAP):
-        ncols = state.width - 1
-        enter = -1
-        if rule == "dantzig":
-            best = 0
-            for j in range(ncols):
-                if j in barred:
-                    continue
-                v = obj[j]
-                if v < best:
-                    best = v
-                    enter = j
-        else:
-            for j in range(ncols):
-                if j not in barred and obj[j] < 0:
-                    enter = j
-                    break
-        if enter < 0:
+        cols = state.cols
+        negative = [(v, cols[s], s) for s, v in enumerate(obj[:-1]) if v < 0]
+        if not negative:
             return "optimal"
+        if stall >= _DEGENERATE_SWITCH:
+            enter = min(negative, key=lambda t: t[1])[2]  # Bland
+        else:
+            enter = min(negative)[2]  # Dantzig
+        basis = state.basis
         leave = -1
         lnum = lden = None  # ratio lnum/lden of current best
-        for i, row in enumerate(tab):
+        for i, row in enumerate(state.rows):
             a = row[enter]
             if a > 0:
                 num = row[-1]
                 if leave < 0 or num * lden < lnum * a or (
-                    num * lden == lnum * a and state.basis[i] < state.basis[leave]
+                    num * lden == lnum * a and basis[i] < basis[leave]
                 ):
                     leave, lnum, lden = i, num, a
         if leave < 0:
             assert phase == 2, "phase one is bounded by construction"
             return "unbounded"
-        degenerate = tab[leave][-1] == 0
+        stall = stall + 1 if lnum == 0 else 0
         _pivot(state, leave, enter)
-        if degenerate:
-            stall += 1
-            if stall >= _DEGENERATE_SWITCH:
-                rule = "bland"
-        else:
-            stall = 0
-            rule = "dantzig"
     raise AssertionError("pivot cap exceeded; termination logic broken")
 
 
 def _drive_out_artificials(state: _State, art_cols: set[int]) -> None:
     """Replace basic artificials (all at value zero here) or drop their rows."""
     i = 0
-    while i < len(state.tableau):
+    while i < len(state.rows):
         if state.basis[i] in art_cols:
-            row = state.tableau[i]
-            target = -1
-            for j in range(state.width - 1):
-                if j not in art_cols and row[j]:
-                    target = j
-                    break
-            if target < 0:
-                # Redundant constraint: zero over all structural columns.
-                del state.tableau[i]
-                del state.basis[i]
+            row = state.rows[i]
+            slots = [s for s, j in enumerate(state.cols) if j not in art_cols and row[s]]
+            if not slots:
+                # Redundant constraint: zero over all non-artificial columns.
+                del state.rows[i], state.scales[i], state.basis[i]
                 continue
             assert row[-1] == 0, "feasible phase one left a positive artificial"
-            _pivot(state, i, target)
+            _pivot(state, i, min(slots, key=state.cols.__getitem__))
         i += 1
 
 
 def _drop_columns(state: _State, cols: set[int]) -> None:
-    keep = [j for j in range(state.width - 1) if j not in cols] + [state.width - 1]
-    remap = {old: new for new, old in enumerate(keep)}
-    state.tableau = [[row[j] for j in keep] for row in state.tableau]
-    state.obj1 = [state.obj1[j] for j in keep]
-    state.obj2 = [state.obj2[j] for j in keep]
-    state.basis = [remap[b] for b in state.basis]
-    state.width = len(keep)
+    """Drop nonbasic columns.  Column ids stay: the artificials are the last."""
+    keep = [s for s, j in enumerate(state.cols) if j not in cols] + [len(state.cols)]
+    state.rows = [[row[s] for s in keep] for row in state.rows]
+    state.objs = [[obj[s] for s in keep] for obj in state.objs]
+    state.cols = [state.cols[s] for s in keep[:-1]]

@@ -225,7 +225,8 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
             raise NotDerivableError(i)
         left_rows.append(u[:r])
     fac = Factorization(ExactMatrix(left_rows), right)
-    assert verify_factorization(slack_matrix(poly), fac)
+    if not verify_factorization(slack_matrix(poly), fac):
+        raise AssertionError("derived factorization does not reproduce the slack matrix")
     return fac
 
 
