@@ -46,68 +46,79 @@ class _Forbidden:
 FORBIDDEN = _Forbidden()
 
 
+def _require_nonnegative(**budgets: int) -> None:
+    for name, value in budgets.items():
+        if value < 0:
+            raise InputError(f"{name} must be nonnegative, got {value}")
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Grid of exact rationals and FORBIDDEN markers."""
+    """W held as integers over one positive denominator: cell (i, j) is
+    grid[i][j] / scale, and None in the grid marks FORBIDDEN."""
 
-    entries: tuple[tuple[Fraction | _Forbidden, ...], ...]
+    grid: tuple[tuple[int | None, ...], ...]
+    scale: int
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "WeightMatrix":
-        out = []
-        width = None
-        for row in rows:
-            cooked = tuple(x if x is FORBIDDEN else rat(x) for x in row)
-            if width is None:
-                width = len(cooked)
-            elif len(cooked) != width:
-                raise InputError("weight rows have unequal lengths")
-            out.append(cooked)
-        if not out or width == 0:
+        cooked = [[x if x is FORBIDDEN else rat(x) for x in row] for row in rows]
+        width = len(cooked[0]) if cooked else 0
+        if any(len(row) != width for row in cooked):
+            raise InputError("weight rows have unequal lengths")
+        if width == 0:
             raise InputError("weight matrix needs at least one row and column")
-        return cls(tuple(out))
+        scale = common_denominator(x for row in cooked for x in row if x is not FORBIDDEN)
+        grid = tuple(
+            tuple(None if x is FORBIDDEN else x.numerator * (scale // x.denominator) for x in row)
+            for row in cooked
+        )
+        return cls(grid, scale)
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.grid)
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0])
+        return len(self.grid[0])
 
     def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        x = self.grid[i][j]
+        return FORBIDDEN if x is None else Fraction(x, self.scale)
 
     def frobenius_with(self, s: SlackMatrix | ExactMatrix) -> Fraction:
-        """<W, S> with FORBIDDEN * 0 = 0 and FORBIDDEN * nonzero an error."""
+        """<W, S> with FORBIDDEN * 0 = 0 and FORBIDDEN * nonzero an error; each
+        row is summed in integers over its slack row's common denominator."""
         m = as_matrix(s)
         if m.nrows != self.nrows or m.ncols != self.ncols:
             raise InputError("weight and slack dimensions differ")
         total = Fraction(0)
-        for i, wrow in enumerate(self.entries):
+        for i, wrow in enumerate(self.grid):
             srow = m.row(i)
+            den = common_denominator(srow)
+            acc = 0
             for w, x in zip(wrow, srow):
-                if w is FORBIDDEN:
-                    if x != 0:
-                        raise InputError(
-                            f"FORBIDDEN weight meets nonzero slack at row {i}"
-                        )
+                if w is None:
+                    if x:
+                        raise InputError(f"FORBIDDEN weight meets nonzero slack at row {i}")
                 elif w and x:
-                    total += w * x
-        return total
+                    acc += w * x.numerator * (den // x.denominator)
+            total += Fraction(acc, den)
+        return total / self.scale
 
     def rectangle_sum(self, rows: Iterable[int], cols: Iterable[int]):
         """Sum of weights over a rectangle; FORBIDDEN if any cell is."""
         cols = tuple(cols)
-        total = Fraction(0)
+        total = 0
         for i in rows:
-            wrow = self.entries[i]
+            wrow = self.grid[i]
             for j in cols:
                 w = wrow[j]
-                if w is FORBIDDEN:
+                if w is None:
                     return FORBIDDEN
                 total += w
-        return total
+        return Fraction(total, self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +129,6 @@ class RectangleValue:
     value: Fraction
     rectangle: Rectangle
     certified: bool
-
-
-def _weight_int_grid(w: WeightMatrix) -> tuple[list[list[int | None]], int]:
-    """Scale finite entries to integers; None marks FORBIDDEN."""
-    scale = common_denominator(x for row in w.entries for x in row if x is not FORBIDDEN)
-    grid = [
-        [None if x is FORBIDDEN else int(x * scale) for x in row] for row in w.entries
-    ]
-    return grid, scale
 
 
 def _best_cols_for_rows(grid, nrows, ncols, rows: frozenset[int]):
@@ -169,15 +171,13 @@ def max_rectangle_value(
         raise InputError(f"unknown mode {mode!r}: use 'exact' or 'heuristic'")
 
     transposed = w.nrows > w.ncols
-    if transposed:
-        w = WeightMatrix(tuple(zip(*w.entries)))
-    nrows, ncols = w.nrows, w.ncols
+    grid = tuple(zip(*w.grid)) if transposed else w.grid
+    nrows, ncols = len(grid), len(grid[0])
     if nrows > cap:
         raise InputError(
             f"exact mode needs min(rows, cols) <= {cap}, got {nrows}; "
             "use heuristic mode"
         )
-    grid, scale = _weight_int_grid(w)
     support = [
         [(j, grid[i][j]) for j in range(ncols) if grid[i][j] not in (None, 0)]
         for i in range(nrows)
@@ -214,15 +214,15 @@ def max_rectangle_value(
 
     rows = frozenset(i for i in range(nrows) if (best_mask >> i) & 1)
     cols, check = _best_cols_for_rows(grid, nrows, ncols, rows)
-    assert check == best_value
+    if check != best_value:
+        raise AssertionError(f"Gray-code value {best_value}, its rectangle sums to {check}")
     rect = Rectangle(cols, rows) if transposed else Rectangle(rows, cols)
-    return RectangleValue(Fraction(best_value, scale), rect, True)
+    return RectangleValue(Fraction(best_value, w.scale), rect, True)
 
 
 def _max_rectangle_heuristic(w: WeightMatrix, restarts: int, seed: int) -> RectangleValue:
-    grid, scale = _weight_int_grid(w)
-    nrows, ncols = w.nrows, w.ncols
-    tgrid = [list(col) for col in zip(*grid)]
+    grid, nrows, ncols = w.grid, w.nrows, w.ncols
+    tgrid = tuple(zip(*grid))
     rng = random.Random(seed)
     best_value = 0
     best = (frozenset(), frozenset())
@@ -239,7 +239,7 @@ def _max_rectangle_heuristic(w: WeightMatrix, restarts: int, seed: int) -> Recta
             best_value = value
             best = (rows, _best_cols_for_rows(grid, nrows, ncols, rows)[0])
     return RectangleValue(
-        Fraction(best_value, scale), Rectangle(best[0], best[1]), False
+        Fraction(best_value, w.scale), Rectangle(best[0], best[1]), False
     )
 
 
@@ -369,6 +369,7 @@ def rectangle_cover_exact(
     """Exact minimum number of support rectangles covering the support of S,
     by branch and bound over maximal support rectangles.  Returns status
     "exceeded" when the combined search passes `limit` steps."""
+    _require_nonnegative(limit=limit, cap=cap)
     m = as_matrix(s)
     if m.nrows > cap or m.ncols > cap:
         raise InputError(
@@ -480,7 +481,8 @@ def canonical_matching_cover(n: int) -> MatchingCover:
     slack = odd_set_slack(poly)
     edges = EdgeIndexing(n)
     proper = [u for u in canonical_odd_sets(n) if 3 <= len(u) <= n - 3]
-    assert len(proper) == slack.nrows
+    if len(proper) != slack.nrows:
+        raise AssertionError(f"{len(proper)} proper odd sets, {slack.nrows} slack rows")
     cut_masks = []
     for u in proper:
         inside = set(u)
@@ -561,14 +563,12 @@ def _distinct_rows(m: ExactMatrix, r: int) -> list[int]:
     return out
 
 
-def _solve_side(m: ExactMatrix, basis: ExactMatrix) -> tuple[ExactMatrix, bool]:
+def _solve_side(m: ExactMatrix, basis: ExactMatrix) -> ExactMatrix:
     """Per row of m: nonnegative u minimizing the max |u . basis - row|
-    residual.  Returns the coefficient matrix and whether all residuals are
-    zero."""
+    residual, as the rows of a coefficient matrix."""
     r = basis.nrows
     ncols = basis.ncols
     rows_out = []
-    clean = True
     cols = [basis.column(j) for j in range(ncols)]
     for i in range(m.nrows):
         target = m.row(i)
@@ -576,7 +576,6 @@ def _solve_side(m: ExactMatrix, basis: ExactMatrix) -> tuple[ExactMatrix, bool]:
         if exact is not None:
             rows_out.append(exact)
             continue
-        clean = False
         # variables: u_0..u_{r-1}, t; minimize t with |u . col_j - s_j| <= t
         ineq_rows = []
         ineq_rhs = []
@@ -593,9 +592,10 @@ def _solve_side(m: ExactMatrix, basis: ExactMatrix) -> tuple[ExactMatrix, bool]:
             ineq_rhs.append(0)
         obj = [0] * r + [1]
         res = lp_solve((ineq_rows, ineq_rhs), None, obj, sense="min")
-        assert res.is_optimal
+        if not res.is_optimal:
+            raise AssertionError(f"bounded residual LP came back {res.status}")
         rows_out.append(res.point[:r])
-    return ExactMatrix(rows_out), clean
+    return ExactMatrix(rows_out)
 
 
 def _exact_repair(m: ExactMatrix, right: ExactMatrix) -> Factorization | None:
@@ -625,6 +625,7 @@ def nmf_heuristic(
     m = as_matrix(s)
     if r < 1:
         raise InputError("inner dimension must be >= 1")
+    _require_nonnegative(restarts=restarts)
     if r < rank(m):
         return None
     trivial = _padded_trivial(m, r)
@@ -642,7 +643,7 @@ def nmf_heuristic(
     row_pick = _distinct_rows(m, r)
     if len(row_pick) == r:
         starts.append(ExactMatrix([m.row(i) for i in row_pick]))
-    for _ in range(max(0, restarts)):
+    for _ in range(restarts):
         mix = []
         for _ in range(r):
             weights = [rng.randint(0, 3) for _ in range(m.nrows)]
@@ -659,9 +660,8 @@ def nmf_heuristic(
             fac = _exact_repair(m, right)
             if fac is not None and verify_factorization(m, fac):
                 return fac
-            left, _ = _solve_side(m, right)
-            right_t, _ = _solve_side(m.transpose(), left.transpose())
-            right = right_t.transpose()
+            left = _solve_side(m, right)
+            right = _solve_side(m.transpose(), left.transpose()).transpose()
         fac = _exact_repair(m, right)
         if fac is not None and verify_factorization(m, fac):
             return fac
@@ -680,13 +680,20 @@ class Certificate:
 
 @dataclass(frozen=True)
 class BoundConfig:
+    """Search budgets, the seed, and the weight matrices whose hyperplane
+    bounds to add; each alpha comes from exact max_rectangle_value."""
+
     cover_limit: int = 200_000
     cover_cap: int = 20
     nmf_restarts: int = 2
     nmf_cell_cap: int = 256
     nmf_max_tries: int = 3
     seed: int = 0
-    hyperplane: tuple[tuple[WeightMatrix, Fraction], ...] = ()
+    hyperplane: tuple[WeightMatrix, ...] = ()
+
+    def __post_init__(self):
+        budgets = ("cover_limit", "cover_cap", "nmf_restarts", "nmf_cell_cap", "nmf_max_tries")
+        _require_nonnegative(**{name: getattr(self, name) for name in budgets})
 
 
 @dataclass(frozen=True)
@@ -703,8 +710,9 @@ def nonnegative_rank_bounds(
     """Certified interval for the nonnegative rank.
 
     lower = max over re-verified certificates (rank, fooling set, exact
-    cover, user hyperplane bounds); upper = min(rows, cols, best verified
-    heuristic factorization)."""
+    cover, and per configured weight matrix the hyperplane bound, with its
+    exact alpha rectangle as witness); upper = min(rows, cols, best
+    verified heuristic factorization)."""
     m = as_matrix(s)
     if not m.is_nonnegative():
         raise InputError("nonnegative rank is defined for nonnegative matrices")
@@ -728,8 +736,9 @@ def nonnegative_rank_bounds(
                 raise AssertionError("exact cover failed re-verification")
             certs.append(Certificate("cover", cover.size, cover.rectangles))
 
-    for w, alpha in config.hyperplane:
-        value = hyperplane_bound(w, m, alpha)
+    for w in config.hyperplane:
+        alpha = max_rectangle_value(w)
+        value = hyperplane_bound(w, m, alpha.value)
         certs.append(Certificate("hyperplane", max(0, math.ceil(value)), (w, alpha)))
 
     lower = max(c.value for c in certs)
@@ -750,7 +759,11 @@ def nonnegative_rank_bounds(
                 witness = fac
                 break
 
-    assert lower <= upper
+    over = [f"{c.method} ({c.value})" for c in certs if c.value > upper]
+    if over:
+        raise AssertionError(
+            f"certificates exceed the verified upper bound {upper}: {', '.join(over)}"
+        )
     return BoundReport(lower, upper, tuple(certs), witness)
 
 

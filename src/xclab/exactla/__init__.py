@@ -4,7 +4,6 @@ systems, LP, conic combinations."""
 from .matrix import (
     ExactMatrix,
     IntegerRows,
-    Rational,
     common_denominator,
     format_rational,
     matrix_to_json,
@@ -20,7 +19,6 @@ __all__ = [
     "ExactMatrix",
     "IntegerRows",
     "LPResult",
-    "Rational",
     "common_denominator",
     "conic_combination",
     "format_rational",

@@ -13,9 +13,6 @@ from typing import Iterable, Sequence
 
 from ..errors import InputError
 
-Rational = Fraction
-
-
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, `p/q` string, or Fraction to an exact rational."""
     if isinstance(value, Fraction):
@@ -192,19 +189,6 @@ class ExactMatrix:
     def max_norm(self) -> Fraction:
         """Entrywise infinity norm: max |entry|."""
         return max(abs(x) for row in self._rows for x in row)
-
-    def frobenius(self, other: "ExactMatrix") -> Fraction:
-        """Entrywise inner product sum_ij A_ij * B_ij."""
-        if self.shape != other.shape:
-            raise InputError(
-                f"frobenius shape mismatch: {self.shape} vs {other.shape}"
-            )
-        total = Fraction(0)
-        for arow, brow in zip(self._rows, other._rows):
-            for a, b in zip(arow, brow):
-                if a and b:
-                    total += a * b
-        return total
 
     def is_nonnegative(self) -> bool:
         return all(x.numerator >= 0 for row in self._rows for x in row)

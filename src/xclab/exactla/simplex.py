@@ -270,7 +270,8 @@ def _pivot(state: _State, r: int, s: int) -> None:
     if scales[r] != den:
         prow[:] = [a * den // scales[r] if a else 0 for a in prow]
     p = prow[s]
-    assert p != 0
+    if not p:
+        raise AssertionError("pivot on a zero entry")
     support = [(j, b) for j, b in enumerate(prow) if b]
 
     def eliminate(row: list[int], d: int) -> None:
@@ -328,7 +329,8 @@ def _optimize(state: _State, obj: list[int], phase: int) -> str:
                 ):
                     leave, lnum, lden = i, num, a
         if leave < 0:
-            assert phase == 2, "phase one is bounded by construction"
+            if phase != 2:
+                raise AssertionError("phase one is bounded by construction")
             return "unbounded"
         stall = stall + 1 if lnum == 0 else 0
         _pivot(state, leave, enter)
@@ -346,7 +348,8 @@ def _drive_out_artificials(state: _State, art_cols: set[int]) -> None:
                 # Redundant constraint: zero over all non-artificial columns.
                 del state.rows[i], state.scales[i], state.basis[i]
                 continue
-            assert row[-1] == 0, "feasible phase one left a positive artificial"
+            if row[-1]:
+                raise AssertionError("feasible phase one left a positive artificial")
             _pivot(state, i, min(slots, key=state.cols.__getitem__))
         i += 1
 

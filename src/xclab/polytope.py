@@ -322,10 +322,6 @@ class XYSystem:
     def n_ineqs(self) -> int:
         return len(self.ineq_rhs)
 
-    @property
-    def n_eqs(self) -> int:
-        return len(self.eq_rhs)
-
     def _joint(self, bx, by, rhs) -> tuple | None:
         """One side over the joint (x, y) variables; a missing block reads
         as zeros and a side without rows is None."""

@@ -98,7 +98,6 @@ class MatchingCutInstance:
                 f"t = {self.t} does not match (m+1)/2 (k-3) + 3 = "
                 f"{(self.m + 1) // 2 * (self.k - 3) + 3}"
             )
-        assert self.t % 2 == 1  # (m+1)/2 is integral and k-3 even
 
     @classmethod
     def from_mk(cls, m: int, k: int) -> "MatchingCutInstance":
@@ -254,12 +253,13 @@ def weight_values(n: int, t: int, k: int) -> dict:
 
 
 def weight_matrix(ground: CutMatchingGround, k: int) -> WeightMatrix:
-    """Materialized weight matrix over the ground universe."""
+    """Materialized weight matrix over the ground universe: the per-class
+    weights go on the integer grid once, as one row indexed by crossing count."""
     values = weight_values(ground.n, ground.t, k)
-    zero = Fraction(0)
-    lookup = [values.get(ell, zero) for ell in range(ground.t + 1)]
+    classes = WeightMatrix.from_rows([[values.get(ell, 0) for ell in range(ground.t + 1)]])
+    lookup = classes.grid[0]
     return WeightMatrix(
-        tuple(tuple(lookup[ell] for ell in row) for row in ground._table)
+        tuple(tuple(map(lookup.__getitem__, row)) for row in ground._table), classes.scale
     )
 
 

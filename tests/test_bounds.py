@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import xclab
 from xclab.bounds import (
     FORBIDDEN,
     BoundConfig,
@@ -22,6 +29,7 @@ from xclab.bounds import (
 )
 from xclab.errors import InputError
 from xclab.exactla import ExactMatrix
+from xclab.matchgen import perfect_matching_polytope
 from xclab.polytope import (
     cross_polytope,
     hypercube_polytope,
@@ -347,8 +355,7 @@ def test_bounds_with_hyperplane_certificate():
     w = WeightMatrix.from_rows(
         [[1 if i == j else -1 for j in range(3)] for i in range(3)]
     )
-    alpha = max_rectangle_value(w).value
-    config = BoundConfig(hyperplane=((w, alpha),))
+    config = BoundConfig(hyperplane=(w,))
     report = nonnegative_rank_bounds(eye, config)
     assert any(c.method == "hyperplane" and c.value == 3 for c in report.certificates)
     assert report.lower == 3
@@ -368,3 +375,128 @@ def test_factorization_json_round_trip():
     assert back == fac
     with pytest.raises(InputError, match="malformed"):
         factorization_from_json({"left": [[1]]})
+
+
+# ---------------------------------------------------------------------------
+# The integer weight grid against a plain-Fraction reference
+
+
+def ref_rectangle_sum(cells, rows, cols):
+    total = Fraction(0)
+    for i in rows:
+        for j in cols:
+            if cells[i][j] is FORBIDDEN:
+                return FORBIDDEN
+            total += cells[i][j]
+    return total
+
+
+def ref_frobenius(cells, s_cells):
+    total = Fraction(0)
+    for wrow, srow in zip(cells, s_cells):
+        for w, x in zip(wrow, srow):
+            if w is FORBIDDEN:
+                if x:
+                    return None  # an input error
+            else:
+                total += w * x
+    return total
+
+
+def ref_alpha(cells):
+    nrows, ncols = len(cells), len(cells[0])
+    best = Fraction(0)
+    for rmask in range(1 << nrows):
+        rows = [i for i in range(nrows) if (rmask >> i) & 1]
+        for cmask in range(1 << ncols):
+            cols = [j for j in range(ncols) if (cmask >> j) & 1]
+            val = ref_rectangle_sum(cells, rows, cols)
+            if val is not FORBIDDEN and val > best:
+                best = val
+    return best
+
+
+def rationals(lo, hi, max_den):
+    return st.builds(
+        Fraction, st.integers(lo, hi), st.integers(1, max_den)
+    )
+
+
+@st.composite
+def weight_and_slack(draw):
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    w_cell = st.one_of(st.just(FORBIDDEN), rationals(-6, 6, 6))
+    s_cell = st.one_of(st.just(Fraction(0)), rationals(0, 4, 4))
+    w_cells = [[draw(w_cell) for _ in range(ncols)] for _ in range(nrows)]
+    s_cells = [[draw(s_cell) for _ in range(ncols)] for _ in range(nrows)]
+    rows = draw(st.sets(st.integers(0, nrows - 1)))
+    cols = draw(st.sets(st.integers(0, ncols - 1)))
+    return w_cells, s_cells, sorted(rows), sorted(cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_and_slack(), st.integers(0, 3))
+def test_weight_grid_matches_fraction_reference(case, seed):
+    w_cells, s_cells, rows, cols = case
+    w = WeightMatrix.from_rows(w_cells)
+    nrows, ncols = len(w_cells), len(w_cells[0])
+    assert [[w.entry(i, j) for j in range(ncols)] for i in range(nrows)] == w_cells
+
+    want = ref_frobenius(w_cells, s_cells)
+    if want is None:
+        with pytest.raises(InputError, match="FORBIDDEN"):
+            w.frobenius_with(ExactMatrix(s_cells))
+    else:
+        assert w.frobenius_with(ExactMatrix(s_cells)) == want
+
+    assert w.rectangle_sum(rows, cols) == ref_rectangle_sum(w_cells, rows, cols)
+
+    exact = max_rectangle_value(w)
+    assert exact.value == ref_alpha(w_cells)
+    assert exact.rectangle.rows <= set(range(nrows))
+    assert exact.rectangle.cols <= set(range(ncols))
+    assert ref_rectangle_sum(w_cells, exact.rectangle.rows, exact.rectangle.cols) == exact.value
+
+    heur = max_rectangle_value(w, mode="heuristic", restarts=3, seed=seed)
+    assert heur.value == w.rectangle_sum(heur.rectangle.rows, heur.rectangle.cols)
+    assert heur.value <= exact.value
+
+
+def test_hyperplane_certificate_on_ppm4_all_ones():
+    s = slack_matrix(perfect_matching_polytope(4))
+    w = WeightMatrix.from_rows([[1] * s.ncols for _ in range(s.nrows)])
+    report = nonnegative_rank_bounds(s, BoundConfig(hyperplane=(w,)))
+    assert report.lower <= report.upper
+    (cert,) = [c for c in report.certificates if c.method == "hyperplane"]
+    witness_w, alpha = cert.witness
+    assert witness_w is w and alpha.certified
+    assert alpha.value == s.nrows * s.ncols
+    assert w.rectangle_sum(alpha.rectangle.rows, alpha.rectangle.cols) == alpha.value
+
+
+def test_bound_checks_survive_python_O():
+    """The consistency checks of nonnegative_rank_bounds are explicit
+    raises, which `python -O` keeps: an overstated rank is caught and named."""
+    script = textwrap.dedent(
+        """
+        import xclab.bounds as bounds
+        from xclab.exactla import ExactMatrix
+
+        assert not __debug__, "asserts are on"
+        bounds.rank = lambda m: 99
+        try:
+            bounds.nonnegative_rank_bounds(ExactMatrix.identity(3))
+        except AssertionError as exc:
+            print(exc)
+        else:
+            print("no raise")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xclab.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "certificates exceed the verified upper bound 3: rank (99)"
+    ]

@@ -237,6 +237,34 @@ def test_cover_optimal_and_exceeded(square_file, tmp_path):
     assert env["result"]["status"] == "exceeded"
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["cover", "--limit", -5], "limit"),
+        (["cover", "--cap", -1], "cap"),
+        (["factorize", "--r", 2, "--restarts", -1], "restarts"),
+        (["bounds", "--cover-limit", -5], "cover_limit"),
+        (["bounds", "--cover-cap", -1], "cover_cap"),
+        (["bounds", "--nmf-restarts", -1], "nmf_restarts"),
+        (["bounds", "--nmf-cell-cap", -1], "nmf_cell_cap"),
+        (["bounds", "--nmf-tries", -2], "nmf_max_tries"),
+    ],
+)
+def test_negative_budgets_are_input_errors(argv, name, square_file, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    rc = main([str(a) for a in argv + ["--input", square_file, "--output", out]])
+    assert rc == 2
+    assert f"{name} must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cover_zero_limit_is_exceeded(square_file, tmp_path):
+    rc, env = run(["cover", "--input", square_file, "--limit", 0], tmp_path / "c.json")
+    assert rc == 1
+    assert env["result"]["status"] == "exceeded"
+    assert env["result"]["explored"] == 0
+
+
 def test_sep_pieces(tmp_path):
     rc, env = run(
         ["sep", "--n", 10, "--t", 5, "--k", 5, "--alpha", "1/2"], tmp_path / "s.json"
