@@ -14,13 +14,14 @@ is a hard input error.  FORBIDDEN times zero contributes zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceededError, InputError
+from .errors import InputError
 from .exactla import (
     ExactMatrix,
     common_denominator,
@@ -221,6 +222,7 @@ def max_rectangle_value(
 
 
 def _max_rectangle_heuristic(w: WeightMatrix, restarts: int, seed: int) -> RectangleValue:
+    _require_nonnegative(restarts=restarts)
     grid, nrows, ncols = w.grid, w.nrows, w.ncols
     tgrid = tuple(zip(*grid))
     rng = random.Random(seed)
@@ -266,42 +268,37 @@ def hyperplane_bound(
 
 
 # ---------------------------------------------------------------------------
-# Fooling sets
+# The support of S, and fooling sets
+
+def _supports(m: ExactMatrix) -> list[frozenset[int]]:
+    """The support of m: per row, the set of columns holding a nonzero.
+    The fooling-set and cover bounds and their re-checks all read this."""
+    return [frozenset(j for j, x in enumerate(m.row(i)) if x) for i in range(m.nrows)]
+
 
 def fooling_set_greedy(
     s: SlackMatrix | ExactMatrix, seed: int = 0
 ) -> tuple[tuple[int, int], ...]:
     """Greedy fooling set: support cells no two of which fit in one support
     rectangle.  Its size lower-bounds the rectangle cover number."""
-    m = as_matrix(s)
-    cells = [
-        (i, j)
-        for i in range(m.nrows)
-        for j in range(m.ncols)
-        if m.entry(i, j) != 0
-    ]
+    supports = _supports(as_matrix(s))
+    cells = [(i, j) for i, supp in enumerate(supports) for j in sorted(supp)]
     rng = random.Random(seed)
     rng.shuffle(cells)
     chosen: list[tuple[int, int]] = []
     for (i, j) in cells:
-        if all(
-            m.entry(i, jj) == 0 or m.entry(ii, j) == 0 for ii, jj in chosen
-        ):
+        if all(jj not in supports[i] or j not in supports[ii] for ii, jj in chosen):
             chosen.append((i, j))
     return tuple(sorted(chosen))
 
 
-def _check_fooling(m: ExactMatrix, cells: Sequence[tuple[int, int]]) -> bool:
-    for i, j in cells:
-        if m.entry(i, j) == 0:
-            return False
-    for a in range(len(cells)):
-        i, j = cells[a]
-        for b in range(a + 1, len(cells)):
-            ii, jj = cells[b]
-            if m.entry(i, jj) != 0 and m.entry(ii, j) != 0:
-                return False
-    return True
+def _check_fooling(supports: list[frozenset[int]], cells: Sequence[tuple[int, int]]) -> bool:
+    if any(j not in supports[i] for i, j in cells):
+        return False
+    return not any(
+        jj in supports[i] and j in supports[ii]
+        for (i, j), (ii, jj) in itertools.combinations(cells, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,43 +312,37 @@ class CoverResult:
     explored: int
 
 
-def _closure(col_set: frozenset[int], supports: list[frozenset[int]], ncols: int):
-    rows = frozenset(
-        i for i, supp in enumerate(supports) if col_set <= supp
-    )
-    if not rows:
-        return rows, frozenset(range(ncols))
-    cols = frozenset.intersection(*(supports[i] for i in rows))
-    return rows, cols
-
-
 def _maximal_rectangles(
-    supports: list[frozenset[int]], ncols: int, limit: int
-) -> tuple[list[Rectangle], int]:
+    supports: list[frozenset[int]], ncols: int, spend: Callable[[], bool]
+) -> list[Rectangle] | None:
     """All maximal support rectangles (closed row-set/column-set pairs) in
-    lectic order.  Each closure computation costs one budget unit."""
+    lectic order, or None once `spend` refuses a closure computation."""
     rects = []
-    steps = 0
+    universe = frozenset(range(ncols))
 
-    def closed(cols: frozenset[int]):
-        nonlocal steps
-        steps += 1
-        if steps > limit:
-            raise BudgetExceededError(
-                f"maximal-rectangle enumeration passed {limit} closures"
-            )
-        return _closure(cols, supports, ncols)
+    def closed(col_set: frozenset[int]):
+        if not spend():
+            return None
+        rows = frozenset(i for i, supp in enumerate(supports) if col_set <= supp)
+        if not rows:
+            return rows, universe
+        return rows, frozenset.intersection(*(supports[i] for i in rows))
 
-    rows, cols = closed(frozenset())
+    found = closed(frozenset())
+    if found is None:
+        return None
+    rows, cols = found
     if rows and cols:
         rects.append(Rectangle(rows, cols))
-    universe = frozenset(range(ncols))
     while cols != universe:
         for c in range(ncols - 1, -1, -1):
             if c in cols:
                 continue
             prefix = frozenset(j for j in cols if j < c)
-            rows2, cols2 = closed(prefix | {c})
+            found = closed(prefix | {c})
+            if found is None:
+                return None
+            rows2, cols2 = found
             # lectic successor: the closure may not add anything below c
             if all(j >= c for j in cols2 - prefix):
                 rows, cols = rows2, cols2
@@ -360,34 +351,40 @@ def _maximal_rectangles(
                 break
         else:
             break
-    return rects, steps
+    return rects
 
 
 def rectangle_cover_exact(
     s: SlackMatrix | ExactMatrix, limit: int = 200_000, cap: int = 20
 ) -> CoverResult:
     """Exact minimum number of support rectangles covering the support of S,
-    by branch and bound over maximal support rectangles.  Returns status
-    "exceeded" when the combined search passes `limit` steps."""
+    by branch and bound over maximal support rectangles.  Every closure and
+    every search node costs one step; the result is "exceeded", with
+    `explored == limit`, when the search needs more than `limit` steps."""
     _require_nonnegative(limit=limit, cap=cap)
     m = as_matrix(s)
     if m.nrows > cap or m.ncols > cap:
         raise InputError(
             f"exact cover needs dimensions <= {cap}, got {m.nrows}x{m.ncols}"
         )
-    supports = [
-        frozenset(j for j in range(m.ncols) if m.entry(i, j) != 0)
-        for i in range(m.nrows)
-    ]
+    supports = _supports(m)
     cells = frozenset(
         (i, j) for i, supp in enumerate(supports) for j in supp
     )
     if not cells:
         return CoverResult("optimal", 0, (), 0)
-    try:
-        rects, steps = _maximal_rectangles(supports, m.ncols, limit)
-    except BudgetExceededError:
-        return CoverResult("exceeded", None, (), limit)
+    explored = 0
+
+    def spend() -> bool:
+        nonlocal explored
+        if explored == limit:
+            return False
+        explored += 1
+        return True
+
+    rects = _maximal_rectangles(supports, m.ncols, spend)
+    if rects is None:
+        return CoverResult("exceeded", None, (), explored)
 
     cover_sets = [frozenset((i, j) for i in r.rows for j in r.cols) for r in rects]
     by_cell: dict[tuple[int, int], list[int]] = {c: [] for c in cells}
@@ -404,51 +401,36 @@ def rectangle_cover_exact(
         left -= cover_sets[k]
     best: list[int] = list(greedy)
 
-    explored = steps
-    budget_hit = False
-
-    def search(uncovered: frozenset, chosen: list[int]):
-        nonlocal best, explored, budget_hit
-        if budget_hit:
-            return
-        explored += 1
-        if explored > limit:
-            budget_hit = True
-            return
+    def search(uncovered: frozenset, chosen: list[int]) -> bool:
+        """False once `spend` refuses a node."""
+        nonlocal best
+        if not spend():
+            return False
         if not uncovered:
             if len(chosen) < len(best):
                 best = list(chosen)
-            return
+            return True
         if len(chosen) + 1 >= len(best):
-            return
+            return True
         cell = min(uncovered, key=lambda c: (len(by_cell[c]), c))
         for k in by_cell[cell]:
             chosen.append(k)
-            search(uncovered - cover_sets[k], chosen)
+            finished = search(uncovered - cover_sets[k], chosen)
             chosen.pop()
+            if not finished:
+                return False
+        return True
 
-    search(cells, [])
-    if budget_hit:
+    if not search(cells, []):
         return CoverResult("exceeded", None, (), explored)
     return CoverResult(
         "optimal", len(best), tuple(rects[k] for k in best), explored
     )
 
 
-def _check_cover(m: ExactMatrix, rectangles: Sequence[Rectangle]) -> bool:
-    covered = set()
-    for r in rectangles:
-        for i, j in r.cells():
-            if m.entry(i, j) == 0:
-                return False
-            covered.add((i, j))
-    support = {
-        (i, j)
-        for i in range(m.nrows)
-        for j in range(m.ncols)
-        if m.entry(i, j) != 0
-    }
-    return covered == support
+def _check_cover(supports: list[frozenset[int]], rectangles: Sequence[Rectangle]) -> bool:
+    covered = {cell for r in rectangles for cell in r.cells()}
+    return covered == {(i, j) for i, supp in enumerate(supports) for j in supp}
 
 
 # ---------------------------------------------------------------------------
@@ -716,23 +698,21 @@ def nonnegative_rank_bounds(
     m = as_matrix(s)
     if not m.is_nonnegative():
         raise InputError("nonnegative rank is defined for nonnegative matrices")
-    support = any(
-        m.entry(i, j) != 0 for i in range(m.nrows) for j in range(m.ncols)
-    )
-    if not support:
+    supports = _supports(m)
+    if not any(supports):
         return BoundReport(0, 0, (Certificate("rank", 0),), None)
 
     certs: list[Certificate] = [Certificate("rank", rank(m))]
 
     fooling = fooling_set_greedy(m, config.seed)
-    if not _check_fooling(m, fooling):
+    if not _check_fooling(supports, fooling):
         raise AssertionError("greedy fooling set failed re-verification")
     certs.append(Certificate("fooling", len(fooling), fooling))
 
     if m.nrows <= config.cover_cap and m.ncols <= config.cover_cap:
         cover = rectangle_cover_exact(m, config.cover_limit, config.cover_cap)
         if cover.status == "optimal":
-            if not _check_cover(m, cover.rectangles):
+            if not _check_cover(supports, cover.rectangles):
                 raise AssertionError("exact cover failed re-verification")
             certs.append(Certificate("cover", cover.size, cover.rectangles))
 

@@ -33,7 +33,6 @@ from .bounds import (
     report_to_json,
 )
 from .errors import (
-    BudgetExceededError,
     InputError,
     NotAnExtensionError,
     NotDerivableError,
@@ -246,16 +245,8 @@ def _cmd_sep(args):
     result = {
         "inner_product": format_rational(inner),
         "slack_norm": format_rational(rat(norm)),
-        "alpha": None,
-        "bound": None,
     }
-    if args.alpha is not None:
-        alpha = rat(args.alpha)
-        if alpha <= 0:
-            raise InputError(f"alpha must be positive, got {args.alpha}")
-        result["alpha"] = format_rational(alpha)
-        result["bound"] = format_rational(inner / (norm * alpha))
-    inputs = {"n": args.n, "t": args.t, "k": args.k, "alpha": args.alpha}
+    inputs = {"n": args.n, "t": args.t, "k": args.k}
     return inputs, result, 0
 
 
@@ -436,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", default=None, help="rectangle bound to divide by")
     p.set_defaults(handler=_cmd_sep)
 
     p = sub.add_parser("qsize", parents=[common], help="crossing-class size by closed form")
@@ -525,9 +515,6 @@ def main(argv=None) -> int:
             }
             text = json.dumps(envelope, indent=1) + "\n"
         _emit(args.output, text)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 1
     except (
         InputError,
         NotAnExtensionError,

@@ -1,8 +1,12 @@
 """Shared exception types.
 
-Every user-facing failure is one of two kinds: the input was malformed
-(InputError, CLI exit code 2) or an exact search ran out of its configured
-budget (BudgetExceededError, CLI exit code 1).  Everything else is a bug.
+InputError marks malformed or inconsistent input (CLI exit code 2).
+NotAnExtensionError (a polytope vertex has no lift) and NotDerivableError
+(an inequality is not derivable from the extension's system) reject a
+claimed extended formulation; the CLI gives them exit code 2 as well.
+An exact search that runs out of its budget is not an exception: it
+returns a result with status "exceeded" (CLI exit code 1).  Any other
+exception is a bug.
 """
 
 from __future__ import annotations
@@ -14,10 +18,6 @@ class XclabError(Exception):
 
 class InputError(XclabError):
     """Malformed or inconsistent input (wrong shape, parity, range, ...)."""
-
-
-class BudgetExceededError(XclabError):
-    """An exact search exceeded its node or size budget."""
 
 
 class NotAnExtensionError(XclabError):

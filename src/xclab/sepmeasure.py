@@ -373,6 +373,11 @@ def biased_indices(
     width = len(doms)
     if any(len(d) < 1 for d in doms):
         raise InputError("every coordinate domain needs at least one value")
+    # tuple values must equal domain values below, so they are hashable too
+    try:
+        hash(tuple(doms))
+    except TypeError as exc:
+        raise InputError(f"domain values must be hashable: {exc}") from exc
     if any(len(d) != len(set(d)) for d in doms):
         raise InputError("coordinate domains must not repeat values")
     for row in y:

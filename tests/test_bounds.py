@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 import xclab
 from xclab.bounds import (
     FORBIDDEN,
+    _check_cover,
+    _check_fooling,
+    _supports,
     BoundConfig,
     Certificate,
     Factorization,
@@ -31,6 +34,7 @@ from xclab.errors import InputError
 from xclab.exactla import ExactMatrix
 from xclab.matchgen import perfect_matching_polytope
 from xclab.polytope import (
+    Rectangle,
     cross_polytope,
     hypercube_polytope,
     simplex_polytope,
@@ -164,6 +168,14 @@ def test_alpha_cap_and_heuristic():
     assert 0 <= res.value <= 4
 
 
+def test_heuristic_restarts_must_be_nonnegative():
+    w = WeightMatrix.from_rows([[1, -2, 3], [-1, 2, 1]])
+    with pytest.raises(InputError, match="restarts must be nonnegative"):
+        max_rectangle_value(w, mode="heuristic", restarts=-3)
+    zero = max_rectangle_value(w, mode="heuristic", restarts=0, seed=5)
+    assert zero == max_rectangle_value(w, mode="heuristic", restarts=1, seed=5)
+
+
 def test_heuristic_alpha_never_exceeds_exact():
     rng = random.Random(11)
     choices = [FORBIDDEN, Fraction(-1), 0, 1, 2]
@@ -240,6 +252,9 @@ def test_cover_matches_naive_seeded():
 def test_cover_budget_and_cap():
     res = rectangle_cover_exact(ExactMatrix.identity(4), limit=2)
     assert res.status == "exceeded" and res.size is None
+    # the budget counts closures and search nodes alike: the identity of
+    # size 3 takes 7 closures and then 3 branch-and-bound nodes
+    assert rectangle_cover_exact(ExactMatrix.identity(3)).explored == 10
     with pytest.raises(InputError, match="<= 3"):
         rectangle_cover_exact(ExactMatrix.identity(4), cap=3)
 
@@ -500,3 +515,61 @@ def test_bound_checks_survive_python_O():
     assert run.stdout.splitlines() == [
         "certificates exceed the verified upper bound 3: rank (99)"
     ]
+
+
+# ---------------------------------------------------------------------------
+# The cover budget and the support checkers
+
+
+@st.composite
+def small_matrices(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cell = st.sampled_from((0, 1, 2))
+    return ExactMatrix([[draw(cell) for _ in range(ncols)] for _ in range(nrows)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_cover_budget_counts_every_step_once(m):
+    full = rectangle_cover_exact(m)
+    assert full.status == "optimal"
+    for limit in range(full.explored):
+        res = rectangle_cover_exact(m, limit=limit)
+        assert res.status == "exceeded" and res.size is None and res.rectangles == ()
+        assert res.explored == limit
+    assert rectangle_cover_exact(m, limit=full.explored) == full
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), st.integers(0, 3))
+def test_checkers_accept_witnesses_and_reject_mutations(m, seed):
+    supports = _supports(m)
+    support = {(i, j) for i, supp in enumerate(supports) for j in supp}
+    off_support = [
+        (i, j) for i in range(m.nrows) for j in range(m.ncols) if (i, j) not in support
+    ]
+
+    fooling = list(fooling_set_greedy(m, seed))
+    assert _check_fooling(supports, fooling)
+    for k in range(len(fooling)):
+        for cell in off_support:
+            moved = fooling[:k] + [cell] + fooling[k + 1:]
+            assert not _check_fooling(supports, moved)
+    for i, j in support - set(fooling):
+        # the greedy set is maximal, so each new support cell shares a
+        # support rectangle with a chosen one
+        assert any(jj in supports[i] and j in supports[ii] for ii, jj in fooling)
+        assert not _check_fooling(supports, fooling + [(i, j)])
+
+    cover = rectangle_cover_exact(m)
+    assert cover.status == "optimal"
+    rects = list(cover.rectangles)
+    assert _check_cover(supports, rects)
+    for k in range(len(rects)):
+        assert not _check_cover(supports, rects[:k] + rects[k + 1:])
+        r = rects[k]
+        for i in set(range(m.nrows)) - r.rows:
+            # cover rectangles are maximal, so any new row leaves the support
+            assert not r.cols <= supports[i]
+            grown = Rectangle(r.rows | {i}, r.cols)
+            assert not _check_cover(supports, rects[:k] + [grown] + rects[k + 1:])

@@ -266,14 +266,12 @@ def test_cover_zero_limit_is_exceeded(square_file, tmp_path):
 
 
 def test_sep_pieces(tmp_path):
-    rc, env = run(
-        ["sep", "--n", 10, "--t", 5, "--k", 5, "--alpha", "1/2"], tmp_path / "s.json"
-    )
+    rc, env = run(["sep", "--n", 10, "--t", 5, "--k", 5], tmp_path / "s.json")
     assert rc == 0
     assert env["result"]["inner_product"] == "1"
     assert env["result"]["slack_norm"] == "4"
-    assert env["result"]["bound"] == "1/2"
-    assert main(["sep", "--n", "10", "--t", "5", "--k", "5", "--alpha", "0"]) == 2
+    # an unchecked alpha is not accepted
+    assert main(["sep", "--n", "10", "--t", "5", "--k", "5", "--alpha", "1/2"]) == 2
 
 
 def test_qsize(tmp_path):
@@ -426,6 +424,9 @@ def test_ratio_trials(tmp_path):
         ("slack", {**polytope_to_json(hypercube_polytope(2)), "vertices": 5}),
         ("slack", {**polytope_to_json(hypercube_polytope(2)), "row_labels": 5}),
         ("slack", {**polytope_to_json(hypercube_polytope(2)), "eq_labels": 5}),
+        ("bias", {"domains": [[[0], [1]]], "tuples": [[[0]]]}),
+        ("bias", {"domains": [[{"a": 1}]], "tuples": [[{"a": 1}]]}),
+        ("bias", {"domains": [[0, 1]], "tuples": [[[0]]]}),
     ],
 )
 def test_malformed_json_is_input_error(verb, payload, square_file, tmp_path):
