@@ -767,6 +767,8 @@ def factorization_to_json(fac: Factorization) -> dict:
 
 
 def factorization_from_json(obj: dict) -> Factorization:
+    if isinstance(obj, dict) and obj.get("found") is False:
+        raise InputError("the factorize run found no factorization")
     try:
         return Factorization(ExactMatrix(obj["left"]), ExactMatrix(obj["right"]))
     except (KeyError, TypeError) as exc:

@@ -478,8 +478,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="check vertices, a factorization, or a formulation")
     p.add_argument("--input", required=True)
     p.add_argument("--rows", default="all")
-    p.add_argument("--factorization", default=None)
-    p.add_argument("--system", default=None)
+    check = p.add_mutually_exclusive_group()
+    check.add_argument("--factorization", default=None)
+    check.add_argument("--system", default=None)
     p.add_argument("--trials", type=int, default=20)
     p.set_defaults(handler=_cmd_verify)
 

@@ -306,46 +306,25 @@ def face(poly: Polytope, tight_rows: Sequence[int]) -> Polytope:
 
 @dataclass(frozen=True)
 class XYSystem:
-    """Constraint system over a split variable vector (x, y):
-    B x + C y <= d on the inequality side, optional equalities."""
+    """Constraint system over the joint variables (x, y), x columns first:
+    `ineqs` holds the rows of B x + C y <= d and `eqs` the equalities, each
+    a (rows, rhs) pair in the form lp_solve takes, or None for a side
+    without rows."""
 
     x_dim: int
     y_dim: int
-    ineq_x: ExactMatrix | None
-    ineq_y: ExactMatrix | None
-    ineq_rhs: tuple[Fraction, ...]
-    eq_x: ExactMatrix | None = None
-    eq_y: ExactMatrix | None = None
-    eq_rhs: tuple[Fraction, ...] = ()
+    ineqs: tuple | None
+    eqs: tuple | None = None
 
     @property
     def n_ineqs(self) -> int:
-        return len(self.ineq_rhs)
-
-    def _joint(self, bx, by, rhs) -> tuple | None:
-        """One side over the joint (x, y) variables; a missing block reads
-        as zeros and a side without rows is None."""
-        if not rhs:
-            return None
-        zx, zy = (Fraction(0),) * self.x_dim, (Fraction(0),) * self.y_dim
-        rows = [
-            list(zx if bx is None else bx.row(i)) + list(zy if by is None else by.row(i))
-            for i in range(len(rhs))
-        ]
-        return rows, list(rhs)
-
-    def joint_systems(self) -> tuple[tuple | None, tuple | None]:
-        """(ineqs, eqs) over the joint (x, y) variables for lp_solve."""
-        return (
-            self._joint(self.ineq_x, self.ineq_y, self.ineq_rhs),
-            self._joint(self.eq_x, self.eq_y, self.eq_rhs),
-        )
+        return 0 if self.ineqs is None else len(self.ineqs[1])
 
     def lift_system_for(self, x: Sequence[Fraction]) -> tuple[tuple | None, tuple | None]:
         """Constraints over y once x is pinned: (ineqs, eqs) for lp_solve."""
         xy = tuple(x) + (Fraction(0),) * self.y_dim
         out = []
-        for side in self.joint_systems():
+        for side in (self.ineqs, self.eqs):
             if side is not None:
                 rows, rhs = side
                 side = ([row[self.x_dim :] for row in rows], IntegerRows(rows, rhs).slacks(xy))
@@ -406,12 +385,11 @@ def lp_equal_under_projection(
 
     rng = random.Random(seed)
     p_ineqs, p_eqs = poly.lp_system()
-    q_ineqs, q_eqs = system.joint_systems()
     zeros_y = [0] * system.y_dim
     for t in range(trials):
         c = [rng.randint(-1000, 1000) for _ in range(poly.dim)]
         over_p = lp_solve(p_ineqs, p_eqs, c, sense="max")
-        over_q = lp_solve(q_ineqs, q_eqs, c + zeros_y, sense="max")
+        over_q = lp_solve(system.ineqs, system.eqs, c + zeros_y, sense="max")
         if over_p.status != "optimal" or over_q.status != "optimal":
             return ProjectionReport(
                 False,
@@ -435,15 +413,16 @@ def lp_equal_under_projection(
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _system_to_json(m: ExactMatrix, rhs: Sequence[Fraction]) -> dict:
+def system_to_json(m: ExactMatrix, rhs: Sequence[Fraction]) -> dict:
+    """One side of a constraint system as {"rows", "rhs"} JSON."""
     return {"rows": matrix_to_json(m.rows()), "rhs": [format_rational(x) for x in rhs]}
 
 
 def polytope_to_json(poly: Polytope) -> dict:
-    eqs = None if poly.eq_coefs is None else _system_to_json(poly.eq_coefs, poly.eq_rhs)
+    eqs = None if poly.eq_coefs is None else system_to_json(poly.eq_coefs, poly.eq_rhs)
     return {
         "dim": poly.dim,
-        "ineqs": _system_to_json(poly.ineq_coefs, poly.ineq_rhs),
+        "ineqs": system_to_json(poly.ineq_coefs, poly.ineq_rhs),
         "eqs": eqs,
         "vertices": matrix_to_json(poly.vertices),
         "row_labels": list(poly.row_labels),

@@ -19,9 +19,7 @@ from .exactla import (
     ExactMatrix,
     IntegerRows,
     conic_combination,
-    format_rational,
     lp_solve,
-    matrix_to_json,
     rat,
 )
 from .polytope import (
@@ -30,6 +28,7 @@ from .polytope import (
     XYSystem,
     as_matrix,
     slack_matrix,
+    system_to_json,
     unique_lift,
 )
 
@@ -80,46 +79,51 @@ def slack_variable_factorization(s: SlackMatrix | ExactMatrix) -> Factorization:
 
 @dataclass(frozen=True)
 class ExtendedFormulation:
-    """Q = {(x, y) : eq_x x + eq_y y = eq_rhs, y >= 0}.
+    """Q = {(x, y) : eq_rows (x, y) = eq_rhs, y >= 0}, x columns first.
 
     The y >= 0 rows are the only inequalities, so the facet count is y_dim;
     equalities contribute none."""
 
     x_dim: int
     y_dim: int
-    eq_x: ExactMatrix
-    eq_y: ExactMatrix
+    eq_rows: ExactMatrix
     eq_rhs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if self.x_dim < 1:
+            raise InputError("an extension needs at least one x variable")
         if self.y_dim < 1:
             raise InputError("an extension needs at least one lift variable")
-        if self.eq_x.ncols != self.x_dim or self.eq_y.ncols != self.y_dim:
-            raise InputError("equality block widths disagree with the dimensions")
-        if self.eq_x.nrows != self.eq_y.nrows or len(self.eq_rhs) != self.eq_x.nrows:
-            raise InputError("equality block heights disagree")
+        if self.eq_rows.ncols != self.x_dim + self.y_dim:
+            raise InputError(
+                f"equality row widths disagree with the dimensions: "
+                f"{self.eq_rows.ncols} columns, expected {self.x_dim + self.y_dim}"
+            )
+        if len(self.eq_rhs) != self.eq_rows.nrows:
+            raise InputError(
+                f"{self.eq_rows.nrows} equality rows but {len(self.eq_rhs)} right-hand sides"
+            )
 
     @property
     def n_facets(self) -> int:
         return self.y_dim
 
     def to_xy_system(self) -> XYSystem:
-        neg_identity = ExactMatrix.identity(self.y_dim).scaled(Fraction(-1))
+        """The formulation with its y >= 0 rows as the inequality side."""
+        zeros_x = (Fraction(0),) * self.x_dim
+        nonneg_y = [zeros_x + row for row in ExactMatrix.identity(self.y_dim).scaled(-1).rows()]
         return XYSystem(
-            x_dim=self.x_dim,
-            y_dim=self.y_dim,
-            ineq_x=None,
-            ineq_y=neg_identity,
-            ineq_rhs=(Fraction(0),) * self.y_dim,
-            eq_x=self.eq_x,
-            eq_y=self.eq_y,
-            eq_rhs=tuple(self.eq_rhs),
+            self.x_dim,
+            self.y_dim,
+            (nonneg_y, (Fraction(0),) * self.y_dim),
+            (self.eq_rows.rows(), self.eq_rhs),
         )
 
 
 def extension_from_factorization(poly: Polytope, fac: Factorization) -> ExtendedFormulation:
     """Wrap a verified factorization of the polytope's slack matrix into an
-    extension with fac.r facets.  Vertex j lifts to y = column j of the
+    extension with fac.r facets: the row of inequality i is (a_i | L_i),
+    that of an equality (e | 0).  Vertex j lifts to y = column j of the
     right factor."""
     if fac.left.nrows != poly.n_ineqs:
         raise InputError(
@@ -129,15 +133,11 @@ def extension_from_factorization(poly: Polytope, fac: Factorization) -> Extended
     s = slack_matrix(poly)
     if not verify_factorization(s, fac):
         raise InputError("factorization does not reproduce the slack matrix")
-    if poly.eq_coefs is None:
-        eq_x = poly.ineq_coefs
-        eq_y = fac.left
-        rhs = tuple(poly.ineq_rhs)
-    else:
-        eq_x = poly.ineq_coefs.vstack(poly.eq_coefs)
-        eq_y = fac.left.vstack(ExactMatrix.zeros(poly.eq_coefs.nrows, fac.r))
-        rhs = tuple(poly.ineq_rhs) + tuple(poly.eq_rhs)
-    return ExtendedFormulation(poly.dim, fac.r, eq_x, eq_y, rhs)
+    rows, rhs = poly.all_rows()
+    left = fac.left.rows() + ((Fraction(0),) * fac.r,) * (len(rows) - poly.n_ineqs)
+    return ExtendedFormulation(
+        poly.dim, fac.r, ExactMatrix(a + y for a, y in zip(rows, left)), rhs
+    )
 
 
 def _lex_min_lift(system: XYSystem, x, vertex_index: int):
@@ -200,8 +200,7 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
     if r == 0:
         raise InputError("system has no inequality rows to act as facets")
 
-    ineqs, eqs = system.joint_systems()
-    ineq_rows = IntegerRows(*ineqs)
+    ineq_rows = IntegerRows(*system.ineqs)
     cols = []
     for j, x in enumerate(poly.vertices):
         col = ineq_rows.slacks(tuple(x) + tuple(_lex_min_lift(system, x, j)))
@@ -210,10 +209,10 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
         cols.append(col)
     right = ExactMatrix(cols).transpose()
 
-    big_rows = [row + [d] for row, d in zip(*ineqs)]
-    if eqs is not None:
-        for row, f in zip(*eqs):
-            big_rows += [row + [f], [-t for t in row] + [-f]]
+    big_rows = [[*row, d] for row, d in zip(*system.ineqs)]
+    if system.eqs is not None:
+        for row, f in zip(*system.eqs):
+            big_rows += [[*row, f], [-t for t in row] + [-f]]
     big = ExactMatrix(big_rows)
 
     zeros_y = (Fraction(0),) * system.y_dim
@@ -239,25 +238,18 @@ def formulation_to_json(ef: ExtendedFormulation) -> dict:
         "y_dim": ef.y_dim,
         "variables": [f"x:{i}" for i in range(ef.x_dim)]
         + [f"y:{i}" for i in range(ef.y_dim)],
-        "eqs": {
-            "rows": matrix_to_json(ef.eq_x.hstack(ef.eq_y).rows()),
-            "rhs": [format_rational(v) for v in ef.eq_rhs],
-        },
+        "eqs": system_to_json(ef.eq_rows, ef.eq_rhs),
     }
 
 
 def formulation_from_json(obj: dict) -> ExtendedFormulation:
     try:
-        x_dim = int(obj["x_dim"])
-        y_dim = int(obj["y_dim"])
-        joint = ExactMatrix(obj["eqs"]["rows"])
+        x_dim, y_dim = obj["x_dim"], obj["y_dim"]
+        rows = ExactMatrix(obj["eqs"]["rows"])
         rhs = tuple(rat(v) for v in obj["eqs"]["rhs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed extension JSON: {exc}") from exc
-    if joint.ncols != x_dim + y_dim:
-        raise InputError(
-            f"equality rows have {joint.ncols} columns, expected {x_dim + y_dim}"
-        )
-    eq_x = ExactMatrix([row[:x_dim] for row in joint.rows()])
-    eq_y = ExactMatrix([row[x_dim:] for row in joint.rows()])
-    return ExtendedFormulation(x_dim, y_dim, eq_x, eq_y, rhs)
+    for key, value in (("x_dim", x_dim), ("y_dim", y_dim)):
+        if type(value) is not int:
+            raise InputError(f"malformed extension JSON: {key} must be an integer, got {value!r}")
+    return ExtendedFormulation(x_dim, y_dim, rows, rhs)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from xclab.bounds import factorization_from_json
+from xclab.bounds import factorization_from_json, factorization_to_json
 from xclab.cli import main
 from xclab.exactla import rat
 from xclab.polytope import (
@@ -18,7 +19,7 @@ from xclab.polytope import (
     slack_matrix,
     write_polytope,
 )
-from xclab.yannakakis import verify_factorization
+from xclab.yannakakis import slack_variable_factorization, verify_factorization
 
 
 def run(args, out):
@@ -160,6 +161,54 @@ def test_factorize_found_and_not_found(square_file, tmp_path):
     assert env["result"]["found"] is False
 
 
+def test_factorization_not_found_is_input_error(tmp_path, capsys):
+    write_polytope(str(tmp_path / "cube3.json"), hypercube_polytope(3))
+    nf = tmp_path / "nf.json"
+    rc, env = run(["factorize", "--input", tmp_path / "cube3.json", "--r", 3], nf)
+    assert rc == 1
+    assert env["result"] == {"found": False, "factorization": None}
+    capsys.readouterr()
+    for verb in ("verify", "extend"):
+        out = tmp_path / f"{verb}.json"
+        argv = [verb, "--input", tmp_path / "cube3.json", "--factorization", nf]
+        assert main([str(a) for a in argv] + ["--output", str(out)]) == 2
+        assert "the factorize run found no factorization" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_verify_factorization_and_system_exclude_each_other(square_file, tmp_path, capsys):
+    fac = slack_variable_factorization(slack_matrix(hypercube_polytope(2)))
+    fac_file = tmp_path / "fac.json"
+    fac_file.write_text(json.dumps(factorization_to_json(fac)))
+    out = tmp_path / "v.json"
+    argv = ["verify", "--input", square_file, "--factorization", fac_file,
+            "--system", tmp_path / "missing.json", "--output", out]
+    assert main([str(a) for a in argv]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bridge_results_match_golden_digests(tmp_path):
+    """gen, extend, contract and verify --system on ppm6 give the results
+    pinned in perfbench/golden.json (read here, never written)."""
+    golden_path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "golden.json")
+    with open(golden_path, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    p, ext = tmp_path / "ppm6.json", tmp_path / "ext6.json"
+    steps = [
+        ("gen-ppm6", ["gen", "ppm", "--n", 6], p),
+        ("extend-ppm6", ["extend", "--input", p], ext),
+        ("contract-ppm6", ["contract", "--input", p, "--system", ext], tmp_path / "c.json"),
+        ("verify-projection-ppm6",
+         ["verify", "--input", p, "--system", ext, "--trials", 20], tmp_path / "v.json"),
+    ]
+    for key, argv, out in steps:
+        rc, env = run(argv, out)
+        assert rc == 0, key
+        text = json.dumps(env["result"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == golden[key], key
+
+
 def test_extend_contract_verify_chain(tmp_path):
     rc, _ = run(["gen", "ppm", "--n", 4], tmp_path / "p.json")
     rc, env = run(["extend", "--input", tmp_path / "p.json"], tmp_path / "ef.json")
@@ -212,6 +261,23 @@ def test_verify_system_trials(tmp_path):
     rc, env = run(verify + ["--trials", 0], out)
     assert rc == 1
     assert env["result"]["reason"] == "vertex-lift"
+
+
+@pytest.mark.parametrize(
+    "key, value", [("x_dim", 1.9), ("x_dim", True), ("x_dim", "1"), ("y_dim", 2.0), ("y_dim", "2")]
+)
+def test_formulation_dimensions_must_be_integers(key, value, tmp_path, capsys):
+    write_polytope(str(tmp_path / "seg.json"), simplex_polytope(1))
+    rc, env = run(["extend", "--input", tmp_path / "seg.json"], tmp_path / "ef.json")
+    assert rc == 0
+    assert (env["result"]["formulation"]["x_dim"], env["result"]["n_facets"]) == (1, 2)
+    env["result"]["formulation"][key] = value
+    (tmp_path / "ef.json").write_text(json.dumps(env))
+    out = tmp_path / "v.json"
+    argv = ["verify", "--input", tmp_path / "seg.json", "--system", tmp_path / "ef.json"]
+    assert main([str(a) for a in argv] + ["--output", str(out)]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_vertices_failure(tmp_path):

@@ -286,12 +286,8 @@ def _simplex_lift() -> XYSystem:
     return XYSystem(
         x_dim=2,
         y_dim=1,
-        ineq_x=ExactMatrix([[-1, 0], [0, -1], [0, 0]]),
-        ineq_y=ExactMatrix([[0], [0], [-1]]),
-        ineq_rhs=(rat(0), rat(0), rat(0)),
-        eq_x=ExactMatrix([[1, 1]]),
-        eq_y=ExactMatrix([[1]]),
-        eq_rhs=(rat(1),),
+        ineqs=([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], (rat(0), rat(0), rat(0))),
+        eqs=([[1, 1, 1]], (rat(1),)),
     )
 
 
@@ -305,12 +301,8 @@ def test_projection_check_catches_missing_lift():
     sys = XYSystem(
         x_dim=2,
         y_dim=1,
-        ineq_x=ExactMatrix([[-1, 0], [0, -1], [0, 0]]),
-        ineq_y=ExactMatrix([[0], [0], [-1]]),
-        ineq_rhs=(rat(0), rat(0), rat("-1/4")),
-        eq_x=ExactMatrix([[1, 1]]),
-        eq_y=ExactMatrix([[1]]),
-        eq_rhs=(rat(1),),
+        ineqs=([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], (rat(0), rat(0), rat("-1/4"))),
+        eqs=([[1, 1, 1]], (rat(1),)),
     )
     report = lp_equal_under_projection(simplex_polytope(2), sys, 3, 7)
     assert not report.passed
@@ -322,9 +314,10 @@ def test_projection_check_catches_larger_projection():
     sys = XYSystem(
         x_dim=2,
         y_dim=1,
-        ineq_x=ExactMatrix([[-1, 0], [0, -1], [1, 0], [0, 1], [0, 0], [0, 0]]),
-        ineq_y=ExactMatrix([[0], [0], [0], [0], [1], [-1]]),
-        ineq_rhs=(rat(0), rat(0), rat(1), rat(1), rat(1), rat(0)),
+        ineqs=(
+            [[-1, 0, 0], [0, -1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1]],
+            (rat(0), rat(0), rat(1), rat(1), rat(1), rat(0)),
+        ),
     )
     report = lp_equal_under_projection(simplex_polytope(2), sys, 8, 1)
     assert not report.passed

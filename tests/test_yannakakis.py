@@ -74,7 +74,7 @@ def test_extension_from_factorization_with_equalities():
     )
     fac = slack_variable_factorization(slack_matrix(p))
     ef = extension_from_factorization(p, fac)
-    assert ef.eq_x.nrows == 3  # two wrapped rows plus the original equality
+    assert ef.eq_rows.nrows == 3  # two wrapped rows plus the original equality
     report = lp_equal_under_projection(p, ef.to_xy_system(), 8, 2)
     assert report.passed, report
 
@@ -122,9 +122,10 @@ def test_factorization_from_product_with_box():
     sys = XYSystem(
         x_dim=2,
         y_dim=1,
-        ineq_x=ExactMatrix([[-1, 0], [0, -1], [1, 1], [0, 0], [0, 0]]),
-        ineq_y=ExactMatrix([[0], [0], [0], [-1], [1]]),
-        ineq_rhs=(rat(0), rat(0), rat(1), rat(0), rat(1)),
+        ineqs=(
+            [[-1, 0, 0], [0, -1, 0], [1, 1, 0], [0, 0, -1], [0, 0, 1]],
+            (rat(0), rat(0), rat(1), rat(0), rat(1)),
+        ),
     )
     fac = factorization_from_extension(p, sys)
     assert fac.r == 5
@@ -137,12 +138,8 @@ def test_missing_lift_raises():
     sys = XYSystem(
         x_dim=2,
         y_dim=1,
-        ineq_x=ExactMatrix([[-1, 0], [0, -1], [0, 0]]),
-        ineq_y=ExactMatrix([[0], [0], [-1]]),
-        ineq_rhs=(rat(0), rat(0), rat("-1/4")),
-        eq_x=ExactMatrix([[1, 1]]),
-        eq_y=ExactMatrix([[1]]),
-        eq_rhs=(rat(1),),
+        ineqs=([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], (rat(0), rat(0), rat("-1/4"))),
+        eqs=([[1, 1, 1]], (rat(1),)),
     )
     with pytest.raises(NotAnExtensionError) as err:
         factorization_from_extension(p, sys)
@@ -155,9 +152,10 @@ def test_underivable_row_raises():
     sys = XYSystem(
         x_dim=2,
         y_dim=1,
-        ineq_x=ExactMatrix([[-1, 0], [0, -1], [1, 0], [0, 1], [0, 0]]),
-        ineq_y=ExactMatrix([[0], [0], [0], [0], [-1]]),
-        ineq_rhs=(rat(0), rat(0), rat(1), rat(1), rat(0)),
+        ineqs=(
+            [[-1, 0, 0], [0, -1, 0], [1, 0, 0], [0, 1, 0], [0, 0, -1]],
+            (rat(0), rat(0), rat(1), rat(1), rat(0)),
+        ),
     )
     with pytest.raises(NotDerivableError) as err:
         factorization_from_extension(p, sys)
@@ -169,9 +167,7 @@ def test_unbounded_lift_raises():
     sys = XYSystem(
         x_dim=2,
         y_dim=1,
-        ineq_x=ExactMatrix([[-1, 0], [0, -1], [1, 1]]),
-        ineq_y=ExactMatrix([[0], [0], [0]]),
-        ineq_rhs=(rat(0), rat(0), rat(1)),
+        ineqs=([[-1, 0, 0], [0, -1, 0], [1, 1, 0]], (rat(0), rat(0), rat(1))),
     )
     with pytest.raises(InputError, match="unbounded"):
         factorization_from_extension(p, sys)
@@ -246,12 +242,12 @@ def test_direct_lift_matches_lex_lp_sequence(data):
     system = XYSystem(
         x_dim=x_dim,
         y_dim=y_dim,
-        ineq_x=ExactMatrix([[0] * x_dim for _ in range(y_dim)] + mix_x),
-        ineq_y=ExactMatrix(nonneg_y + mix_y),
-        ineq_rhs=tuple(rat(v) for v in [0] * y_dim + mix_rhs),
-        eq_x=ExactMatrix(eq_x),
-        eq_y=ExactMatrix(eq_y),
-        eq_rhs=tuple(rat(v) for v in eq_rhs),
+        ineqs=(
+            [[0] * x_dim + row for row in nonneg_y]
+            + [rx + ry for rx, ry in zip(mix_x, mix_y)],
+            tuple(rat(v) for v in [0] * y_dim + mix_rhs),
+        ),
+        eqs=([rx + ry for rx, ry in zip(eq_x, eq_y)], tuple(rat(v) for v in eq_rhs)),
     )
     x1 = data.draw(st.lists(small, min_size=x_dim, max_size=x_dim))
     for x in (x0, x1):
@@ -274,6 +270,10 @@ def test_formulation_json_round_trip():
 
 def test_formulation_validation():
     with pytest.raises(InputError, match="lift variable"):
-        ExtendedFormulation(1, 0, ExactMatrix([[1]]), ExactMatrix([[1]]), (rat(1),))
+        ExtendedFormulation(1, 0, ExactMatrix([[1]]), (rat(1),))
     with pytest.raises(InputError, match="widths"):
-        ExtendedFormulation(2, 1, ExactMatrix([[1]]), ExactMatrix([[1]]), (rat(1),))
+        ExtendedFormulation(2, 1, ExactMatrix([[1, 1]]), (rat(1),))
+    with pytest.raises(InputError, match="x variable"):
+        ExtendedFormulation(0, 1, ExactMatrix([[1]]), (rat(1),))
+    with pytest.raises(InputError, match="right-hand sides"):
+        ExtendedFormulation(1, 1, ExactMatrix([[1, 1]]), (rat(1), rat(2)))
