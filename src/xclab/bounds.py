@@ -545,9 +545,24 @@ def _distinct_rows(m: ExactMatrix, r: int) -> list[int]:
     return out
 
 
+# Largest denominator of a residual-LP point kept as a sweep iterate.
+_SWEEP_DENOMINATOR = 64
+
+
 def _solve_side(m: ExactMatrix, basis: ExactMatrix) -> ExactMatrix:
     """Per row of m: nonnegative u minimizing the max |u . basis - row|
-    residual, as the rows of a coefficient matrix."""
+    residual, as the rows of a coefficient matrix.
+
+    A row that is an exact conic combination of the basis keeps its exact
+    multipliers.  Any other row keeps its residual-LP optimum with each
+    entry rounded to the nearest rational of denominator at most
+    _SWEEP_DENOMINATOR (`Fraction.limit_denominator` keeps values >= 0
+    nonnegative).  Unrounded, the next sweep's LP would take this exact
+    basic point as input, and LP inputs would grow about fourfold in bits
+    per sweep.  The rounding is sound: the iterates only steer
+    nmf_heuristic, which returns nothing that exact repair and
+    verify_factorization have not rebuilt and checked.
+    """
     r = basis.nrows
     ncols = basis.ncols
     rows_out = []
@@ -576,7 +591,7 @@ def _solve_side(m: ExactMatrix, basis: ExactMatrix) -> ExactMatrix:
         res = lp_solve((ineq_rows, ineq_rhs), None, obj, sense="min")
         if not res.is_optimal:
             raise AssertionError(f"bounded residual LP came back {res.status}")
-        rows_out.append(res.point[:r])
+        rows_out.append([x.limit_denominator(_SWEEP_DENOMINATOR) for x in res.point[:r]])
     return ExactMatrix(rows_out)
 
 
@@ -600,9 +615,16 @@ def nmf_heuristic(
     """Search for a verified rank-r nonnegative factorization.
 
     Starts (in order): rows that generate the row cone, the first distinct
-    rows, then `restarts` seeded random row mixes.  Each start runs a few
+    rows, then `restarts` seeded random row mixes.  Each start runs `sweeps`
     alternating min-max-residual LP sweeps; a candidate counts only if exact
     conic repair of one side against the other reproduces S exactly.
+
+    The work is bounded: a fixed number of starts times sweeps, and every
+    residual-LP point is rounded to denominators at most _SWEEP_DENOMINATOR
+    before it becomes an iterate, so LP inputs do not grow from sweep to
+    sweep.  The rounding cannot make a result unsound, since a returned
+    factorization is rebuilt by exact conic_combination and checked by
+    verify_factorization; it can only change which candidates are tried.
     """
     m = as_matrix(s)
     if r < 1:

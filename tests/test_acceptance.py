@@ -1,4 +1,4 @@
-"""Acceptance suite: ten timed end-to-end checks over the whole package.
+"""Acceptance suite: eleven timed end-to-end checks over the whole package.
 
 Each test covers one criterion, re-deriving its expectations from
 independent paths (closed forms vs enumeration, counting vs
@@ -364,3 +364,23 @@ def test_ac10_bias_checker():
             y = [tuple((v >> i) & 1 for i in range(16)) for v in sorted(seen)]
             flagged = biased_indices(y, doms16, half)
             assert len(flagged) <= 8
+
+
+def test_ac11_cube4_bound_interval():
+    with criterion("AC11 certified interval for the 4-cube", 30):
+        s = slack_matrix(hypercube_polytope(4))
+        report = nonnegative_rank_bounds(s)
+        assert report.lower <= report.upper <= min(s.nrows, s.ncols)
+        for cert in report.certificates:
+            if cert.method == "rank":
+                assert cert.value == rank(s.matrix)
+            elif cert.method == "fooling":
+                check_fooling(s.matrix, cert.witness)
+                assert cert.value == len(cert.witness)
+            elif cert.method == "cover":
+                check_cover(s.matrix, cert.witness)
+                assert cert.value == len(cert.witness)
+            assert cert.value <= report.lower
+        if report.upper_witness is not None:
+            assert verify_factorization(s, report.upper_witness)
+            assert report.upper_witness.r == report.upper

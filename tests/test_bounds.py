@@ -4,12 +4,14 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xclab
+import xclab.bounds
 from xclab.bounds import (
     FORBIDDEN,
     _check_cover,
@@ -31,7 +33,7 @@ from xclab.bounds import (
     report_to_json,
 )
 from xclab.errors import InputError
-from xclab.exactla import ExactMatrix
+from xclab.exactla import ExactMatrix, conic_combination, lp_solve, rat
 from xclab.matchgen import perfect_matching_polytope
 from xclab.polytope import (
     Rectangle,
@@ -573,3 +575,146 @@ def test_checkers_accept_witnesses_and_reject_mutations(m, seed):
             assert not r.cols <= supports[i]
             grown = Rectangle(r.rows | {i}, r.cols)
             assert not _check_cover(supports, rects[:k] + [grown] + rects[k + 1:])
+
+
+# ---------------------------------------------------------------------------
+# NMF sweep iterates: rounded against the exact reference
+
+
+def _ref_solve_side(m: ExactMatrix, basis: ExactMatrix) -> ExactMatrix:
+    """The unrounded sweep step: keeps each residual-LP optimum exactly, so
+    the LP inputs grow from sweep to sweep."""
+    r = basis.nrows
+    ncols = basis.ncols
+    rows_out = []
+    cols = [basis.column(j) for j in range(ncols)]
+    for i in range(m.nrows):
+        target = m.row(i)
+        exact = conic_combination(basis, target)
+        if exact is not None:
+            rows_out.append(exact)
+            continue
+        ineq_rows = []
+        ineq_rhs = []
+        for j in range(ncols):
+            col = cols[j]
+            ineq_rows.append([col[k] for k in range(r)] + [-1])
+            ineq_rhs.append(target[j])
+            ineq_rows.append([-col[k] for k in range(r)] + [-1])
+            ineq_rhs.append(-target[j])
+        for k in range(r):
+            row = [0] * (r + 1)
+            row[k] = -1
+            ineq_rows.append(row)
+            ineq_rhs.append(0)
+        obj = [0] * r + [1]
+        res = lp_solve((ineq_rows, ineq_rhs), None, obj, sense="min")
+        assert res.is_optimal
+        rows_out.append(res.point[:r])
+    return ExactMatrix(rows_out)
+
+
+@st.composite
+def nonnegative_products(draw):
+    # at least inner + 1 rows and columns, so the padded trivial
+    # factorization never answers and every example runs the sweeps
+    inner = draw(st.integers(1, 3))
+    nrows, ncols = draw(st.integers(inner + 1, 6)), draw(st.integers(inner + 1, 6))
+    cell = st.integers(0, 2)
+    left = ExactMatrix([[draw(cell) for _ in range(inner)] for _ in range(nrows)])
+    right = ExactMatrix([[draw(cell) for _ in range(ncols)] for _ in range(inner)])
+    return left @ right, inner
+
+
+def _product(left, right, seed):
+    return (ExactMatrix(left) @ ExactMatrix(right), len(right)), seed
+
+
+# Products L @ R (with r = rows of R, and the seed) that no start
+# factorizes without a sweep, and that both sweeps factorize.
+_SWEEP_NEEDED = (
+    ([[0, 1], [0, 2], [2, 1], [2, 1]], [[2, 1, 2, 1, 2, 0], [0, 1, 0, 2, 2, 2]], 1),
+    ([[2, 2], [1, 1], [1, 1], [0, 2], [0, 1], [0, 1]], [[0, 1, 1, 0, 2], [1, 1, 1, 0, 0]], 0),
+    ([[2, 2], [1, 1], [0, 1], [0, 2], [1, 1], [2, 2]], [[2, 0, 2, 1, 2], [1, 1, 1, 2, 2]], 1),
+    (
+        [[0, 0, 2], [1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 2, 0]],
+        [[2, 2, 0, 0, 0, 1], [1, 1, 0, 1, 2, 2], [0, 2, 2, 1, 2, 1]],
+        3,
+    ),
+)
+
+# The recorded exceptions: the exact sweep factorizes these and the rounded
+# one does not.  A scan of 4 500 seeded products like the drawn ones found
+# these three; on the same scan the rounded sweep factorized 17 that the
+# exact one did not.  A new exception found by the property test goes here.
+_ROUNDING_MISSES = (
+    ([[1, 1], [2, 2], [2, 2], [1, 2], [1, 2], [1, 1]], [[2, 1, 1, 2, 1, 0], [0, 1, 1, 1, 2, 0]], 0),
+    (
+        [[1, 0, 0], [2, 0, 2], [1, 1, 1], [2, 2, 2], [1, 0, 2]],
+        [[1, 0, 1, 0, 1], [2, 1, 2, 2, 1], [1, 0, 0, 0, 1]],
+        1,
+    ),
+    ([[2, 2], [2, 2], [1, 1], [1, 0], [2, 0], [2, 2]], [[0, 1, 1, 2, 1], [0, 0, 2, 0, 2]], 3),
+)
+_MISSED = {
+    (case[0].rows(), case[1], seed)
+    for case, seed in (_product(*miss) for miss in _ROUNDING_MISSES)
+}
+
+
+def _with_examples(test):
+    for instance in _SWEEP_NEEDED + _ROUNDING_MISSES:
+        test = example(*_product(*instance))(test)
+    return test
+
+
+@_with_examples
+@settings(max_examples=80, deadline=None)
+@given(nonnegative_products(), st.integers(0, 3))
+def test_rounded_sweep_finds_whatever_the_exact_sweep_finds(case, seed):
+    m, r = case
+    rounded = nmf_heuristic(m, r, restarts=1, seed=seed)
+    with mock.patch.object(xclab.bounds, "_solve_side", _ref_solve_side):
+        exact = nmf_heuristic(m, r, restarts=1, seed=seed)
+    for fac in (rounded, exact):
+        if fac is not None:
+            assert fac.r == r and verify_factorization(m, fac)
+    if (m.rows(), r, seed) in _MISSED:
+        assert exact is not None and rounded is None
+    elif exact is not None:
+        assert rounded is not None
+
+
+def _max_bits(values) -> int:
+    return max(
+        (max(rat(x).numerator.bit_length(), rat(x).denominator.bit_length()) for x in values),
+        default=0,
+    )
+
+
+def test_sweep_lp_inputs_stay_small(monkeypatch):
+    # Unrounded, this run feeds its LPs inputs of over 33 000 bits.
+    seen = [0]
+
+    def recording(solve, flatten):
+        def wrapper(*args, **kwargs):
+            seen[0] = max(seen[0], _max_bits(flatten(*args)))
+            return solve(*args, **kwargs)
+        return wrapper
+
+    def lp_values(ineqs, eqs, objective, sense="max"):
+        rows, rhs = ineqs
+        return [x for row in rows for x in row] + list(rhs) + list(objective)
+
+    def conic_values(basis, target):
+        return [x for row in basis.rows() for x in row] + list(target)
+
+    monkeypatch.setattr(xclab.bounds, "lp_solve", recording(xclab.bounds.lp_solve, lp_values))
+    monkeypatch.setattr(
+        xclab.bounds,
+        "conic_combination",
+        recording(xclab.bounds.conic_combination, conic_values),
+    )
+    cube3 = slack_matrix(hypercube_polytope(3))
+    assert nmf_heuristic(cube3, 5, restarts=1, seed=0) is None
+    assert 0 < seen[0] < 32

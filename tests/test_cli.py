@@ -161,6 +161,17 @@ def test_factorize_found_and_not_found(square_file, tmp_path):
     assert env["result"]["found"] is False
 
 
+def test_factorize_cube3_rank5_not_found(tmp_path):
+    # the cover bound of the 3-cube is 6, so no rank-5 factorization exists
+    write_polytope(str(tmp_path / "cube3.json"), hypercube_polytope(3))
+    argv = ["factorize", "--input", tmp_path / "cube3.json", "--r", 5, "--restarts", 1]
+    rc, env = run(argv, tmp_path / "f.json")
+    assert rc == 1
+    assert env["result"] == {"found": False, "factorization": None}
+    # with unrounded sweep iterates this run took about 15 s, now about 0.2 s
+    assert env["timing"]["seconds"] < 10
+
+
 def test_factorization_not_found_is_input_error(tmp_path, capsys):
     write_polytope(str(tmp_path / "cube3.json"), hypercube_polytope(3))
     nf = tmp_path / "nf.json"
