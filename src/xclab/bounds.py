@@ -434,73 +434,6 @@ def _check_cover(supports: list[frozenset[int]], rectangles: Sequence[Rectangle]
 
 
 # ---------------------------------------------------------------------------
-# The canonical cover of the perfect-matching slack support
-
-@dataclass(frozen=True)
-class MatchingCover:
-    """One rectangle per unordered pair of disjoint edges: rows are the
-    proper odd cuts crossed by both edges, columns the perfect matchings
-    containing both."""
-
-    n: int
-    slack: SlackMatrix
-    rectangles: tuple[Rectangle, ...]
-    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-
-def canonical_matching_cover(n: int) -> MatchingCover:
-    from .matchgen import (
-        EdgeIndexing,
-        canonical_odd_sets,
-        enumerate_perfect_matchings,
-        odd_set_slack,
-        perfect_matching_polytope,
-    )
-
-    if n < 6 or n % 2:
-        raise InputError(f"need an even n >= 6, got {n}")
-    poly = perfect_matching_polytope(n)
-    slack = odd_set_slack(poly)
-    edges = EdgeIndexing(n)
-    proper = [u for u in canonical_odd_sets(n) if 3 <= len(u) <= n - 3]
-    if len(proper) != slack.nrows:
-        raise AssertionError(f"{len(proper)} proper odd sets, {slack.nrows} slack rows")
-    cut_masks = []
-    for u in proper:
-        inside = set(u)
-        cut_masks.append(
-            sum(
-                1 << k
-                for k, (a, b) in enumerate(edges.pairs)
-                if (a in inside) != (b in inside)
-            )
-        )
-    pm_masks = [
-        sum(1 << edges.index(a, b) for a, b in m)
-        for m in enumerate_perfect_matchings(n)
-    ]
-
-    rectangles = []
-    pairs = []
-    for k1 in range(edges.n_edges):
-        a1, b1 = edges.pairs[k1]
-        for k2 in range(k1 + 1, edges.n_edges):
-            a2, b2 = edges.pairs[k2]
-            if len({a1, b1, a2, b2}) < 4:
-                continue
-            want = (1 << k1) | (1 << k2)
-            rows = frozenset(
-                i for i, cm in enumerate(cut_masks) if cm & want == want
-            )
-            cols = frozenset(
-                j for j, pm in enumerate(pm_masks) if pm & want == want
-            )
-            rectangles.append(Rectangle(rows, cols))
-            pairs.append(((a1, b1), (a2, b2)))
-    return MatchingCover(n, slack, tuple(rectangles), tuple(pairs))
-
-
-# ---------------------------------------------------------------------------
 # Heuristic nonnegative factorization
 
 def _padded_trivial(m: ExactMatrix, r: int) -> Factorization | None:
@@ -659,16 +592,23 @@ def nmf_heuristic(
             )
         starts.append(ExactMatrix(mix))
 
+    # The most sweeps each tried iterate had left.  The run is deterministic,
+    # so meeting an iterate again with no more sweeps left than that would
+    # only repeat failed repairs and solved LPs: its start stops there.
+    seen: dict[ExactMatrix, int] = {}
     for right in starts:
-        for _ in range(sweeps):
-            fac = _exact_repair(m, right)
-            if fac is not None and verify_factorization(m, fac):
-                return fac
-            left = _solve_side(m, right)
-            right = _solve_side(m.transpose(), left.transpose()).transpose()
-        fac = _exact_repair(m, right)
-        if fac is not None and verify_factorization(m, fac):
-            return fac
+        for left_over in range(sweeps, -1, -1):
+            if right in seen:
+                if seen[right] >= left_over:
+                    break
+            else:
+                fac = _exact_repair(m, right)
+                if fac is not None and verify_factorization(m, fac):
+                    return fac
+            seen[right] = left_over
+            if left_over:
+                left = _solve_side(m, right)
+                right = _solve_side(m.transpose(), left.transpose()).transpose()
     return None
 
 

@@ -129,14 +129,16 @@ def _rect_json(rect) -> dict:
 # Verb handlers.  Each returns (inputs, result, exit_code).
 
 def _cmd_gen(args):
-    if args.family == "ppm":
-        poly = perfect_matching_polytope(args.n)
-    elif args.family == "pm":
-        poly = matching_polytope(args.n)
-    else:
+    if args.family == "pm-truncated":
         if args.s is None:
             raise InputError("pm-truncated needs --s")
         poly = truncated_matching_relaxation(args.n, args.s)
+    elif args.s is not None:
+        raise InputError(f"--s applies only to pm-truncated, not to {args.family}")
+    elif args.family == "ppm":
+        poly = perfect_matching_polytope(args.n)
+    else:
+        poly = matching_polytope(args.n)
     inputs = {"family": args.family, "n": args.n}
     if args.s is not None:
         inputs["s"] = args.s

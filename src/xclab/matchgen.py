@@ -11,6 +11,11 @@ emits one representative per complementary pair: the one that does not
 contain node 0.  Cuts delta(U) with |U| = 1 or |U| = n - 1 are degree cuts
 in disguise; they get their own label prefix so slack-matrix callers can
 filter them out (the default odd-set filter does).
+
+This module owns the crossing model: `EdgeIndexing` holds a cut's edges and
+a matching's edges as int bitmasks over its edge order, and the canonical
+two-edge rectangles (and their cover of the odd-set slack support) are read
+from those masks.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError
 from .exactla import ExactMatrix, lp_solve, rat
-from .polytope import Polytope, face, slack_matrix
+from .polytope import Polytope, Rectangle, SlackMatrix, face, slack_matrix
 
 
 class EdgeIndexing:
@@ -60,6 +65,15 @@ class EdgeIndexing:
         return tuple(
             k for k, (i, j) in enumerate(self.pairs) if (i in s) != (j in s)
         )
+
+    def cut_mask(self, nodes: Iterable[int]) -> int:
+        """The edges of `cut(nodes)` as one int: bit k set for edge k."""
+        return sum(1 << k for k in self.cut(nodes))
+
+    def matching_mask(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """The edges of a matching, given as distinct node pairs, as one
+        int: bit `index(i, j)` set for each pair (i, j)."""
+        return sum(1 << self.index(i, j) for i, j in pairs)
 
     def interior(self, nodes: Iterable[int]) -> tuple[int, ...]:
         """Edge indices with both endpoints in the node set."""
@@ -257,6 +271,53 @@ def odd_set_rows(label: str) -> bool:
 
 def odd_set_slack(poly: Polytope):
     return slack_matrix(poly, odd_set_rows)
+
+
+def two_edge_rectangle(
+    cut_masks: Sequence[int], matching_masks: Sequence[int], k1: int, k2: int
+) -> Rectangle:
+    """The canonical rectangle of edges k1 and k2: the rows whose cut mask
+    holds both edges, times the columns whose matching mask holds both."""
+    want = (1 << k1) | (1 << k2)
+    return Rectangle(
+        frozenset(i for i, mask in enumerate(cut_masks) if mask & want == want),
+        frozenset(j for j, mask in enumerate(matching_masks) if mask & want == want),
+    )
+
+
+@dataclass(frozen=True)
+class MatchingCover:
+    """One rectangle per unordered pair of disjoint edges: rows are the
+    proper odd cuts crossed by both edges, columns the perfect matchings
+    containing both."""
+
+    n: int
+    slack: SlackMatrix
+    rectangles: tuple[Rectangle, ...]
+    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+
+
+def canonical_matching_cover(n: int) -> MatchingCover:
+    """The canonical two-edge cover of the odd-set slack support of the
+    perfect matching polytope of K_n."""
+    if n < 6 or n % 2:
+        raise InputError(f"need an even n >= 6, got {n}")
+    slack = odd_set_slack(perfect_matching_polytope(n))
+    edges = EdgeIndexing(n)
+    proper = [u for u in canonical_odd_sets(n) if 3 <= len(u) <= n - 3]
+    if len(proper) != slack.nrows:
+        raise AssertionError(f"{len(proper)} proper odd sets, {slack.nrows} slack rows")
+    cut_masks = [edges.cut_mask(u) for u in proper]
+    pm_masks = [edges.matching_mask(m) for m in enumerate_perfect_matchings(n)]
+    rectangles = []
+    pairs = []
+    for k1, k2 in combinations(range(edges.n_edges), 2):
+        e1, e2 = edges.pairs[k1], edges.pairs[k2]
+        if set(e1) & set(e2):
+            continue
+        rectangles.append(two_edge_rectangle(cut_masks, pm_masks, k1, k2))
+        pairs.append((e1, e2))
+    return MatchingCover(n, slack, tuple(rectangles), tuple(pairs))
 
 
 @dataclass(frozen=True)

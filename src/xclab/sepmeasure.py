@@ -28,7 +28,12 @@ from typing import Iterable, Sequence
 from .bounds import FORBIDDEN, WeightMatrix
 from .errors import InputError
 from .exactla import ExactMatrix, rat
-from .matchgen import double_factorial, enumerate_perfect_matchings
+from .matchgen import (
+    EdgeIndexing,
+    double_factorial,
+    enumerate_perfect_matchings,
+    two_edge_rectangle,
+)
 from .polytope import Rectangle, write_atomic
 
 MATERIALIZE_CAP = 1_000_000
@@ -108,15 +113,31 @@ class MatchingCutInstance:
 
 class CutMatchingGround:
     """Materialized universe: all t-cuts against all perfect matchings,
-    with the crossing count of every pair precomputed."""
+    with the crossing count of every pair precomputed.
 
-    __slots__ = ("n", "t", "cuts", "matchings", "_table", "_class_counts")
+    Each cut and each matching is also held as an edge bitmask over
+    EdgeIndexing(n), so a crossing count is one popcount of their AND."""
+
+    __slots__ = (
+        "n", "t", "cuts", "matchings", "edges", "cut_masks", "matching_masks",
+        "_table", "_class_counts",
+    )
 
     def __init__(self, n, t, cuts, matchings, table):
+        """`table` is a validated cached crossing table, or None to count
+        the crossings from the masks."""
         self.n = n
         self.t = t
         self.cuts = cuts
         self.matchings = matchings
+        self.edges = EdgeIndexing(n)
+        self.cut_masks = tuple(map(self.edges.cut_mask, cuts))
+        self.matching_masks = tuple(map(self.edges.matching_mask, matchings))
+        if table is None:
+            table = tuple(
+                bytes((c & p).bit_count() for p in self.matching_masks)
+                for c in self.cut_masks
+            )
         self._table = table
         self._class_counts = None
 
@@ -132,23 +153,10 @@ class CutMatchingGround:
         cuts = tuple(combinations(range(n), t))
         matchings = enumerate_perfect_matchings(n)
         cached = _load_cached_table(n, t, len(cuts), len(matchings))
-        if cached is not None:
-            return cls(n, t, cuts, matchings, cached)
-        table = []
-        for cut in cuts:
-            mask = 0
-            for v in cut:
-                mask |= 1 << v
-            row = bytearray(len(matchings))
-            for j, pm in enumerate(matchings):
-                ell = 0
-                for a, b in pm:
-                    ell += ((mask >> a) ^ (mask >> b)) & 1
-                row[j] = ell
-            table.append(bytes(row))
-        table = tuple(table)
-        _store_cached_table(n, t, table)
-        return cls(n, t, cuts, matchings, table)
+        ground = cls(n, t, cuts, matchings, cached)
+        if cached is None:
+            _store_cached_table(n, t, ground._table)
+        return ground
 
     @property
     def n_cuts(self) -> int:
@@ -300,33 +308,15 @@ def mu(ground: CutMatchingGround, rect: Rectangle, ell: int) -> Fraction:
     return Fraction(_class_hits(ground, rect)[ell], size)
 
 
-def _check_edge(n: int, edge) -> tuple[int, int]:
-    a, b = edge
-    if a == b or not (0 <= a < n and 0 <= b < n):
-        raise InputError(f"({a}, {b}) is not an edge on {n} nodes")
-    return (a, b) if a < b else (b, a)
-
-
 def canonical_rectangle(ground: CutMatchingGround, e1, e2) -> Rectangle:
     """Rows: cuts crossed by both edges.  Columns: perfect matchings
     containing both.  The edges must be disjoint."""
-    e1 = _check_edge(ground.n, e1)
-    e2 = _check_edge(ground.n, e2)
+    k1 = ground.edges.index(*e1)
+    k2 = ground.edges.index(*e2)
+    e1, e2 = ground.edges.nodes(k1), ground.edges.nodes(k2)
     if set(e1) & set(e2):
         raise InputError(f"edges {e1} and {e2} share a node")
-    rows = []
-    for i, cut in enumerate(ground.cuts):
-        inside = set(cut)
-        if (e1[0] in inside) != (e1[1] in inside) and (
-            (e2[0] in inside) != (e2[1] in inside)
-        ):
-            rows.append(i)
-    cols = [
-        j
-        for j, pm in enumerate(ground.matchings)
-        if e1 in pm and e2 in pm
-    ]
-    return Rectangle.of(rows, cols)
+    return two_edge_rectangle(ground.cut_masks, ground.matching_masks, k1, k2)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import pytest
 
 from xclab.bounds import (
     WeightMatrix,
-    canonical_matching_cover,
     hyperplane_bound,
     max_rectangle_value,
     nmf_heuristic,
@@ -28,6 +27,7 @@ from xclab.matchgen import (
     EdgeIndexing,
     approximation_ratio,
     canonical_completion,
+    canonical_matching_cover,
     embed_matchings_as_face,
     enumerate_matchings,
     enumerate_perfect_matchings,

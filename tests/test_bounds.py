@@ -21,7 +21,6 @@ from xclab.bounds import (
     Certificate,
     Factorization,
     WeightMatrix,
-    canonical_matching_cover,
     factorization_from_json,
     factorization_to_json,
     fooling_set_greedy,
@@ -34,7 +33,7 @@ from xclab.bounds import (
 )
 from xclab.errors import InputError
 from xclab.exactla import ExactMatrix, conic_combination, lp_solve, rat
-from xclab.matchgen import perfect_matching_polytope
+from xclab.matchgen import canonical_matching_cover, perfect_matching_polytope
 from xclab.polytope import (
     Rectangle,
     cross_polytope,
@@ -683,6 +682,22 @@ def test_rounded_sweep_finds_whatever_the_exact_sweep_finds(case, seed):
         assert exact is not None and rounded is None
     elif exact is not None:
         assert rounded is not None
+
+
+def test_nmf_heuristic_does_not_retry_an_iterate(monkeypatch):
+    # The first start here alternates between two iterates; solving every
+    # sweep took 16 _solve_side calls, each after the cycle a repeat.
+    (m, r), seed = _product(*_ROUNDING_MISSES[0])
+    calls = []
+    solve = xclab.bounds._solve_side
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(xclab.bounds, "_solve_side", counting)
+    assert nmf_heuristic(m, r, restarts=1, seed=seed) is None
+    assert len(calls) <= 8
 
 
 def _max_bits(values) -> int:

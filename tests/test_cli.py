@@ -65,6 +65,14 @@ def test_gen_validation(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, n", [("ppm", 4), ("pm", 3)])
+def test_gen_rejects_s_outside_pm_truncated(family, n, tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert main(["gen", family, "--n", str(n), "--s", "3", "--output", str(out)]) == 2
+    assert "--s applies only to pm-truncated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_write_failure_is_input_error(tmp_path, capsys):
     out = tmp_path / "out.json"
     out.mkdir()
@@ -447,6 +455,24 @@ def test_mu_and_rectvalue(ground_cache, tmp_path):
     assert main(
         ["mu", "--n", "6", "--t", "3", "--ell", "3", "--e1", "0-1", "--e2", "1-2"]
     ) == 2
+
+
+@pytest.mark.parametrize("verb", [["mu", "--ell", 3], ["rectvalue", "--k", 5]], ids=["mu", "rectvalue"])
+@pytest.mark.parametrize(
+    "e1, message",
+    [
+        ("2-2", "self-loop (2, 2) is not an edge"),
+        ("0-6", "edge (0, 6) out of range for n=6"),
+        ("1-2", "edges (1, 2) and (2, 3) share a node"),
+    ],
+    ids=["self-loop", "out-of-range", "shared-node"],
+)
+def test_ground_rectangle_rejects_bad_edges(verb, e1, message, ground_cache, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    argv = verb + ["--n", 6, "--t", 3, "--e1", e1, "--e2", "2-3", "--output", out]
+    assert main([str(a) for a in argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bias(tmp_path):

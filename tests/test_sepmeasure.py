@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xclab.bounds import FORBIDDEN
 from xclab.errors import InputError
@@ -282,6 +284,56 @@ def test_canonical_rectangle_validation(ground63):
         canonical_rectangle(ground63, (0, 0), (2, 3))
     with pytest.raises(InputError):
         canonical_rectangle(ground63, (0, 6), (2, 3))
+
+
+def _parity_table(ground):
+    """Crossing counts by a per-edge parity test against each cut's node mask."""
+    table = []
+    for cut in ground.cuts:
+        mask = 0
+        for v in cut:
+            mask |= 1 << v
+        table.append(bytes(
+            sum(((mask >> a) ^ (mask >> b)) & 1 for a, b in pm) for pm in ground.matchings
+        ))
+    return tuple(table)
+
+
+def _set_rectangle(ground, e1, e2):
+    """The canonical rectangle by set membership and matching-tuple scans."""
+    e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
+    rows = [
+        i
+        for i, cut in enumerate(ground.cuts)
+        if all((a in set(cut)) != (b in set(cut)) for a, b in (e1, e2))
+    ]
+    cols = [j for j, pm in enumerate(ground.matchings) if e1 in pm and e2 in pm]
+    return Rectangle.of(rows, cols)
+
+
+@st.composite
+def ground_and_disjoint_edges(draw):
+    n = draw(st.sampled_from([4, 6, 8]))
+    t = draw(st.sampled_from(range(1, n, 2)))
+    a, b, c, d = draw(st.permutations(range(n)))[:4]
+    return n, t, (a, b), (c, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ground_and_disjoint_edges())
+def test_mask_crossings_match_parity_and_set_references(case):
+    n, t, e1, e2 = case
+    ground = CutMatchingGround.build(n, t)
+    assert ground._table == _parity_table(ground)
+    assert canonical_rectangle(ground, e1, e2) == _set_rectangle(ground, e1, e2)
+
+
+def test_cache_hit_ground_holds_the_same_masks(tmp_path, monkeypatch):
+    monkeypatch.setenv("XCLAB_CACHE_DIR", str(tmp_path))
+    cold = CutMatchingGround.build(6, 3)
+    hit = CutMatchingGround.build(6, 3)
+    assert (hit.cut_masks, hit.matching_masks) == (cold.cut_masks, cold.matching_masks)
+    assert canonical_rectangle(hit, (0, 1), (2, 3)) == _set_rectangle(hit, (0, 1), (2, 3))
 
 
 def test_rectangle_w_value_canonical_is_finite(ground105):
