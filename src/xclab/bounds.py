@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .exactla import (
@@ -270,10 +270,24 @@ def hyperplane_bound(
 # ---------------------------------------------------------------------------
 # The support of S, and fooling sets
 
-def _supports(m: ExactMatrix) -> list[frozenset[int]]:
-    """The support of m: per row, the set of columns holding a nonzero.
-    The fooling-set and cover bounds and their re-checks all read this."""
-    return [frozenset(j for j, x in enumerate(m.row(i)) if x) for i in range(m.nrows)]
+def _supports(m: ExactMatrix) -> list[int]:
+    """The support of m: per row, one int whose bit j is set when column j
+    holds a nonzero.  The fooling-set and cover bounds and their re-checks
+    all read this."""
+    return [sum(1 << j for j, x in enumerate(m.row(i)) if x) for i in range(m.nrows)]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _support_cells(supports: list[int]) -> list[tuple[int, int]]:
+    """The support cells (i, j) in row-major order."""
+    return [(i, j) for i, supp in enumerate(supports) for j in _bits(supp)]
 
 
 def fooling_set_greedy(
@@ -282,21 +296,21 @@ def fooling_set_greedy(
     """Greedy fooling set: support cells no two of which fit in one support
     rectangle.  Its size lower-bounds the rectangle cover number."""
     supports = _supports(as_matrix(s))
-    cells = [(i, j) for i, supp in enumerate(supports) for j in sorted(supp)]
+    cells = _support_cells(supports)
     rng = random.Random(seed)
     rng.shuffle(cells)
     chosen: list[tuple[int, int]] = []
     for (i, j) in cells:
-        if all(jj not in supports[i] or j not in supports[ii] for ii, jj in chosen):
+        if not any(supports[i] >> jj & 1 and supports[ii] >> j & 1 for ii, jj in chosen):
             chosen.append((i, j))
     return tuple(sorted(chosen))
 
 
-def _check_fooling(supports: list[frozenset[int]], cells: Sequence[tuple[int, int]]) -> bool:
-    if any(j not in supports[i] for i, j in cells):
+def _check_fooling(supports: list[int], cells: Sequence[tuple[int, int]]) -> bool:
+    if any(not supports[i] >> j & 1 for i, j in cells):
         return False
     return not any(
-        jj in supports[i] and j in supports[ii]
+        supports[i] >> jj & 1 and supports[ii] >> j & 1
         for (i, j), (ii, jj) in itertools.combinations(cells, 2)
     )
 
@@ -313,41 +327,44 @@ class CoverResult:
 
 
 def _maximal_rectangles(
-    supports: list[frozenset[int]], ncols: int, spend: Callable[[], bool]
-) -> list[Rectangle] | None:
-    """All maximal support rectangles (closed row-set/column-set pairs) in
+    supports: list[int], ncols: int, spend: Callable[[], bool]
+) -> list[tuple[int, int]] | None:
+    """All maximal support rectangles as (row mask, column mask) pairs, in
     lectic order, or None once `spend` refuses a closure computation."""
     rects = []
-    universe = frozenset(range(ncols))
+    universe = (1 << ncols) - 1
 
-    def closed(col_set: frozenset[int]):
+    def closed(col_set: int):
         if not spend():
             return None
-        rows = frozenset(i for i, supp in enumerate(supports) if col_set <= supp)
-        if not rows:
-            return rows, universe
-        return rows, frozenset.intersection(*(supports[i] for i in rows))
+        rows, cols = 0, universe
+        for i, supp in enumerate(supports):
+            if not col_set & ~supp:
+                rows |= 1 << i
+                cols &= supp
+        return rows, cols
 
-    found = closed(frozenset())
+    found = closed(0)
     if found is None:
         return None
     rows, cols = found
     if rows and cols:
-        rects.append(Rectangle(rows, cols))
+        rects.append(found)
     while cols != universe:
         for c in range(ncols - 1, -1, -1):
-            if c in cols:
+            bit = 1 << c
+            if cols & bit:
                 continue
-            prefix = frozenset(j for j in cols if j < c)
-            found = closed(prefix | {c})
+            prefix = cols & (bit - 1)
+            found = closed(prefix | bit)
             if found is None:
                 return None
             rows2, cols2 = found
             # lectic successor: the closure may not add anything below c
-            if all(j >= c for j in cols2 - prefix):
+            if not cols2 & ~prefix & (bit - 1):
                 rows, cols = rows2, cols2
                 if rows and cols:
-                    rects.append(Rectangle(rows, cols))
+                    rects.append(found)
                 break
         else:
             break
@@ -360,7 +377,12 @@ def rectangle_cover_exact(
     """Exact minimum number of support rectangles covering the support of S,
     by branch and bound over maximal support rectangles.  Every closure and
     every search node costs one step; the result is "exceeded", with
-    `explored == limit`, when the search needs more than `limit` steps."""
+    `explored == limit`, when the search needs more than `limit` steps.
+
+    The search branches on an uncovered cell held by the fewest maximal
+    rectangles, ties broken by (i, j), and tries those rectangles in lectic
+    order.  Cells are numbered by that key, so a state is one int of
+    uncovered cell bits and the branching cell is its lowest set bit."""
     _require_nonnegative(limit=limit, cap=cap)
     m = as_matrix(s)
     if m.nrows > cap or m.ncols > cap:
@@ -368,10 +390,7 @@ def rectangle_cover_exact(
             f"exact cover needs dimensions <= {cap}, got {m.nrows}x{m.ncols}"
         )
     supports = _supports(m)
-    cells = frozenset(
-        (i, j) for i, supp in enumerate(supports) for j in supp
-    )
-    if not cells:
+    if not any(supports):
         return CoverResult("optimal", 0, (), 0)
     explored = 0
 
@@ -386,51 +405,66 @@ def rectangle_cover_exact(
     if rects is None:
         return CoverResult("exceeded", None, (), explored)
 
-    cover_sets = [frozenset((i, j) for i in r.rows for j in r.cols) for r in rects]
-    by_cell: dict[tuple[int, int], list[int]] = {c: [] for c in cells}
-    for k, cs in enumerate(cover_sets):
-        for c in cs:
-            by_cell[c].append(k)
+    cells = _support_cells(supports)
+    holders: dict[tuple[int, int], list[int]] = {c: [] for c in cells}
+    for k, (rows, cols) in enumerate(rects):
+        for i in _bits(rows):
+            for j in _bits(cols):
+                holders[i, j].append(k)
+    order = sorted(cells, key=lambda c: (len(holders[c]), c))
+    cover = [0] * len(rects)
+    for b, c in enumerate(order):
+        for k in holders[c]:
+            cover[k] |= 1 << b
+    # per cell bit: its rectangles, each with the mask that keeps the
+    # cells it leaves uncovered
+    by_cell = [[(k, ~cover[k]) for k in holders[c]] for c in order]
+    full = (1 << len(cells)) - 1
 
     # greedy start gives an upper bound and a fallback witness
     greedy: list[int] = []
-    left = set(cells)
+    left = full
     while left:
-        k = max(range(len(rects)), key=lambda k: (len(cover_sets[k] & left), -k))
+        k = max(range(len(rects)), key=lambda k: ((cover[k] & left).bit_count(), -k))
         greedy.append(k)
-        left -= cover_sets[k]
-    best: list[int] = list(greedy)
+        left &= ~cover[k]
+    best: list[int] = greedy
+    chosen: list[int] = []
 
-    def search(uncovered: frozenset, chosen: list[int]) -> bool:
-        """False once `spend` refuses a node."""
-        nonlocal best
-        if not spend():
-            return False
-        if not uncovered:
-            if len(chosen) < len(best):
-                best = list(chosen)
-            return True
-        if len(chosen) + 1 >= len(best):
-            return True
-        cell = min(uncovered, key=lambda c: (len(by_cell[c]), c))
-        for k in by_cell[cell]:
-            chosen.append(k)
-            finished = search(uncovered - cover_sets[k], chosen)
-            chosen.pop()
-            if not finished:
+    def search(uncovered: int) -> bool:
+        """Expand a node whose step is paid: each child costs one step
+        before it is expanded or pruned.  False once the budget refuses a
+        child."""
+        nonlocal explored, best
+        depth = len(chosen) + 1
+        for k, keep in by_cell[(uncovered & -uncovered).bit_length() - 1]:
+            if explored == limit:
                 return False
+            explored += 1
+            left = uncovered & keep
+            if not left:
+                if depth < len(best):
+                    best = chosen + [k]
+            elif depth + 1 < len(best):
+                chosen.append(k)
+                if not search(left):
+                    return False
+                chosen.pop()
         return True
 
-    if not search(cells, []):
+    if not spend() or (len(best) > 1 and not search(full)):
         return CoverResult("exceeded", None, (), explored)
     return CoverResult(
-        "optimal", len(best), tuple(rects[k] for k in best), explored
+        "optimal",
+        len(best),
+        tuple(Rectangle.of(_bits(rects[k][0]), _bits(rects[k][1])) for k in best),
+        explored,
     )
 
 
-def _check_cover(supports: list[frozenset[int]], rectangles: Sequence[Rectangle]) -> bool:
+def _check_cover(supports: list[int], rectangles: Sequence[Rectangle]) -> bool:
     covered = {cell for r in rectangles for cell in r.cells()}
-    return covered == {(i, j) for i, supp in enumerate(supports) for j in supp}
+    return covered == set(_support_cells(supports))
 
 
 # ---------------------------------------------------------------------------

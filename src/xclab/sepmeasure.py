@@ -201,26 +201,37 @@ def _cache_header(n, t, n_cuts, n_matchings) -> str:
     return f"xclab-ground 1 {n} {t} {n_cuts} {n_matchings}"
 
 
+# Maps each ASCII digit of a cache row to its value and every other byte
+# to 255, which no crossing class admits.
+_CACHE_DIGITS = bytes(b - 48 if 48 <= b <= 57 else 255 for b in range(256))
+
+
 def _load_cached_table(n, t, n_cuts, n_matchings):
     """The cached table, or None when it is absent or fails validation.
 
-    Per odd class ell <= t, the entry count must equal the closed-form
+    Each row is read as bytes and turned into entries by one translate that
+    deletes the spaces and the newline, so every entry must be one digit.
+    Under MATERIALIZE_CAP no crossing number exceeds 5; a ground built
+    under a larger cap with one above 9 is rebuilt.  Per odd class
+    ell <= t, the entry count must equal the closed-form
     q_class_size.  Those sizes sum to the table's cell count, so a table
-    that passes also holds no even entry and none above t."""
+    that passes also holds no even entry, none above t and no byte that was
+    not a digit."""
     path = _cache_path(n, t)
     if path is None or not os.path.exists(path):
         return None
+    header = _cache_header(n, t, n_cuts, n_matchings).encode()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            if fh.readline().split() != _cache_header(n, t, n_cuts, n_matchings).split():
+        with open(path, "rb") as fh:
+            if fh.readline().split() != header.split():
                 return None
             table = []
             for _ in range(n_cuts):
-                row = bytes(int(x) for x in fh.readline().split())
+                row = fh.readline().translate(_CACHE_DIGITS, b" \n")
                 if len(row) != n_matchings:
                     return None
                 table.append(row)
-    except (OSError, ValueError):
+    except OSError:
         return None
     for ell in range(1, t + 1, 2):
         if sum(row.count(ell) for row in table) != q_class_size(n, t, ell):

@@ -19,6 +19,7 @@ from xclab.bounds import (
     _supports,
     BoundConfig,
     Certificate,
+    CoverResult,
     Factorization,
     WeightMatrix,
     factorization_from_json,
@@ -36,6 +37,7 @@ from xclab.exactla import ExactMatrix, conic_combination, lp_solve, rat
 from xclab.matchgen import canonical_matching_cover, perfect_matching_polytope
 from xclab.polytope import (
     Rectangle,
+    as_matrix,
     cross_polytope,
     hypercube_polytope,
     simplex_polytope,
@@ -268,10 +270,18 @@ def test_cover_zero_matrix():
 def test_cube_and_cross_cover_is_six():
     cube = slack_matrix(hypercube_polytope(3)).matrix
     res = rectangle_cover_exact(cube)
-    assert res.status == "optimal" and res.size == 6
+    assert (res.status, res.size, res.explored) == ("optimal", 6, 1439)
     cross = slack_matrix(cross_polytope(3)).matrix
     res = rectangle_cover_exact(cross)
-    assert res.status == "optimal" and res.size == 6
+    assert (res.status, res.size, res.explored) == ("optimal", 6, 1405)
+
+
+def test_cube4_cover_is_eight():
+    # xc of the 4-cube is 2d = 8; the search proves it after 2 397 197 steps
+    cube = slack_matrix(hypercube_polytope(4)).matrix
+    res = rectangle_cover_exact(cube, limit=3_000_000)
+    assert (res.status, res.size, res.explored) == ("optimal", 8, 2_397_197)
+    assert _check_cover(_supports(cube), res.rectangles)
 
 
 def test_fooling_le_cover_sandwich():
@@ -545,7 +555,9 @@ def test_cover_budget_counts_every_step_once(m):
 @given(small_matrices(), st.integers(0, 3))
 def test_checkers_accept_witnesses_and_reject_mutations(m, seed):
     supports = _supports(m)
-    support = {(i, j) for i, supp in enumerate(supports) for j in supp}
+    support = {
+        (i, j) for i, supp in enumerate(supports) for j in range(m.ncols) if supp >> j & 1
+    }
     off_support = [
         (i, j) for i in range(m.nrows) for j in range(m.ncols) if (i, j) not in support
     ]
@@ -559,7 +571,7 @@ def test_checkers_accept_witnesses_and_reject_mutations(m, seed):
     for i, j in support - set(fooling):
         # the greedy set is maximal, so each new support cell shares a
         # support rectangle with a chosen one
-        assert any(jj in supports[i] and j in supports[ii] for ii, jj in fooling)
+        assert any(supports[i] >> jj & 1 and supports[ii] >> j & 1 for ii, jj in fooling)
         assert not _check_fooling(supports, fooling + [(i, j)])
 
     cover = rectangle_cover_exact(m)
@@ -571,9 +583,144 @@ def test_checkers_accept_witnesses_and_reject_mutations(m, seed):
         r = rects[k]
         for i in set(range(m.nrows)) - r.rows:
             # cover rectangles are maximal, so any new row leaves the support
-            assert not r.cols <= supports[i]
+            assert not all(supports[i] >> j & 1 for j in r.cols)
             grown = Rectangle(r.rows | {i}, r.cols)
             assert not _check_cover(supports, rects[:k] + [grown] + rects[k + 1:])
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the bitmask cover search against the frozenset
+# search it replaced: the same nodes in the same order, so the same
+# CoverResult at every step limit.
+
+
+def _ref_supports(m: ExactMatrix) -> list[frozenset[int]]:
+    return [frozenset(j for j, x in enumerate(m.row(i)) if x) for i in range(m.nrows)]
+
+
+def _ref_maximal_rectangles(supports, ncols, spend):
+    rects = []
+    universe = frozenset(range(ncols))
+
+    def closed(col_set: frozenset[int]):
+        if not spend():
+            return None
+        rows = frozenset(i for i, supp in enumerate(supports) if col_set <= supp)
+        if not rows:
+            return rows, universe
+        return rows, frozenset.intersection(*(supports[i] for i in rows))
+
+    found = closed(frozenset())
+    if found is None:
+        return None
+    rows, cols = found
+    if rows and cols:
+        rects.append(Rectangle(rows, cols))
+    while cols != universe:
+        for c in range(ncols - 1, -1, -1):
+            if c in cols:
+                continue
+            prefix = frozenset(j for j in cols if j < c)
+            found = closed(prefix | {c})
+            if found is None:
+                return None
+            rows2, cols2 = found
+            # lectic successor: the closure may not add anything below c
+            if all(j >= c for j in cols2 - prefix):
+                rows, cols = rows2, cols2
+                if rows and cols:
+                    rects.append(Rectangle(rows, cols))
+                break
+        else:
+            break
+    return rects
+
+
+def _ref_rectangle_cover_exact(s, limit=200_000, cap=20):
+    m = as_matrix(s)
+    if m.nrows > cap or m.ncols > cap:
+        raise InputError(
+            f"exact cover needs dimensions <= {cap}, got {m.nrows}x{m.ncols}"
+        )
+    supports = _ref_supports(m)
+    cells = frozenset(
+        (i, j) for i, supp in enumerate(supports) for j in supp
+    )
+    if not cells:
+        return CoverResult("optimal", 0, (), 0)
+    explored = 0
+
+    def spend() -> bool:
+        nonlocal explored
+        if explored == limit:
+            return False
+        explored += 1
+        return True
+
+    rects = _ref_maximal_rectangles(supports, m.ncols, spend)
+    if rects is None:
+        return CoverResult("exceeded", None, (), explored)
+
+    cover_sets = [frozenset((i, j) for i in r.rows for j in r.cols) for r in rects]
+    by_cell: dict[tuple[int, int], list[int]] = {c: [] for c in cells}
+    for k, cs in enumerate(cover_sets):
+        for c in cs:
+            by_cell[c].append(k)
+
+    # greedy start gives an upper bound and a fallback witness
+    greedy: list[int] = []
+    left = set(cells)
+    while left:
+        k = max(range(len(rects)), key=lambda k: (len(cover_sets[k] & left), -k))
+        greedy.append(k)
+        left -= cover_sets[k]
+    best: list[int] = list(greedy)
+
+    def search(uncovered: frozenset, chosen: list[int]) -> bool:
+        """False once `spend` refuses a node."""
+        nonlocal best
+        if not spend():
+            return False
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return True
+        if len(chosen) + 1 >= len(best):
+            return True
+        cell = min(uncovered, key=lambda c: (len(by_cell[c]), c))
+        for k in by_cell[cell]:
+            chosen.append(k)
+            finished = search(uncovered - cover_sets[k], chosen)
+            chosen.pop()
+            if not finished:
+                return False
+        return True
+
+    if not search(cells, []):
+        return CoverResult("exceeded", None, (), explored)
+    return CoverResult(
+        "optimal", len(best), tuple(rects[k] for k in best), explored
+    )
+
+
+@st.composite
+def matrices_up_to_six(draw):
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cell = st.sampled_from((0, 1, 2))
+    return ExactMatrix([[draw(cell) for _ in range(ncols)] for _ in range(nrows)])
+
+
+@example(ExactMatrix([
+    [2, 0, 2, 1, 2, 2], [0, 1, 1, 1, 1, 0], [1, 1, 2, 0, 2, 2],
+    [2, 1, 2, 0, 0, 1], [1, 2, 2, 1, 0, 0], [1, 1, 0, 0, 1, 2],
+]))  # optimal 5 after 409 steps
+@settings(max_examples=300, deadline=None)
+@given(matrices_up_to_six())
+def test_cover_search_visits_the_reference_nodes(m):
+    full = _ref_rectangle_cover_exact(m)
+    for limit in range(full.explored + 3):
+        assert rectangle_cover_exact(m, limit=limit) == _ref_rectangle_cover_exact(m, limit=limit)
+    assert rectangle_cover_exact(m) == full
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from xclab.matchgen import enumerate_perfect_matchings, perfect_matching_polytop
 from xclab.polytope import Rectangle, slack_matrix
 from xclab.sepmeasure import (
     CutMatchingGround,
+    _load_cached_table,
     MatchingCutInstance,
     biased_indices,
     canonical_rectangle,
@@ -174,6 +176,57 @@ def test_ground_cache_ignores_corrupt_file(tmp_path, monkeypatch):
     (tmp_path / "ground-n6-t3.txt").write_text("not a table\n")
     g = CutMatchingGround.build(6, 3)
     assert g.class_counts() == {1: 180, 3: 120}
+
+
+# sha256 of ground-n6-t3.txt as the version-1 writer has always written it
+_N6_T3_CACHE_SHA256 = "510ff65b05e2fc5f5da87df7934b848bc32408eb9b18ed288476b0e1524bd85a"
+
+
+def _cache_sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_ground_cache_file_keeps_its_bytes_and_loads(tmp_path, monkeypatch):
+    monkeypatch.setenv("XCLAB_CACHE_DIR", str(tmp_path))
+    cold = CutMatchingGround.build(6, 3)
+    assert _cache_sha(tmp_path / "ground-n6-t3.txt") == _N6_T3_CACHE_SHA256
+    assert _load_cached_table(6, 3, 20, 15) == cold._table
+
+
+def _two_digit_token(text):
+    return text.replace("\n1 ", "\n01 ", 1)
+
+
+def _non_digit(text):
+    return text.replace("\n1 ", "\nx ", 1)
+
+
+def _crlf_row(text):
+    head, rest = text.split("\n", 1)
+    return head + "\n" + rest.replace("\n", "\r\n", 1)
+
+
+def _ones_as_threes(text):
+    head, rest = text.split("\n", 1)
+    return head + "\n" + rest.replace("1", "3")
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_two_digit_token, _non_digit, _crlf_row, _ones_as_threes]
+)
+def test_ground_cache_rejects_and_rebuilds_a_bad_row(tmp_path, monkeypatch, corrupt):
+    monkeypatch.setenv("XCLAB_CACHE_DIR", str(tmp_path))
+    cold = CutMatchingGround.build(6, 3)
+    cache = tmp_path / "ground-n6-t3.txt"
+    text = cache.read_bytes().decode()
+    bad = corrupt(text)
+    assert bad != text
+    cache.write_bytes(bad.encode())
+    assert _load_cached_table(6, 3, 20, 15) is None
+    rebuilt = CutMatchingGround.build(6, 3)
+    assert rebuilt._table == cold._table
+    assert rebuilt.class_counts() == {1: 180, 3: 120}
+    assert _cache_sha(cache) == _N6_T3_CACHE_SHA256
 
 
 def test_ground_slack_matches_polytope_rows(ground63):
