@@ -13,7 +13,7 @@ from .matrix import (
     solve_unique,
     write_matrix,
 )
-from .simplex import LPResult, conic_combination, lp_solve
+from .simplex import LPResult, conic_combination, lp_solve, lp_solve_all
 
 __all__ = [
     "ExactMatrix",
@@ -23,6 +23,7 @@ __all__ = [
     "conic_combination",
     "format_rational",
     "lp_solve",
+    "lp_solve_all",
     "matrix_to_json",
     "rank",
     "rat",

@@ -15,6 +15,24 @@ d / den.  Every decision reads signs or ratios within one row, and every
 rule compares column ids, never slots, so the pivots, points and values are
 exactly those of the full tableau.
 
+Column ids: the variables in order, a free one taking two consecutive ids
+(its plus, then its minus column), then one slack or surplus per
+inequality row, then the artificials.  The minus column of a free variable
+is the negated plus column in every tableau, objective rows included, so
+only one of the pair is ever stored.  While both are nonbasic, one slot
+holds the column that `cols` names there, and every rule reads its twin as
+that slot negated; when the twin is chosen to enter, the slot is flipped
+in place (every entry negated, `cols` relabelled) and the ordinary pivot
+runs.  While one of the pair is basic, the other is a unit column with
+zero reduced cost, which can neither enter nor be chosen by the drive-out,
+so it needs no slot.
+
+Phase one, the drive-out of artificials and their drop read only the
+constraint rows, so one solve carries several objective rows through them
+and then runs phase two for each objective on its own copy of that state
+(the last one in place).  Each objective gets exactly the pivots, point
+and value of a solve with that objective alone.
+
 Pivot choice is Dantzig's rule (ties to the smallest column id), switching
 to Bland's rule after a streak of degenerate pivots, which keeps runs fast
 and still guarantees termination.  The ratio test breaks ties by basis id.
@@ -83,40 +101,62 @@ def lp_solve(
     unbounded verdict.  Deterministic: identical inputs give identical
     outputs.
     """
+    return lp_solve_all(ineqs, eqs, [objective], sense)[0]
+
+
+def lp_solve_all(
+    ineqs: tuple | None,
+    eqs: tuple | None,
+    objectives: Sequence[Sequence],
+    sense: str = "max",
+) -> list[LPResult]:
+    """`lp_solve` for each objective over one system, with one phase one.
+
+    Result k equals `lp_solve(ineqs, eqs, objectives[k], sense)`.  An empty
+    objective is the zero objective; nonempty ones must share one width.
+    """
     if sense not in ("max", "min"):
         raise InputError(f"sense must be 'max' or 'min', got {sense!r}")
-    c = [rat(x) for x in objective]
-    nvars = len(c) if c else None
+    cs = [[rat(x) for x in c] for c in objectives]
+    widths = sorted({len(c) for c in cs if c})
+    if len(widths) > 1:
+        raise InputError(f"objective widths differ: {widths}")
+    nvars = widths[0] if widths else None
     le_rows, le_rhs, nvars = _coerce_system(ineqs, nvars, "ineqs")
     eq_rows, eq_rhs, nvars = _coerce_system(eqs, nvars, "eqs")
+    if not cs:
+        return []
     if nvars is None:
         raise InputError("cannot infer variable count: no objective, no rows")
-    if not c:
-        c = [Fraction(0)] * nvars
+    cs = [c or [Fraction(0)] * nvars for c in cs]
 
-    goal = c if sense == "max" else [-x for x in c]
-    point = _simplex(le_rows, le_rhs, eq_rows, eq_rhs, [False] * nvars, goal)
-    if isinstance(point, str):
-        return LPResult(status=point)
-
-    # Independent checks of the solver; explicit so that `python -O` keeps them.
-    for row, rhs in zip(le_rows, le_rhs):
-        if sum(a * x for a, x in zip(row, point) if a) > rhs:
-            raise AssertionError("solver returned an infeasible point")
-    for row, rhs in zip(eq_rows, eq_rhs):
-        if sum(a * x for a, x in zip(row, point) if a) != rhs:
-            raise AssertionError("solver returned a point violating an equality")
-    value = sum(a * x for a, x in zip(c, point))
-    return LPResult(status="optimal", value=value, point=tuple(point))
+    goals = cs if sense == "max" else [[-x for x in c] for c in cs]
+    points = _simplex_all(le_rows, le_rhs, eq_rows, eq_rhs, [False] * nvars, goals)
+    results = []
+    for c, point in zip(cs, points):
+        if isinstance(point, str):
+            results.append(LPResult(status=point))
+            continue
+        # Independent checks of the solver; explicit so that `python -O` keeps them.
+        for row, rhs in zip(le_rows, le_rhs):
+            if sum(a * x for a, x in zip(row, point) if a) > rhs:
+                raise AssertionError("solver returned an infeasible point")
+        for row, rhs in zip(eq_rows, eq_rhs):
+            if sum(a * x for a, x in zip(row, point) if a) != rhs:
+                raise AssertionError("solver returned a point violating an equality")
+        value = sum(a * x for a, x in zip(c, point))
+        results.append(LPResult(status="optimal", value=value, point=tuple(point)))
+    return results
 
 
 def conic_combination(
-    rows: ExactMatrix | Iterable[Sequence], target: Sequence
+    rows: ExactMatrix | Iterable[Sequence], target: Sequence, free: int = 0
 ) -> tuple[Fraction, ...] | None:
-    """Find u >= 0 with sum_l u_l * rows[l] == target, or None.
+    """Find u with sum_l u_l * rows[l] == target, or None.  Every u_l is
+    nonnegative except those of the last `free` rows, which are free.
 
-    Pure feasibility: phase one of the simplex with nonnegative variables,
-    one equality per coordinate of the target.
+    Pure feasibility: phase one of the simplex, one equality per coordinate
+    of the target.
     """
     if not isinstance(rows, ExactMatrix):
         rows = ExactMatrix(rows)
@@ -126,11 +166,12 @@ def conic_combination(
             f"target length {len(tgt)} does not match row width {rows.ncols}"
         )
     nvars = rows.nrows
+    if not 0 <= free <= nvars:
+        raise InputError(f"free must be between 0 and {nvars}, got {free}")
     eq_rows = [list(rows.column(j)) for j in range(rows.ncols)]
     zero = [Fraction(0)] * nvars
-    point = _simplex(
-        [], [], eq_rows, tgt, [True] * nvars, zero
-    )
+    nonneg = [True] * (nvars - free) + [False] * free
+    point = _simplex([], [], eq_rows, tgt, nonneg, zero)
     if isinstance(point, str):
         if point == "infeasible":
             return None
@@ -138,7 +179,7 @@ def conic_combination(
     for erow, erhs in zip(eq_rows, tgt):
         if sum(a * x for a, x in zip(erow, point) if a) != erhs:
             raise AssertionError("solver returned a point off the target")
-    if any(x < 0 for x in point):
+    if any(x < 0 for x in point[: nvars - free]):
         raise AssertionError("solver returned a negative multiplier")
     return tuple(point)
 
@@ -151,7 +192,19 @@ def _simplex(
     nonneg: list[bool],
     goal: list[Fraction],
 ) -> list[Fraction] | str:
-    """Core solver, maximization.  Returns a point or a status string."""
+    """`_simplex_all` with the one objective `goal`."""
+    return _simplex_all(le_rows, le_rhs, eq_rows, eq_rhs, nonneg, [goal])[0]
+
+
+def _simplex_all(
+    le_rows: list[list[Fraction]],
+    le_rhs: list[Fraction],
+    eq_rows: list[list[Fraction]],
+    eq_rhs: list[Fraction],
+    nonneg: list[bool],
+    goals: list[list[Fraction]],
+) -> list[list[Fraction] | str]:
+    """Core solver, maximization: a point or a status string per goal."""
     nvars = len(nonneg)
     nonneg = list(nonneg)
 
@@ -164,17 +217,21 @@ def _simplex(
         else:
             kept_le.append(ridx)
 
-    # Column layout: free vars get a plus and a minus column.
+    # Column layout: free vars get a plus and a minus column id, twins of
+    # each other; the plus column is the one stored at the start.
     col_var: list[tuple[int, int]] = []  # (var index, sign)
+    twin: dict[int, int] = {}
     for i in range(nvars):
         col_var.append((i, +1))
         if not nonneg[i]:
+            plus = len(col_var) - 1
+            twin[plus], twin[plus + 1] = plus + 1, plus
             col_var.append((i, -1))
     nstruct = len(col_var)
 
     def scaled_int_row(row: list[Fraction], rhs: Fraction) -> tuple[list[int], int]:
         scale = common_denominator((*row, rhs))
-        out = [row[v].numerator * (scale // row[v].denominator) * s for v, s in col_var]
+        out = [a.numerator * (scale // a.denominator) for a in row]
         return out, rhs.numerator * (scale // rhs.denominator)
 
     # Assemble rows, each with a nonnegative right-hand side.
@@ -198,10 +255,10 @@ def _simplex(
 
     # Tableau column ids: the structural columns, then one slack (basic) or
     # surplus (nonbasic) column per inequality row, then one artificial
-    # (basic) per flipped or equality row.  Slots start out as the
-    # structural and surplus columns.
+    # (basic) per flipped or equality row.  Slots start out as the plus
+    # structural columns and the surplus columns.
     flipped = [i for i, kind in enumerate(kinds) if kind == "flipped"]
-    cols = list(range(nstruct)) + [nstruct + i for i in flipped]
+    cols = [j for j, (_, s) in enumerate(col_var) if s > 0] + [nstruct + i for i in flipped]
     rows: list[list[int]] = []
     basis: list[int] = []
     art_cols: set[int] = set()
@@ -213,9 +270,10 @@ def _simplex(
             basis.append(nstruct + len(kept_le) + len(art_cols))
             art_cols.add(basis[-1])
 
-    # Phase-2 objective row: z_j - c_j with the all-logical starting basis.
-    obj2 = [-a for a in scaled_int_row(goal, Fraction(0))[0]] + [0] * (len(flipped) + 1)
-    state = _State(rows, basis, cols, [obj2])
+    # Phase-2 objective rows: z_j - c_j with the all-logical starting basis.
+    pad = [0] * (len(flipped) + 1)
+    objs = [[-a for a in scaled_int_row(goal, Fraction(0))[0]] + pad for goal in goals]
+    state = _State(rows, basis, cols, objs, twin)
 
     if art_cols:
         # Phase-1 objective: maximize minus the sum of artificials.
@@ -223,37 +281,61 @@ def _simplex(
         state.objs.append(obj1)
         _optimize(state, obj1, phase=1)
         if obj1[-1] != 0:
-            return "infeasible"
+            return ["infeasible"] * len(goals)
         state.objs.pop()
         _drive_out_artificials(state, art_cols)
         _drop_columns(state, art_cols)
 
-    if _optimize(state, state.objs[0], phase=2) == "unbounded":
-        return "unbounded"
-
-    point = [Fraction(0)] * nvars
-    for row, d, b in zip(state.rows, state.scales, state.basis):
-        if b < nstruct:
-            v, s = col_var[b]
-            point[v] += Fraction(s * row[-1], d)
-    return point
+    out: list[list[Fraction] | str] = []
+    objs = state.objs
+    for k, obj in enumerate(objs):
+        run = state.branch() if k < len(objs) - 1 else state
+        run.objs = [obj]
+        if _optimize(run, obj, phase=2) == "unbounded":
+            out.append("unbounded")
+            continue
+        point = [Fraction(0)] * nvars
+        for row, d, b in zip(run.rows, run.scales, run.basis):
+            if b < nstruct:
+                v, s = col_var[b]
+                point[v] += Fraction(s * row[-1], d)
+        out.append(point)
+    return out
 
 
 class _State:
     """`rows[i]` is `scales[i]` times row i of the true dictionary over the
     slots, then its right-hand side; `objs` holds the objective rows in the
     same layout, at scale `den`, the determinant of the basis.  `cols[s]` is
-    the column id of slot s, `basis[i]` that of row i's basic variable."""
+    the column id of slot s, `basis[i]` that of row i's basic variable.
+    `twin` maps each column id of a free variable to the other one."""
 
-    __slots__ = ("rows", "scales", "basis", "cols", "objs", "den")
+    __slots__ = ("rows", "scales", "basis", "cols", "objs", "den", "twin")
 
-    def __init__(self, rows, basis, cols, objs):
+    def __init__(self, rows, basis, cols, objs, twin):
         self.rows = rows
         self.scales = [1] * len(rows)
         self.basis = basis
         self.cols = cols
         self.objs = objs
         self.den = 1
+        self.twin = twin
+
+    def branch(self) -> _State:
+        """A copy, without objective rows, whose pivots leave this one alone."""
+        other = _State([row[:] for row in self.rows], self.basis[:], self.cols[:], [], self.twin)
+        other.scales = self.scales[:]
+        other.den = self.den
+        return other
+
+
+def _flip(state: _State, s: int) -> None:
+    """Store the twin of slot s's column in its place: its negation."""
+    for row in state.rows:
+        row[s] = -row[s]
+    for obj in state.objs:
+        obj[s] = -obj[s]
+    state.cols[s] = state.twin[state.cols[s]]
 
 
 def _pivot(state: _State, r: int, s: int) -> None:
@@ -308,15 +390,24 @@ def _pivot(state: _State, r: int, s: int) -> None:
 
 def _optimize(state: _State, obj: list[int], phase: int) -> str:
     stall = 0
+    twin = state.twin
     for _ in range(_PIVOT_CAP):
         cols = state.cols
-        negative = [(v, cols[s], s) for s, v in enumerate(obj[:-1]) if v < 0]
+        # (reduced cost, column id, slot): a stored column with a negative
+        # reduced cost, or the twin of one with a positive reduced cost.
+        negative = [
+            (v, cols[s], s) if v < 0 else (-v, twin[cols[s]], s)
+            for s, v in enumerate(obj[:-1])
+            if v < 0 or (v and cols[s] in twin)
+        ]
         if not negative:
             return "optimal"
         if stall >= _DEGENERATE_SWITCH:
-            enter = min(negative, key=lambda t: t[1])[2]  # Bland
+            _, col, enter = min(negative, key=lambda t: t[1])  # Bland
         else:
-            enter = min(negative)[2]  # Dantzig
+            _, col, enter = min(negative)  # Dantzig
+        if col != cols[enter]:
+            _flip(state, enter)
         basis = state.basis
         leave = -1
         lnum = lden = None  # ratio lnum/lden of current best
@@ -338,19 +429,30 @@ def _optimize(state: _State, obj: list[int], phase: int) -> str:
 
 
 def _drive_out_artificials(state: _State, art_cols: set[int]) -> None:
-    """Replace basic artificials (all at value zero here) or drop their rows."""
+    """Replace basic artificials (all at value zero here) or drop their rows.
+
+    The entering column is the nonzero one of least id; a slot with a twin
+    offers the lesser id of the pair."""
+    twin = state.twin
     i = 0
     while i < len(state.rows):
         if state.basis[i] in art_cols:
             row = state.rows[i]
-            slots = [s for s, j in enumerate(state.cols) if j not in art_cols and row[s]]
-            if not slots:
+            cands = [
+                (min(j, twin.get(j, j)), s)
+                for s, j in enumerate(state.cols)
+                if j not in art_cols and row[s]
+            ]
+            if not cands:
                 # Redundant constraint: zero over all non-artificial columns.
                 del state.rows[i], state.scales[i], state.basis[i]
                 continue
             if row[-1]:
                 raise AssertionError("feasible phase one left a positive artificial")
-            _pivot(state, i, min(slots, key=state.cols.__getitem__))
+            col, s = min(cands)
+            if col != state.cols[s]:
+                _flip(state, s)
+            _pivot(state, i, s)
         i += 1
 
 

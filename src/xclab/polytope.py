@@ -26,6 +26,7 @@ from .exactla import (
     conic_combination,
     format_rational,
     lp_solve,
+    lp_solve_all,
     matrix_to_json,
     rat,
     read_matrix,
@@ -365,7 +366,8 @@ def lp_equal_under_projection(
     Deterministic part: every vertex of the polytope lifts into the system
     (`unique_lift`, or a feasibility LP over y when the lift is not
     unique).  Randomized part: for `trials` seeded integer objectives on x,
-    the exact maxima over both descriptions coincide.
+    the exact maxima over both descriptions coincide; each description
+    takes one `lp_solve_all` over all the objectives.
     """
     if system.x_dim != poly.dim:
         raise InputError("system x-dimension does not match the polytope")
@@ -384,12 +386,13 @@ def lp_equal_under_projection(
             )
 
     rng = random.Random(seed)
-    p_ineqs, p_eqs = poly.lp_system()
+    objectives = [[rng.randint(-1000, 1000) for _ in range(poly.dim)] for _ in range(trials)]
     zeros_y = [0] * system.y_dim
-    for t in range(trials):
-        c = [rng.randint(-1000, 1000) for _ in range(poly.dim)]
-        over_p = lp_solve(p_ineqs, p_eqs, c, sense="max")
-        over_q = lp_solve(system.ineqs, system.eqs, c + zeros_y, sense="max")
+    p_results = lp_solve_all(*poly.lp_system(), objectives, sense="max")
+    q_results = lp_solve_all(
+        system.ineqs, system.eqs, [c + zeros_y for c in objectives], sense="max"
+    )
+    for t, (c, over_p, over_q) in enumerate(zip(objectives, p_results, q_results)):
         if over_p.status != "optimal" or over_q.status != "optimal":
             return ProjectionReport(
                 False,

@@ -191,8 +191,8 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
     The inner dimension equals the system's inequality count.  Per vertex,
     the right-factor column is the inequality slack at a deterministic lift;
     per polytope row, the left-factor row is a conic combination of the
-    system rows reproducing (a_i | 0 | b_i), with equality rows free-signed
-    and folded away.
+    system rows reproducing (a_i | 0 | b_i), with a free multiplier per
+    equality row, folded away.
     """
     if system.x_dim != poly.dim:
         raise InputError("system x-dimension does not match the polytope")
@@ -209,17 +209,14 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
         cols.append(col)
     right = ExactMatrix(cols).transpose()
 
-    big_rows = [[*row, d] for row, d in zip(*system.ineqs)]
-    if system.eqs is not None:
-        for row, f in zip(*system.eqs):
-            big_rows += [[*row, f], [-t for t in row] + [-f]]
-    big = ExactMatrix(big_rows)
+    eq_rows = [] if system.eqs is None else [[*row, f] for row, f in zip(*system.eqs)]
+    big = ExactMatrix([[*row, d] for row, d in zip(*system.ineqs)] + eq_rows)
 
     zeros_y = (Fraction(0),) * system.y_dim
     left_rows = []
     for i in range(poly.n_ineqs):
         target = tuple(poly.ineq_coefs.row(i)) + zeros_y + (poly.ineq_rhs[i],)
-        u = conic_combination(big, target)
+        u = conic_combination(big, target, free=len(eq_rows))
         if u is None:
             raise NotDerivableError(i)
         left_rows.append(u[:r])

@@ -24,6 +24,7 @@ from xclab.exactla import (
     conic_combination,
     format_rational,
     lp_solve,
+    lp_solve_all,
     matrix_to_json,
     rank,
     rat,
@@ -337,10 +338,10 @@ def test_post_solve_checks_survive_python_O():
         from xclab.polytope import simplex_polytope, slack_matrix
 
         assert not __debug__, "asserts are on"
-        solve = simplex._simplex
+        solve = simplex._simplex_all
 
         def returning(point):
-            simplex._simplex = lambda *args: [Fraction(x) for x in point]
+            simplex._simplex_all = lambda *args: [[Fraction(x) for x in point]]
 
         def outcome(call):
             try:
@@ -360,7 +361,7 @@ def test_post_solve_checks_survive_python_O():
         print(outcome(lambda: simplex.conic_combination([[1]], [1])))
         returning([-1])
         print(outcome(lambda: simplex.conic_combination([[1]], [-1])))
-        simplex._simplex = solve
+        simplex._simplex_all = solve
         print(outcome(lambda: yannakakis.factorization_from_extension(p, ef.to_xy_system())))
         """
     )
@@ -490,7 +491,8 @@ def _ref_simplex(
     for j in art_cols:
         obj1[j] += 1
 
-    state = _RefState(tableau, basis, obj1, obj2, width, log or _RefLog())
+    free = {j: s for j, (v, s) in enumerate(col_var) if not nonneg[v]}
+    state = _RefState(tableau, basis, obj1, obj2, width, log or _RefLog(), free)
 
     if art_cols:
         _ref_optimize(state, phase=1)
@@ -514,9 +516,9 @@ def _ref_simplex(
 
 
 class _RefState:
-    __slots__ = ("tableau", "basis", "obj1", "obj2", "width", "den", "log")
+    __slots__ = ("tableau", "basis", "obj1", "obj2", "width", "den", "log", "free")
 
-    def __init__(self, tableau, basis, obj1, obj2, width, log):
+    def __init__(self, tableau, basis, obj1, obj2, width, log, free):
         self.tableau = tableau
         self.basis = basis
         self.obj1 = obj1
@@ -524,6 +526,7 @@ class _RefState:
         self.width = width
         self.den = 1
         self.log = log
+        self.free = free  # column id -> +1 or -1, for the ± columns of free variables
 
 
 def _ref_pivot(state: _RefState, r: int, c: int) -> None:
@@ -534,6 +537,10 @@ def _ref_pivot(state: _RefState, r: int, c: int) -> None:
     p = prow[c]
     assert p != 0
     state.log.events["p == den" if p == state.den else "p != den"] += 1
+    if state.free.get(c) == -1:
+        state.log.events["minus column enters"] += 1
+    if state.basis[r] in state.free:
+        state.log.events["twin leaves the basis"] += 1
     state.log.pivots.append((state.basis[r], c))
     for row in tab:
         if row is prow:
@@ -747,7 +754,8 @@ def test_dictionary_simplex_matches_tableau_reference(seed):
 
 def test_reference_sweep_reaches_every_path():
     """A fixed sweep that must reach Bland's rule, drive-out row deletion,
-    a negative pivot, both pivot kinds and all three outcomes."""
+    a negative pivot, both pivot kinds, a minus column entering, a free
+    variable's column leaving the basis and all three outcomes."""
     statuses, events = Counter(), Counter()
     for seed in range(300):
         rng = random.Random(seed)
@@ -755,5 +763,91 @@ def test_reference_sweep_reaches_every_path():
         statuses["optimal" if isinstance(out, list) else out] += 1
         events += log.events
     assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 0
-    paths = ("bland", "deleted row", "negated", "p == den", "p != den")
+    paths = ("bland", "deleted row", "negated", "p == den", "p != den",
+             "minus column enters", "twin leaves the basis")
     assert min(events[e] for e in paths) > 0, events
+
+
+def test_drive_out_flips_a_slot_holding_a_minus_column():
+    """Seed 15166, the only seed below 20 000 that does so, drives out an
+    artificial through a free variable whose stored column is its minus
+    one: the drive-out enters the plus twin by flipping the slot."""
+    flips = []
+    drive_out, flip = simplex._drive_out_artificials, simplex._flip
+
+    def driving_out(state, art_cols):
+        flips.append(0)
+        drive_out(state, art_cols)
+        flips.append(0)
+
+    def flipping(state, s):
+        flips.append(1)
+        flip(state, s)
+
+    rng = random.Random(15166)
+    with mock.patch.object(simplex, "_drive_out_artificials", driving_out), \
+            mock.patch.object(simplex, "_flip", flipping):
+        _check_against_reference(_random_system(rng), rng)
+    assert 1 in flips[flips.index(0) + 1:], flips
+
+
+def test_conic_combination_free_multipliers():
+    # u0 >= 0, u1 free: u0 * 1 + u1 * 1 == -1 needs u1 < 0
+    assert conic_combination([[1], [1]], [-1], free=1) == (F(0), F(-1))
+    assert conic_combination([[1], [1]], [-1]) is None
+    assert conic_combination([[1, 0], [0, 1]], [2, -3], free=2) == (F(2), F(-3))
+    for free in (-1, 3):
+        with pytest.raises(InputError, match="free must be between 0 and 2"):
+            conic_combination([[1], [1]], [1], free=free)
+
+
+def _check_many_objectives(rng):
+    """`lp_solve_all` over a `_random_system` with 1-5 objectives against a
+    cold `lp_solve` per objective; returns the statuses."""
+    le_rows, le_rhs, eq_rows, eq_rhs, nonneg, goal = _random_system(rng)
+    n = len(nonneg)
+    bounds = [[F(-(i == j)) for j in range(n)] for i in range(n) if nonneg[i]]
+    ineqs = (le_rows + bounds, le_rhs + [F(0)] * len(bounds))
+    eqs = (eq_rows, eq_rhs) if eq_rows else None
+    objectives = [goal]
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.2:
+            objectives.append([])  # the zero objective
+        else:
+            objectives.append([F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)])
+    rng.shuffle(objectives)
+    sense = rng.choice(["max", "min"])
+    got = lp_solve_all(ineqs, eqs, objectives, sense=sense)
+    assert got == [lp_solve(ineqs, eqs, c, sense=sense) for c in objectives]
+    return [res.status for res in got]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lp_solve_all_matches_cold_solves(seed):
+    _check_many_objectives(random.Random(seed))
+
+
+def test_many_objective_sweep_reaches_every_mix():
+    """A fixed sweep that must reach an infeasible system with several
+    objectives and a system whose objectives are partly unbounded and
+    partly optimal."""
+    mixes = Counter()
+    for seed in range(200):
+        statuses = _check_many_objectives(random.Random(seed))
+        if len(statuses) > 1:
+            mixes[tuple(sorted(set(statuses)))] += 1
+    assert mixes[("infeasible",)] > 0, mixes
+    assert mixes[("optimal", "unbounded")] > 0, mixes
+
+
+def test_lp_solve_all_validation():
+    with pytest.raises(InputError, match="objective widths differ"):
+        lp_solve_all(([[1, 0]], [1]), None, [[1, 0], [1]])
+    with pytest.raises(InputError, match="sense"):
+        lp_solve_all(([[1]], [1]), None, [[1]], sense="up")
+    assert lp_solve_all(([[1]], [1]), None, []) == []
+    assert lp_solve_all(([[1]], [1]), None, [[], [2]]) == [
+        LPResult("optimal", F(0), (F(0),)),
+        LPResult("optimal", F(2), (F(1),)),
+    ]

@@ -19,7 +19,13 @@ from xclab.matchgen import (
     perfect_matching_polytope,
     truncated_matching_relaxation,
 )
-from xclab.polytope import hypercube_polytope, simplex_polytope, slack_matrix, verify_vertices
+from xclab.polytope import (
+    Polytope,
+    hypercube_polytope,
+    simplex_polytope,
+    slack_matrix,
+    verify_vertices,
+)
 
 
 def brute_matchings(n):
@@ -255,6 +261,16 @@ def test_approximation_ratio_rejects_non_relaxation():
         approximation_ratio(simplex_polytope(2), hypercube_polytope(2), 1, 0)
     with pytest.raises(InputError, match="dimensions"):
         approximation_ratio(simplex_polytope(3), hypercube_polytope(2), 1, 0)
+
+
+def test_approximation_ratio_names_the_first_unbounded_objective():
+    # x >= 0, x1 <= 1 holds the 2-simplex and is unbounded exactly when c2 > 0
+    relax = Polytope.build([[-1, 0], [0, -1], [1, 0]], [0, 0, 1], [(0, 0), (1, 0)])
+    extra = [(1, 0), (0, 1), (2, 3)]
+    with pytest.raises(InputError, match=r"relaxation is unbounded for objective \(0, 1\)"):
+        approximation_ratio(relax, simplex_polytope(2), 0, 0, extra_objectives=extra)
+    report = approximation_ratio(relax, simplex_polytope(2), 0, 0, extra_objectives=extra[:1])
+    assert report.ratio == 1
 
 
 def test_approximation_ratio_rejects_bad_extra():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xclab.errors import InputError
-from xclab.exactla import ExactMatrix, conic_combination, rat, write_matrix
+from xclab.exactla import ExactMatrix, conic_combination, format_rational, lp_solve, rat, write_matrix
 from xclab.polytope import (
     Polytope,
+    ProjectionReport,
     SlackMatrix,
     XYSystem,
     cross_polytope,
@@ -322,6 +324,45 @@ def test_projection_check_catches_larger_projection():
     report = lp_equal_under_projection(simplex_polytope(2), sys, 8, 1)
     assert not report.passed
     assert report.reason in ("objective-value", "objective-status")
+
+
+def _projection_by_cold_solves(poly, system, trials, seed):
+    """Reference for the randomized part: a cold `lp_solve` pair per trial,
+    stopping at the first failing trial."""
+    rng = random.Random(seed)
+    for t in range(trials):
+        c = [rng.randint(-1000, 1000) for _ in range(poly.dim)]
+        over_p = lp_solve(*poly.lp_system(), c, sense="max")
+        over_q = lp_solve(system.ineqs, system.eqs, c + [0] * system.y_dim, sense="max")
+        if over_p.status != "optimal" or over_q.status != "optimal":
+            detail = {"trial": t, "objective": c, "p": over_p.status, "q": over_q.status}
+            return ProjectionReport(False, "objective-status", detail)
+        if over_p.value != over_q.value:
+            detail = {"trial": t, "objective": c, "p": format_rational(over_p.value),
+                      "q": format_rational(over_q.value)}
+            return ProjectionReport(False, "objective-value", detail)
+    return ProjectionReport(True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_projection_check_reports_the_first_failing_trial(seed):
+    # the simplex lift passes, the unit square fails on a value and the
+    # nonnegative orthant (y free) on an unbounded objective
+    square = XYSystem(
+        x_dim=2,
+        y_dim=1,
+        ineqs=(
+            [[-1, 0, 0], [0, -1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1]],
+            (rat(0), rat(0), rat(1), rat(1), rat(1), rat(0)),
+        ),
+    )
+    orthant = XYSystem(x_dim=2, y_dim=1, ineqs=([[-1, 0, 0], [0, -1, 0]], (rat(0), rat(0))))
+    reasons = set()
+    for system in (_simplex_lift(), square, orthant):
+        report = lp_equal_under_projection(simplex_polytope(2), system, 6, seed)
+        assert report == _projection_by_cold_solves(simplex_polytope(2), system, 6, seed)
+        reasons.add(report.reason)
+    assert reasons == {None, "objective-value", "objective-status"}
 
 
 def test_projection_dim_mismatch():

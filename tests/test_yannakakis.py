@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xclab.yannakakis
 from xclab.errors import InputError, NotAnExtensionError, NotDerivableError
-from xclab.exactla import ExactMatrix, lp_solve, rat
+from xclab.exactla import ExactMatrix, conic_combination, lp_solve, rat
+from xclab.exactla import simplex
+from xclab.matchgen import perfect_matching_polytope
 from xclab.polytope import (
     Polytope,
     XYSystem,
@@ -183,6 +186,58 @@ def test_unique_lifts_take_no_lp(monkeypatch):
     s = slack_matrix(p)
     ef = extension_from_factorization(p, slack_variable_factorization(s))
     assert verify_factorization(s, factorization_from_extension(p, ef.to_xy_system()))
+
+
+def _duplicated_row_matrix(system):
+    """Reference: the rows that `factorization_from_extension` derived from
+    before equality multipliers were free, each equality row twice, once
+    negated, so that every multiplier is nonnegative."""
+    big_rows = [[*row, d] for row, d in zip(*system.ineqs)]
+    if system.eqs is not None:
+        for row, f in zip(*system.eqs):
+            big_rows += [[*row, f], [-t for t in row] + [-f]]
+    return ExactMatrix(big_rows)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_free_equality_multipliers_keep_the_pivots(n, monkeypatch):
+    """Equality k's free multiplier has the column ids r + 2k and r + 2k + 1
+    of the old row and its negated copy, so each derivation makes the same
+    (leaving, entering) pivots as over the duplicated rows, and the left
+    factor is the same."""
+    poly = perfect_matching_polytope(n)
+    system = extension_from_factorization(
+        poly, slack_variable_factorization(slack_matrix(poly))
+    ).to_xy_system()
+    calls = []
+    pivot, conic = simplex._pivot, xclab.yannakakis.conic_combination
+
+    def recording_pivot(state, r, s):
+        calls[-1].append((state.basis[r], state.cols[s]))
+        pivot(state, r, s)
+
+    def recording_conic(*args, **kwargs):
+        calls.append([])
+        return conic(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "_pivot", recording_pivot)
+    monkeypatch.setattr(xclab.yannakakis, "conic_combination", recording_conic)
+    fac = factorization_from_extension(poly, system)
+    free_calls, calls[:] = calls[:], []
+
+    big = _duplicated_row_matrix(system)
+    zeros_y = (Fraction(0),) * system.y_dim
+    left = []
+    for i in range(poly.n_ineqs):
+        target = tuple(poly.ineq_coefs.row(i)) + zeros_y + (poly.ineq_rhs[i],)
+        calls.append([])
+        left.append(conic_combination(big, target)[: system.n_ineqs])
+    assert free_calls == calls
+    assert fac.left == ExactMatrix(left)
+    if n == 6:
+        # there the derivations do enter the equalities' negated copies
+        minus = range(system.n_ineqs + 1, big.nrows, 2)
+        assert any(enter in minus for pivots in calls for _, enter in pivots)
 
 
 def _lex_lift_by_lp(system, x, vertex_index):
