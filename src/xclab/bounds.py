@@ -150,12 +150,12 @@ def _best_cols_for_rows(grid, nrows, ncols, rows: frozenset[int]):
     return frozenset(cols), value
 
 
+# Largest min(rows, cols) that exact mode walks: 2**22 row subsets.
+_ALPHA_CAP = 22
+
+
 def max_rectangle_value(
-    w: WeightMatrix,
-    mode: str = "exact",
-    restarts: int = 20,
-    seed: int = 0,
-    cap: int = 22,
+    w: WeightMatrix, mode: str = "exact", restarts: int = 20, seed: int = 0
 ) -> RectangleValue:
     """Maximize the weight sum over row-set x column-set rectangles.
 
@@ -174,9 +174,9 @@ def max_rectangle_value(
     transposed = w.nrows > w.ncols
     grid = tuple(zip(*w.grid)) if transposed else w.grid
     nrows, ncols = len(grid), len(grid[0])
-    if nrows > cap:
+    if nrows > _ALPHA_CAP:
         raise InputError(
-            f"exact mode needs min(rows, cols) <= {cap}, got {nrows}; "
+            f"exact mode needs min(rows, cols) <= {_ALPHA_CAP}, got {nrows}; "
             "use heuristic mode"
         )
     support = [
@@ -371,8 +371,14 @@ def _maximal_rectangles(
     return rects
 
 
+# Default budgets of the exact cover: search steps, and the largest row or
+# column count it accepts.
+COVER_LIMIT = 200_000
+COVER_CAP = 20
+
+
 def rectangle_cover_exact(
-    s: SlackMatrix | ExactMatrix, limit: int = 200_000, cap: int = 20
+    s: SlackMatrix | ExactMatrix, limit: int = COVER_LIMIT, cap: int = COVER_CAP
 ) -> CoverResult:
     """Exact minimum number of support rectangles covering the support of S,
     by branch and bound over maximal support rectangles.  Every closure and
@@ -515,6 +521,12 @@ def _distinct_rows(m: ExactMatrix, r: int) -> list[int]:
 # Largest denominator of a residual-LP point kept as a sweep iterate.
 _SWEEP_DENOMINATOR = 64
 
+# Alternating LP sweeps per nmf_heuristic start.
+_SWEEPS = 4
+
+# Default random starts of one nmf_heuristic call.
+NMF_RESTARTS = 3
+
 
 def _solve_side(m: ExactMatrix, basis: ExactMatrix) -> ExactMatrix:
     """Per row of m: nonnegative u minimizing the max |u . basis - row|
@@ -573,16 +585,12 @@ def _exact_repair(m: ExactMatrix, right: ExactMatrix) -> Factorization | None:
 
 
 def nmf_heuristic(
-    s: SlackMatrix | ExactMatrix,
-    r: int,
-    restarts: int = 3,
-    seed: int = 0,
-    sweeps: int = 4,
+    s: SlackMatrix | ExactMatrix, r: int, restarts: int = NMF_RESTARTS, seed: int = 0
 ) -> Factorization | None:
     """Search for a verified rank-r nonnegative factorization.
 
     Starts (in order): rows that generate the row cone, the first distinct
-    rows, then `restarts` seeded random row mixes.  Each start runs `sweeps`
+    rows, then `restarts` seeded random row mixes.  Each start runs _SWEEPS
     alternating min-max-residual LP sweeps; a candidate counts only if exact
     conic repair of one side against the other reproduces S exactly.
 
@@ -631,7 +639,7 @@ def nmf_heuristic(
     # only repeat failed repairs and solved LPs: its start stops there.
     seen: dict[ExactMatrix, int] = {}
     for right in starts:
-        for left_over in range(sweeps, -1, -1):
+        for left_over in range(_SWEEPS, -1, -1):
             if right in seen:
                 if seen[right] >= left_over:
                     break
@@ -661,8 +669,8 @@ class BoundConfig:
     """Search budgets, the seed, and the weight matrices whose hyperplane
     bounds to add; each alpha comes from exact max_rectangle_value."""
 
-    cover_limit: int = 200_000
-    cover_cap: int = 20
+    cover_limit: int = COVER_LIMIT
+    cover_cap: int = COVER_CAP
     nmf_restarts: int = 2
     nmf_cell_cap: int = 256
     nmf_max_tries: int = 3

@@ -24,6 +24,9 @@ import sys
 import time
 
 from .bounds import (
+    COVER_CAP,
+    COVER_LIMIT,
+    NMF_RESTARTS,
     BoundConfig,
     factorization_from_json,
     factorization_to_json,
@@ -32,11 +35,7 @@ from .bounds import (
     rectangle_cover_exact,
     report_to_json,
 )
-from .errors import (
-    InputError,
-    NotAnExtensionError,
-    NotDerivableError,
-)
+from .errors import InputError, XclabError
 from .exactla import format_rational, matrix_to_json, rat
 from .matchgen import (
     approximation_ratio,
@@ -62,6 +61,7 @@ from .sepmeasure import (
     mu,
     q_class_size,
     rectangle_w_value,
+    slack_max_norm,
     ws_inner_product,
     ws_inner_product_materialized,
 )
@@ -240,13 +240,9 @@ def _cmd_cover(args):
 
 def _cmd_sep(args):
     inner = ws_inner_product(args.n, args.t, args.k)
-    ell_max = min(args.t, args.n - args.t)
-    if ell_max % 2 == 0:
-        ell_max -= 1
-    norm = ell_max - 1
     result = {
         "inner_product": format_rational(inner),
-        "slack_norm": format_rational(rat(norm)),
+        "slack_norm": format_rational(rat(slack_max_norm(args.n, args.t))),
     }
     inputs = {"n": args.n, "t": args.t, "k": args.k}
     return inputs, result, 0
@@ -368,9 +364,25 @@ def _cmd_verify(args):
 # Parser assembly and the envelope writer.
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Argument groups that several verbs share, as parent parsers.  --ell
+    # and --k are groups of their own so that mu and rectvalue keep their
+    # flag order, which usage lines and missing-argument errors show.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in the envelope")
     common.add_argument("--output", default=None, help="write the envelope here instead of stdout")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", required=True)
+    source.add_argument("--rows", default="all", help="'all', 'oddset', or a label prefix")
+    ground = argparse.ArgumentParser(add_help=False)
+    ground.add_argument("--n", type=int, required=True)
+    ground.add_argument("--t", type=int, required=True)
+    ell = argparse.ArgumentParser(add_help=False)
+    ell.add_argument("--ell", type=int, required=True)
+    k = argparse.ArgumentParser(add_help=False)
+    k.add_argument("--k", type=int, required=True)
+    edges = argparse.ArgumentParser(add_help=False)
+    edges.add_argument("--e1", required=True, help="edge 'a-b'")
+    edges.add_argument("--e2", required=True, help="edge 'c-d', disjoint from e1")
 
     parser = argparse.ArgumentParser(
         prog="xclab",
@@ -378,94 +390,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a matching polytope")
+    def verb(name, handler, parents, summary):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = verb("gen", _cmd_gen, [], "generate a matching polytope")
     p.add_argument("family", choices=["ppm", "pm", "pm-truncated"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=None, help="odd-set size cutoff for pm-truncated")
-    p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("slack", parents=[common], help="slack matrix of a polytope")
-    p.add_argument("--input", required=True)
-    p.add_argument("--rows", default="all", help="'all', 'oddset', or a label prefix")
+    p = verb("slack", _cmd_slack, [source], "slack matrix of a polytope")
     p.add_argument("--format", choices=["json", "csv", "matrix-text"], default="json")
-    p.set_defaults(handler=_cmd_slack)
 
-    p = sub.add_parser("bounds", parents=[common], help="certified nonnegative-rank interval")
-    p.add_argument("--input", required=True)
-    p.add_argument("--rows", default="all")
-    p.add_argument("--cover-limit", type=int, default=200_000)
-    p.add_argument("--cover-cap", type=int, default=20)
-    p.add_argument("--nmf-restarts", type=int, default=2)
-    p.add_argument("--nmf-cell-cap", type=int, default=256)
-    p.add_argument("--nmf-tries", type=int, default=3)
+    p = verb("bounds", _cmd_bounds, [source], "certified nonnegative-rank interval")
+    p.add_argument("--cover-limit", type=int, default=BoundConfig.cover_limit)
+    p.add_argument("--cover-cap", type=int, default=BoundConfig.cover_cap)
+    p.add_argument("--nmf-restarts", type=int, default=BoundConfig.nmf_restarts)
+    p.add_argument("--nmf-cell-cap", type=int, default=BoundConfig.nmf_cell_cap)
+    p.add_argument("--nmf-tries", type=int, default=BoundConfig.nmf_max_tries)
     p.add_argument("--witness-out", default=None, help="write the upper witness factorization here")
-    p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("factorize", parents=[common], help="heuristic nonnegative factorization")
-    p.add_argument("--input", required=True)
-    p.add_argument("--rows", default="all")
+    p = verb("factorize", _cmd_factorize, [source], "heuristic nonnegative factorization")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=3)
-    p.set_defaults(handler=_cmd_factorize)
+    p.add_argument("--restarts", type=int, default=NMF_RESTARTS)
 
-    p = sub.add_parser("extend", parents=[common], help="factorization to extended formulation")
+    p = verb("extend", _cmd_extend, [], "factorization to extended formulation")
     p.add_argument("--input", required=True)
     p.add_argument("--factorization", default=None, help="factorization JSON; omit for slack-variable")
-    p.set_defaults(handler=_cmd_extend)
 
-    p = sub.add_parser("contract", parents=[common], help="extended formulation to factorization")
+    p = verb("contract", _cmd_contract, [], "extended formulation to factorization")
     p.add_argument("--input", required=True)
     p.add_argument("--system", required=True, help="formulation JSON from `extend`")
-    p.set_defaults(handler=_cmd_contract)
 
-    p = sub.add_parser("cover", parents=[common], help="minimum support rectangle cover")
-    p.add_argument("--input", required=True)
-    p.add_argument("--rows", default="all")
-    p.add_argument("--limit", type=int, default=200_000)
-    p.add_argument("--cap", type=int, default=20)
-    p.set_defaults(handler=_cmd_cover)
+    p = verb("cover", _cmd_cover, [source], "minimum support rectangle cover")
+    p.add_argument("--limit", type=int, default=COVER_LIMIT)
+    p.add_argument("--cap", type=int, default=COVER_CAP)
 
-    p = sub.add_parser("sep", parents=[common], help="separation bound pieces in counting mode")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_sep)
-
-    p = sub.add_parser("qsize", parents=[common], help="crossing-class size by closed form")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.set_defaults(handler=_cmd_qsize)
-
-    p = sub.add_parser("wdot", parents=[common], help="weight-slack inner product")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    verb("sep", _cmd_sep, [ground, k], "separation bound pieces in counting mode")
+    verb("qsize", _cmd_qsize, [ground, ell], "crossing-class size by closed form")
+    p = verb("wdot", _cmd_wdot, [ground, k], "weight-slack inner product")
     p.add_argument("--crosscheck", action="store_true", help="also materialize the ground")
-    p.set_defaults(handler=_cmd_wdot)
+    verb("mu", _cmd_mu, [ground, ell, edges], "class measure of a canonical rectangle")
+    verb("rectvalue", _cmd_rectvalue, [ground, k, edges], "weight of a canonical rectangle")
 
-    p = sub.add_parser("mu", parents=[common], help="class measure of a canonical rectangle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--e1", required=True, help="edge 'a-b'")
-    p.add_argument("--e2", required=True, help="edge 'c-d', disjoint from e1")
-    p.set_defaults(handler=_cmd_mu)
-
-    p = sub.add_parser("rectvalue", parents=[common], help="weight of a canonical rectangle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--e1", required=True)
-    p.add_argument("--e2", required=True)
-    p.set_defaults(handler=_cmd_rectvalue)
-
-    p = sub.add_parser("bias", parents=[common], help="marginal bias check for a tuple family")
+    p = verb("bias", _cmd_bias, [], "marginal bias check for a tuple family")
     p.add_argument("--input", required=True, help="JSON with 'domains' and 'tuples'")
     p.add_argument("--eps", required=True, help="two-sided slack factor, rational")
-    p.set_defaults(handler=_cmd_bias)
 
-    p = sub.add_parser("ratio", parents=[common], help="relaxation-vs-polytope objective ratio")
+    p = verb("ratio", _cmd_ratio, [], "relaxation-vs-polytope objective ratio")
     p.add_argument("--relaxation", required=True)
     p.add_argument("--polytope", required=True)
     p.add_argument("--trials", type=int, default=50)
@@ -475,16 +448,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         help="extra objective 'c1,c2,...', repeatable",
     )
-    p.set_defaults(handler=_cmd_ratio)
 
-    p = sub.add_parser("verify", parents=[common], help="check vertices, a factorization, or a formulation")
-    p.add_argument("--input", required=True)
-    p.add_argument("--rows", default="all")
+    p = verb("verify", _cmd_verify, [source], "check vertices, a factorization, or a formulation")
     check = p.add_mutually_exclusive_group()
     check.add_argument("--factorization", default=None)
     check.add_argument("--system", default=None)
     p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -518,12 +487,7 @@ def main(argv=None) -> int:
             }
             text = json.dumps(envelope, indent=1) + "\n"
         _emit(args.output, text)
-    except (
-        InputError,
-        NotAnExtensionError,
-        NotDerivableError,
-        OSError,
-    ) as exc:
+    except (XclabError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -337,4 +337,8 @@ def write_matrix(path: str, m: ExactMatrix) -> None:
 
 def read_matrix(path: str) -> ExactMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return ExactMatrix.from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
+    return ExactMatrix.from_text(text)

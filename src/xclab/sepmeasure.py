@@ -78,6 +78,14 @@ def q_class_total(n: int, t: int) -> int:
     return math.comb(n, t) * perfect_matching_count(n)
 
 
+def slack_max_norm(n: int, t: int) -> int:
+    """max |S| over the ground: a pair's slack is its crossing count minus
+    one, and the largest crossing count is min(t, n - t), which is odd
+    because t is odd and n even."""
+    _validate_ground_params(n, t)
+    return min(t, n - t) - 1
+
+
 @dataclass(frozen=True)
 class MatchingCutInstance:
     """Parameter scheme tying the block count m and odd parameter k to the
@@ -142,12 +150,12 @@ class CutMatchingGround:
         self._class_counts = None
 
     @classmethod
-    def build(cls, n: int, t: int, cap: int = MATERIALIZE_CAP) -> "CutMatchingGround":
+    def build(cls, n: int, t: int) -> "CutMatchingGround":
         _validate_ground_params(n, t)
         size = q_class_total(n, t)
-        if size > cap:
+        if size > MATERIALIZE_CAP:
             raise InputError(
-                f"ground has {size} pairs, over the materialization cap {cap}; "
+                f"ground has {size} pairs, over the materialization cap {MATERIALIZE_CAP}; "
                 "use the counting-mode operations"
             )
         cuts = tuple(combinations(range(n), t))
@@ -211,10 +219,9 @@ def _load_cached_table(n, t, n_cuts, n_matchings):
 
     Each row is read as bytes and turned into entries by one translate that
     deletes the spaces and the newline, so every entry must be one digit.
-    Under MATERIALIZE_CAP no crossing number exceeds 5; a ground built
-    under a larger cap with one above 9 is rebuilt.  Per odd class
-    ell <= t, the entry count must equal the closed-form
-    q_class_size.  Those sizes sum to the table's cell count, so a table
+    Under MATERIALIZE_CAP no crossing number exceeds 5, so one digit per
+    entry suffices.  Per odd class ell <= t, the entry count must equal the
+    closed-form q_class_size.  Those sizes sum to the table's cell count, so a table
     that passes also holds no even entry, none above t and no byte that was
     not a digit."""
     path = _cache_path(n, t)

@@ -163,9 +163,10 @@ def test_alpha_transposed_side():
 
 
 def test_alpha_cap_and_heuristic():
+    w = WeightMatrix.from_rows([[1] * 23] * 23)
+    with pytest.raises(InputError, match="<= 22, got 23; use heuristic"):
+        max_rectangle_value(w)
     w = WeightMatrix.from_rows([[1, 1], [1, 1]])
-    with pytest.raises(InputError, match="heuristic"):
-        max_rectangle_value(w, cap=1)
     res = max_rectangle_value(w, mode="heuristic", restarts=5, seed=3)
     assert not res.certified
     assert 0 <= res.value <= 4

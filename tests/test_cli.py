@@ -8,9 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from xclab.bounds import factorization_from_json, factorization_to_json
+from xclab.bounds import (
+    factorization_from_json,
+    factorization_to_json,
+    nonnegative_rank_bounds,
+    rectangle_cover_exact,
+    report_to_json,
+)
 from xclab.cli import main
 from xclab.exactla import rat
+from xclab.matchgen import perfect_matching_polytope
 from xclab.polytope import (
     SlackMatrix,
     hypercube_polytope,
@@ -155,6 +162,26 @@ def test_bounds_reproducible(square_file, tmp_path):
     assert rc1 == rc2 == 0
     assert env1["result"] == env2["result"]
     assert env1["seed"] == 7
+
+
+@pytest.mark.parametrize("name", ["cube3", "ppm4"])
+def test_bounds_and_cover_default_to_the_library_budgets(name, tmp_path):
+    poly = hypercube_polytope(3) if name == "cube3" else perfect_matching_polytope(4)
+    path = tmp_path / f"{name}.json"
+    write_polytope(str(path), poly)
+    s = slack_matrix(poly)
+    rc, env = run(["bounds", "--input", path], tmp_path / "b.json")
+    assert rc == 0
+    assert env["result"] == report_to_json(nonnegative_rank_bounds(s))
+    cover = rectangle_cover_exact(s)
+    rc, env = run(["cover", "--input", path], tmp_path / "c.json")
+    assert rc == (0 if cover.status == "optimal" else 1)
+    assert env["result"] == {
+        "status": cover.status,
+        "size": cover.size,
+        "explored": cover.explored,
+        "rectangles": [{"rows": sorted(r.rows), "cols": sorted(r.cols)} for r in cover.rectangles],
+    }
 
 
 def test_factorize_found_and_not_found(square_file, tmp_path):
@@ -542,6 +569,24 @@ def test_malformed_json_is_input_error(verb, payload, square_file, tmp_path):
     }[verb]
     out = tmp_path / "o.json"
     assert main([str(a) for a in argv] + ["--output", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["utf16-bom", "matrix-reference"])
+def test_non_utf8_input_is_input_error(case, tmp_path, capsys):
+    doc = tmp_path / "poly.json"
+    if case == "utf16-bom":
+        bad = doc
+        doc.write_bytes(b"\xff\xfe" + json.dumps(polytope_to_json(hypercube_polytope(2))).encode())
+    else:
+        bad = tmp_path / "rows.txt"
+        bad.write_bytes(b"4 3\n\xff 0 1\n")
+        obj = {**polytope_to_json(hypercube_polytope(2)), "ineqs": {"file": "rows.txt"}}
+        doc.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "o.json"
+    assert main(["verify", "--input", str(doc), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and f"{bad}: not UTF-8 text" in err
     assert not out.exists()
 
 

@@ -21,6 +21,7 @@ from xclab.sepmeasure import (
     q_class_size,
     q_class_total,
     rectangle_w_value,
+    slack_max_norm,
     weight_matrix,
     weight_values,
     ws_inner_product,
@@ -91,6 +92,12 @@ def test_q_class_sizes_sum_to_ground_total(n):
         assert total == q_class_total(n, t)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_slack_max_norm_matches_the_ground(n):
+    for t in range(1, n, 2):
+        assert slack_max_norm(n, t) == CutMatchingGround.build(n, t).slack_grid().max_norm(), t
+
+
 def test_frozen_sizes_6_3():
     assert q_class_size(6, 3, 1) == 180
     assert q_class_size(6, 3, 3) == 120
@@ -150,8 +157,9 @@ def test_ground_parity(ground63, ground105):
 
 
 def test_ground_cap():
-    with pytest.raises(InputError, match="cap"):
-        CutMatchingGround.build(10, 5, cap=1000)
+    assert q_class_total(12, 5) == 8_232_840
+    with pytest.raises(InputError, match="8232840 pairs, over the materialization cap"):
+        CutMatchingGround.build(12, 5)
 
 
 def test_ground_validation():

@@ -119,6 +119,21 @@ def test_round_trip_cube():
     assert verify_factorization(s, back)
 
 
+def test_extension_without_lift_variables():
+    # y_dim = 0: the system is an inequality description of the square
+    # itself, and every vertex lifts to the empty y
+    p = hypercube_polytope(2)
+    rows, rhs = [list(row) for row in p.ineq_coefs.rows()], tuple(p.ineq_rhs)
+    fac = factorization_from_extension(p, XYSystem(2, 0, (rows, rhs)))
+    assert fac.r == 4
+    assert verify_factorization(slack_matrix(p), fac)
+    with pytest.raises(NotDerivableError) as err:
+        factorization_from_extension(p, XYSystem(2, 0, (rows[1:], rhs[1:])))
+    assert err.value.row_index == 0
+    with pytest.raises(NotAnExtensionError):
+        factorization_from_extension(p, XYSystem(2, 0, (rows, (rhs[0] - 1,) + rhs[1:])))
+
+
 def test_factorization_from_product_with_box():
     # Q = P x [0, 1]: inequality rows act as facets, r = 3 + 2
     p = simplex_polytope(2)
