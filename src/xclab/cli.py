@@ -1,13 +1,14 @@
 """Command-line front end.
 
 One binary with subcommands, one result envelope.  Every run emits JSON of
-the shape {command, inputs, seed, result, timing}; file inputs are
-recorded with their sha256 so pipelines can be chained and audited.  Results
-are deterministic given the recorded seed.  Envelopes chain directly: `gen`
-output is accepted wherever a polytope file is expected, `extend` output
-wherever `--system` wants a formulation, and `contract`/`factorize` output
-wherever `--factorization` wants a factorization.  Bare payload files work
-in all three places too.
+the shape {command, inputs, seed, result, timing}; file inputs are recorded
+with their sha256 so pipelines can be chained and audited.  `inputs` holds
+every parsed argument of the verb except --seed and --output, so results are
+deterministic given the recorded inputs and seed.  Envelopes chain directly:
+`gen` output is accepted wherever a polytope file is expected, `extend`
+output wherever `--system` wants a formulation, and `contract`/`factorize`
+output wherever `--factorization` wants a factorization.  Bare payload files
+work in all three places too.
 
 Exit codes: 0 success, 1 computational failure (budget exceeded, failed
 verification), 2 input error or bad usage.
@@ -83,8 +84,20 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _file_input(path: str) -> dict:
-    return {"path": path, "sha256": _sha256(path)}
+# Arguments naming files the run reads, recorded with their sha256.
+_READ_FILES = ("input", "factorization", "system", "relaxation", "polytope")
+
+
+def _inputs(args) -> dict:
+    """The envelope's inputs: every argument of the verb as parsed, defaults
+    included, except --seed (the envelope carries it) and --output."""
+    return {
+        key: {"path": value, "sha256": _sha256(value)}
+        if key in _READ_FILES and value is not None
+        else value
+        for key, value in vars(args).items()
+        if key not in ("verb", "handler", "seed", "output")
+    }
 
 
 def _row_filter(spec: str):
@@ -98,10 +111,8 @@ def _row_filter(spec: str):
 
 
 def _slack_input(args):
-    """The slack matrix of the --input polytope restricted by --rows, and
-    the inputs record naming both."""
-    s = slack_matrix(read_polytope(args.input), _row_filter(args.rows))
-    return s, {"input": _file_input(args.input), "rows": args.rows}
+    """The slack matrix of the --input polytope restricted by --rows."""
+    return slack_matrix(read_polytope(args.input), _row_filter(args.rows))
 
 
 def _parse_edge(text: str) -> tuple[int, int]:
@@ -126,7 +137,7 @@ def _rect_json(rect) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers.  Each returns (inputs, result, exit_code).
+# Verb handlers.  Each returns (result, exit_code).
 
 def _cmd_gen(args):
     if args.family == "pm-truncated":
@@ -139,16 +150,13 @@ def _cmd_gen(args):
         poly = perfect_matching_polytope(args.n)
     else:
         poly = matching_polytope(args.n)
-    inputs = {"family": args.family, "n": args.n}
-    if args.s is not None:
-        inputs["s"] = args.s
-    return inputs, {"polytope": polytope_to_json(poly)}, 0
+    return {"polytope": polytope_to_json(poly)}, 0
 
 
 def _cmd_slack(args):
-    s, inputs = _slack_input(args)
+    s = _slack_input(args)
     if args.format == "matrix-text":
-        return inputs, {"text": s.to_text()}, 0
+        return {"text": s.to_text()}, 0
     entries = matrix_to_json(s.matrix.rows())
     if args.format == "csv":
         buf = io.StringIO()
@@ -156,22 +164,17 @@ def _cmd_slack(args):
         writer.writerow([""] + list(s.col_labels))
         for lab, row in zip(s.row_labels, entries):
             writer.writerow([lab] + row)
-        return inputs, {"text": buf.getvalue()}, 0
-    return (
-        inputs,
-        {
-            "nrows": s.nrows,
-            "ncols": s.ncols,
-            "row_labels": list(s.row_labels),
-            "col_labels": list(s.col_labels),
-            "entries": entries,
-        },
-        0,
-    )
+        return {"text": buf.getvalue()}, 0
+    return {
+        "nrows": s.nrows,
+        "ncols": s.ncols,
+        "row_labels": list(s.row_labels),
+        "col_labels": list(s.col_labels),
+        "entries": entries,
+    }, 0
 
 
 def _cmd_bounds(args):
-    s, inputs = _slack_input(args)
     config = BoundConfig(
         cover_limit=args.cover_limit,
         cover_cap=args.cover_cap,
@@ -180,7 +183,7 @@ def _cmd_bounds(args):
         nmf_max_tries=args.nmf_tries,
         seed=args.seed,
     )
-    report = nonnegative_rank_bounds(s, config)
+    report = nonnegative_rank_bounds(_slack_input(args), config)
     witness_file = None
     if args.witness_out and report.upper_witness is not None:
         write_atomic(
@@ -188,54 +191,42 @@ def _cmd_bounds(args):
             json.dumps(factorization_to_json(report.upper_witness), indent=1) + "\n",
         )
         witness_file = args.witness_out
-    return inputs, report_to_json(report, witness_file), 0
+    return report_to_json(report, witness_file), 0
 
 
 def _cmd_factorize(args):
-    s, inputs = _slack_input(args)
-    fac = nmf_heuristic(s, args.r, restarts=args.restarts, seed=args.seed)
-    inputs["r"] = args.r
+    fac = nmf_heuristic(_slack_input(args), args.r, restarts=args.restarts, seed=args.seed)
     if fac is None:
-        return inputs, {"found": False, "factorization": None}, 1
-    return inputs, {"found": True, "factorization": factorization_to_json(fac)}, 0
+        return {"found": False, "factorization": None}, 1
+    return {"found": True, "factorization": factorization_to_json(fac)}, 0
 
 
 def _cmd_extend(args):
     poly = read_polytope(args.input)
     if args.factorization is not None:
         fac = factorization_from_json(load_payload(args.factorization, "factorization"))
-        inputs = {
-            "input": _file_input(args.input),
-            "factorization": _file_input(args.factorization),
-        }
     else:
         fac = slack_variable_factorization(slack_matrix(poly))
-        inputs = {"input": _file_input(args.input), "factorization": "slack-variable"}
     ef = extension_from_factorization(poly, fac)
-    return inputs, {"formulation": formulation_to_json(ef), "n_facets": ef.n_facets}, 0
+    return {"formulation": formulation_to_json(ef), "n_facets": ef.n_facets}, 0
 
 
 def _cmd_contract(args):
     poly = read_polytope(args.input)
     ef = formulation_from_json(load_payload(args.system, "formulation"))
     fac = factorization_from_extension(poly, ef.to_xy_system())
-    inputs = {
-        "input": _file_input(args.input),
-        "system": _file_input(args.system),
-    }
-    return inputs, {"factorization": factorization_to_json(fac), "r": fac.r}, 0
+    return {"factorization": factorization_to_json(fac), "r": fac.r}, 0
 
 
 def _cmd_cover(args):
-    s, inputs = _slack_input(args)
-    result = rectangle_cover_exact(s, limit=args.limit, cap=args.cap)
+    result = rectangle_cover_exact(_slack_input(args), limit=args.limit, cap=args.cap)
     out = {
         "status": result.status,
         "size": result.size,
         "explored": result.explored,
         "rectangles": [_rect_json(r) for r in result.rectangles],
     }
-    return inputs, out, 0 if result.status == "optimal" else 1
+    return out, 0 if result.status == "optimal" else 1
 
 
 def _cmd_sep(args):
@@ -244,13 +235,11 @@ def _cmd_sep(args):
         "inner_product": format_rational(inner),
         "slack_norm": format_rational(rat(slack_max_norm(args.n, args.t))),
     }
-    inputs = {"n": args.n, "t": args.t, "k": args.k}
-    return inputs, result, 0
+    return result, 0
 
 
 def _cmd_qsize(args):
-    size = q_class_size(args.n, args.t, args.ell)
-    return {"n": args.n, "t": args.t, "ell": args.ell}, {"size": size}, 0
+    return {"size": q_class_size(args.n, args.t, args.ell)}, 0
 
 
 def _cmd_wdot(args):
@@ -265,31 +254,27 @@ def _cmd_wdot(args):
         mat = ws_inner_product_materialized(ground, args.k)
         result["materialized"] = format_rational(mat)
         result["equal"] = mat == counting
-    inputs = {"n": args.n, "t": args.t, "k": args.k, "crosscheck": args.crosscheck}
-    return inputs, result, 1 if result["equal"] is False else 0
+    return result, 1 if result["equal"] is False else 0
 
 
-def _ground_rectangle(args, **param):
-    """The ground, the canonical rectangle of --e1/--e2, and the inputs
-    record, which also carries the verb's class parameter."""
+def _ground_rectangle(args):
+    """The ground and the canonical rectangle of --e1/--e2."""
     ground = CutMatchingGround.build(args.n, args.t)
-    rect = canonical_rectangle(ground, _parse_edge(args.e1), _parse_edge(args.e2))
-    inputs = {"n": args.n, "t": args.t, **param, "e1": args.e1, "e2": args.e2}
-    return ground, rect, inputs
+    return ground, canonical_rectangle(ground, _parse_edge(args.e1), _parse_edge(args.e2))
 
 
 def _cmd_mu(args):
-    ground, rect, inputs = _ground_rectangle(args, ell=args.ell)
+    ground, rect = _ground_rectangle(args)
     value = mu(ground, rect, args.ell)
     result = {
         "mu": format_rational(value),
         "rectangle": {"n_rows": len(rect.rows), "n_cols": len(rect.cols)},
     }
-    return inputs, result, 0
+    return result, 0
 
 
 def _cmd_rectvalue(args):
-    ground, rect, inputs = _ground_rectangle(args, k=args.k)
+    ground, rect = _ground_rectangle(args)
     report = rectangle_w_value(ground, rect, args.k)
     result = {
         "finite": report.finite,
@@ -298,7 +283,7 @@ def _cmd_rectvalue(args):
         "muk": None if report.muk is None else format_rational(report.muk),
         "q1_hits": report.q1_hits,
     }
-    return inputs, result, 0
+    return result, 0
 
 
 def _cmd_bias(args):
@@ -309,8 +294,7 @@ def _cmd_bias(args):
     except (KeyError, TypeError) as exc:
         raise InputError(f"bias input needs 'domains' and 'tuples': {exc}") from exc
     flagged = biased_indices(tuples, domains, args.eps)
-    inputs = {"input": _file_input(args.input), "eps": args.eps}
-    return inputs, {"biased": list(flagged), "n_tuples": len(tuples)}, 0
+    return {"biased": list(flagged), "n_tuples": len(tuples)}, 0
 
 
 def _cmd_ratio(args):
@@ -320,30 +304,24 @@ def _cmd_ratio(args):
     report = approximation_ratio(
         relaxation, poly, args.trials, args.seed, extra_objectives=extras
     )
-    inputs = {
-        "relaxation": _file_input(args.relaxation),
-        "polytope": _file_input(args.polytope),
-        "trials": args.trials,
-    }
     result = {
         "ratio": format_rational(report.ratio),
         "worst_objective": list(report.worst_objective),
         "trials": report.trials,
     }
-    return inputs, result, 0
+    return result, 0
 
 
 def _cmd_verify(args):
+    if args.factorization is None and args.rows != "all":
+        raise InputError("--rows applies only to a --factorization check")
     poly = read_polytope(args.input)
-    inputs = {"input": _file_input(args.input)}
     if args.factorization is not None:
         fac = factorization_from_json(load_payload(args.factorization, "factorization"))
-        inputs["factorization"] = _file_input(args.factorization)
         ok = verify_factorization(slack_matrix(poly, _row_filter(args.rows)), fac)
         result = {"check": "factorization", "ok": ok}
     elif args.system is not None:
         ef = formulation_from_json(load_payload(args.system, "formulation"))
-        inputs["system"] = _file_input(args.system)
         report = lp_equal_under_projection(
             poly, ef.to_xy_system(), args.trials, args.seed
         )
@@ -357,7 +335,7 @@ def _cmd_verify(args):
     else:
         ok, bad = verify_vertices(poly)
         result = {"check": "vertices", "ok": ok, "first_bad": bad}
-    return inputs, result, 0 if ok else 1
+    return result, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +436,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(envelope: dict) -> str:
+    """The envelope as JSON text.  An exact result can be an int over
+    CPython's int-to-str digit limit (|Q_ell| for large n), so the limit is
+    lifted for this write only; parsing input files keeps it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(envelope, indent=1) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -474,18 +464,18 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     try:
-        inputs, result, code = args.handler(args)
+        result, code = args.handler(args)
         if getattr(args, "format", "json") != "json":
             text = result["text"]
         else:
             envelope = {
                 "command": args.verb,
-                "inputs": inputs,
+                "inputs": _inputs(args),
                 "seed": args.seed,
                 "result": result,
                 "timing": {"seconds": round(time.monotonic() - start, 6)},
             }
-            text = json.dumps(envelope, indent=1) + "\n"
+            text = _dumps(envelope)
         _emit(args.output, text)
     except (XclabError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

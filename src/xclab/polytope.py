@@ -509,15 +509,16 @@ def write_polytope(path: str, poly: Polytope) -> None:
 
 
 def load_json(path: str):
-    """Parse a JSON file; malformed JSON or text that is not UTF-8 is an
-    InputError naming the path."""
+    """Parse a JSON file; malformed JSON, an integer over CPython's
+    int-to-str digit limit, or text that is not UTF-8 is an InputError
+    naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON ({exc})") from exc
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
+        except ValueError as exc:
+            raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def load_payload(path: str, key: str):

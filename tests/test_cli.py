@@ -1,23 +1,33 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
 import os
 import stat
+import sys
 from fractions import Fraction
 
 import pytest
 
 from xclab.bounds import (
+    COVER_CAP,
+    COVER_LIMIT,
+    NMF_RESTARTS,
+    BoundConfig,
     factorization_from_json,
     factorization_to_json,
     nonnegative_rank_bounds,
     rectangle_cover_exact,
     report_to_json,
 )
-from xclab.cli import main
+from xclab.cli import _build_parser, main
 from xclab.exactla import rat
-from xclab.matchgen import perfect_matching_polytope
+from xclab.matchgen import (
+    matching_polytope,
+    perfect_matching_polytope,
+    truncated_matching_relaxation,
+)
 from xclab.polytope import (
     SlackMatrix,
     hypercube_polytope,
@@ -26,7 +36,13 @@ from xclab.polytope import (
     slack_matrix,
     write_polytope,
 )
-from xclab.yannakakis import slack_variable_factorization, verify_factorization
+from xclab.sepmeasure import q_class_size
+from xclab.yannakakis import (
+    extension_from_factorization,
+    formulation_to_json,
+    slack_variable_factorization,
+    verify_factorization,
+)
 
 
 def run(args, out):
@@ -58,7 +74,7 @@ def test_gen_envelope_schema(tmp_path):
     assert rc == 0
     assert set(env) == {"command", "inputs", "seed", "result", "timing"}
     assert env["command"] == "gen"
-    assert env["inputs"] == {"family": "ppm", "n": 6}
+    assert env["inputs"] == {"family": "ppm", "n": 6, "s": None}
     assert env["seed"] == 0
     assert len(env["result"]["polytope"]["vertices"]) == 15
     assert env["timing"]["seconds"] >= 0
@@ -173,9 +189,18 @@ def test_bounds_and_cover_default_to_the_library_budgets(name, tmp_path):
     rc, env = run(["bounds", "--input", path], tmp_path / "b.json")
     assert rc == 0
     assert env["result"] == report_to_json(nonnegative_rank_bounds(s))
+    config = BoundConfig()
+    recorded = [env["inputs"][key] for key in
+                ("cover_limit", "cover_cap", "nmf_restarts", "nmf_cell_cap", "nmf_tries")]
+    assert recorded == [config.cover_limit, config.cover_cap, config.nmf_restarts,
+                        config.nmf_cell_cap, config.nmf_max_tries]
+    rc, env = run(["factorize", "--input", path, "--r", s.nrows], tmp_path / "f.json")
+    assert rc == 0
+    assert env["inputs"]["restarts"] == NMF_RESTARTS
     cover = rectangle_cover_exact(s)
     rc, env = run(["cover", "--input", path], tmp_path / "c.json")
     assert rc == (0 if cover.status == "optimal" else 1)
+    assert (env["inputs"]["limit"], env["inputs"]["cap"]) == (COVER_LIMIT, COVER_CAP)
     assert env["result"] == {
         "status": cover.status,
         "size": cover.size,
@@ -220,6 +245,22 @@ def test_factorization_not_found_is_input_error(tmp_path, capsys):
         assert main([str(a) for a in argv] + ["--output", str(out)]) == 2
         assert "the factorize run found no factorization" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("check", ["vertices", "projection"])
+def test_verify_rows_needs_a_factorization(check, square_file, tmp_path, capsys):
+    rc, _ = run(["extend", "--input", square_file], tmp_path / "ef.json")
+    assert rc == 0
+    argv = ["verify", "--input", square_file]
+    if check == "projection":
+        argv += ["--system", tmp_path / "ef.json"]
+    out = tmp_path / "v.json"
+    assert main([str(a) for a in argv + ["--rows", "lo", "--output", out]]) == 2
+    assert "--rows applies only to a --factorization check" in capsys.readouterr().err
+    assert not out.exists()
+    rc, env = run(argv + ["--rows", "all"], out)
+    assert rc == 0
+    assert env["result"]["check"] == check
 
 
 def test_verify_factorization_and_system_exclude_each_other(square_file, tmp_path, capsys):
@@ -391,6 +432,35 @@ def test_qsize(tmp_path):
     assert rc == 0
     assert env["result"]["size"] > 0
     assert main(["qsize", "--n", "16", "--t", "4", "--ell", "3"]) == 2
+
+
+def test_only_the_envelope_write_lifts_the_int_digit_limit(tmp_path):
+    # |Q_3| at n = 4000 has more than 4 300 digits, CPython's default limit
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "q.json"
+    assert main(["qsize", "--n", "4000", "--t", "3", "--ell", "3", "--output", str(out)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    text = out.read_text()
+    with pytest.raises(ValueError, match="integer string conversion"):
+        json.loads(text)
+    sys.set_int_max_str_digits(0)
+    try:
+        size = json.loads(text)["result"]["size"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert size == q_class_size(4000, 3, 3)
+
+
+@pytest.mark.parametrize("token", ['"1{}"', "1{}"], ids=["rational-string", "json-integer"])
+def test_oversized_number_in_an_input_file_is_input_error(token, tmp_path, capsys):
+    obj = polytope_to_json(hypercube_polytope(2))
+    obj["vertices"][0][0] = "BIG"
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(obj).replace('"BIG"', token.format("0" * 5000)))
+    out = tmp_path / "o.json"
+    assert main(["verify", "--input", str(bad), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
 
 
 def test_wdot_crosscheck_mismatch_exits_1(monkeypatch, tmp_path):
@@ -594,3 +664,107 @@ def test_missing_file_is_input_error(tmp_path):
     out = tmp_path / "o.json"
     assert main(["slack", "--input", "/nonexistent.json", "--output", str(out)]) == 2
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Regression net: every verb once on small inputs, pinning the exit code and
+# the sha256 of the canonical `result` JSON.  A refactor of the CLI must
+# leave every digest unchanged.
+
+@pytest.fixture(scope="module")
+def net_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("net")
+    ppm4 = perfect_matching_polytope(4)
+    polys = {
+        "ppm4": ppm4,
+        "cube3": hypercube_polytope(3),
+        "pm3": matching_polytope(3),
+        "pm3-s1": truncated_matching_relaxation(3, 1),
+    }
+    for name, poly in polys.items():
+        write_polytope(str(d / f"{name}.json"), poly)
+    fac = slack_variable_factorization(slack_matrix(ppm4))
+    (d / "fac4.json").write_text(json.dumps(factorization_to_json(fac)))
+    ef = extension_from_factorization(ppm4, fac)
+    (d / "ext4.json").write_text(json.dumps(formulation_to_json(ef)))
+    bias = {"domains": [[0, 1], [0, 1]], "tuples": [[0, 0], [0, 1], [1, 1]]}
+    (d / "bias.json").write_text(json.dumps(bias))
+    return d
+
+
+NET_CASES = {
+    "gen": (["gen", "pm-truncated", "--n", 4, "--s", 1], 0,
+            "67340c9e21c7891e7a30dad8c6cc53e5174ca1cc7a31d406a46523cd00c5c52c"),
+    "slack": (["slack", "--input", "{ppm4}", "--rows", "nonneg"], 0,
+              "5bbcbe719253923d0b4e677be4bf62f8ec3d276645636d2c60a3e83c9117e5b1"),
+    "bounds": (["bounds", "--input", "{cube3}", "--seed", 3], 0,
+               "85677c7c4f82e94688b1dc1f5d5ff76089da64269ccc673a05c40b6dc93fab7e"),
+    "factorize": (["factorize", "--input", "{ppm4}", "--r", 3, "--restarts", 2], 0,
+                  "0b3de16273952e233d5a73ba6e5b41fc91da9703a1a6773192b819d7325f40f7"),
+    "extend": (["extend", "--input", "{ppm4}"], 0,
+               "f0a964824e809afd502eca54ce3f40139ba74a5087edd9e11aed235c47b08725"),
+    "contract": (["contract", "--input", "{ppm4}", "--system", "{ext4}"], 0,
+                 "fba2d6a51bb2620c86fdf92b1b676db607d62975b192f36b86242ba780dceeb5"),
+    "cover": (["cover", "--input", "{cube3}", "--limit", 500], 1,
+              "9234d22a6c9e885f4f03fd2eb89b522cbf23a0757879ad0aee3f610fdd2b1ef4"),
+    "sep": (["sep", "--n", 10, "--t", 5, "--k", 5], 0,
+            "35ab20a3d908a5593f907176879a0ebfcf26425b784b39652bcf60a5c482686c"),
+    "qsize": (["qsize", "--n", 6, "--t", 3, "--ell", 3], 0,
+              "a701a5798c3385ca8d76d62ff930c6fd06a93da17dea9d5824345baf2d8d2e4f"),
+    "wdot": (["wdot", "--n", 10, "--t", 5, "--k", 5, "--crosscheck"], 0,
+             "556dbaabec635958dbc71c4d86edcc2438f134614205518683476b472d18d13f"),
+    "mu": (["mu", "--n", 6, "--t", 3, "--ell", 3, "--e1", "0-1", "--e2", "2-3"], 0,
+           "834e6b2813dd1f2f10de3cfcffcf92646b71374004609ad250770089b526e449"),
+    "rectvalue": (["rectvalue", "--n", 10, "--t", 5, "--k", 5, "--e1", "0-1", "--e2", "2-3"], 0,
+                  "4c1715123275bfb5acf349938b30464c6e6a337d3f67973a987f381d41ce9ed4"),
+    "bias": (["bias", "--input", "{bias}", "--eps", "1/2"], 0,
+             "e57059d7ac004336196de40e23733bb5eb584e3f668354c734a99b01842ad88f"),
+    "ratio": (["ratio", "--relaxation", "{pm3-s1}", "--polytope", "{pm3}", "--trials", 5,
+               "--objective", "1,1,1", "--seed", 2], 0,
+              "84b2ed85883e602586cef5c093523a24e3ec869508506f56465a3c8658573559"),
+    "verify": (["verify", "--input", "{ppm4}", "--system", "{ext4}", "--trials", 4,
+                "--seed", 5], 0,
+               "e397e6565ec85f407ffa7dd4a5ca5f205ee0cbc0ed0565e971ab6aa9f609823e"),
+}
+
+
+def _run_net_case(verb, net_files, tmp_path):
+    """Run the verb's net case; returns its argv and envelope."""
+    files = {p.stem: str(p) for p in net_files.iterdir()}
+    argv = [str(a).format(**files) for a in NET_CASES[verb][0]]
+    rc, env = run(argv, tmp_path / "o.json")
+    assert rc == NET_CASES[verb][1]
+    return argv, env
+
+
+@pytest.mark.parametrize("verb", sorted(NET_CASES))
+def test_every_verb_keeps_its_result(verb, net_files, ground_cache, tmp_path):
+    _, env = _run_net_case(verb, net_files, tmp_path)
+    text = json.dumps(env["result"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NET_CASES[verb][2]
+
+
+def _verb_parsers() -> dict:
+    (verbs,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return verbs.choices
+
+
+@pytest.mark.parametrize("verb", sorted(NET_CASES))
+def test_inputs_hold_every_parsed_argument(verb, net_files, ground_cache, tmp_path):
+    """inputs is the verb's parsed arguments minus --seed and --output, with
+    each file the run reads as {path, sha256}."""
+    parsers = _verb_parsers()
+    assert set(parsers) == set(NET_CASES)
+    parser = parsers[verb]
+    argv, env = _run_net_case(verb, net_files, tmp_path)
+    dests = {a.dest for a in parser._actions} - {"help", "seed", "output"}
+    assert set(env["inputs"]) == dests
+    parsed = vars(parser.parse_args(argv[1:]))
+    reads = {"input", "factorization", "system", "relaxation", "polytope"}
+    for key, value in env["inputs"].items():
+        if key in reads and parsed[key] is not None:
+            with open(parsed[key], "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            assert value == {"path": parsed[key], "sha256": digest}, key
+        else:
+            assert value == parsed[key], key
