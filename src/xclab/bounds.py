@@ -246,25 +246,22 @@ def _max_rectangle_heuristic(w: WeightMatrix, restarts: int, seed: int) -> Recta
 
 
 def hyperplane_bound(
-    w: WeightMatrix, s: SlackMatrix | ExactMatrix, alpha: Fraction
-) -> Fraction:
-    """<W,S> / (max|S| * alpha), a lower bound on the nonnegative rank when
-    alpha comes from exact max_rectangle_value.  Requires FORBIDDEN cells of
-    W to sit on zero slack."""
+    w: WeightMatrix, s: SlackMatrix | ExactMatrix
+) -> tuple[Fraction, RectangleValue]:
+    """<W,S> / (max|S| * alpha), a lower bound on the nonnegative rank of the
+    nonnegative S, with alpha from exact max_rectangle_value(w).  Returns the
+    bound and alpha, whose rectangle is the witness.  Requires FORBIDDEN
+    cells of W to sit on zero slack."""
     m = as_matrix(s)
+    if not m.is_nonnegative():
+        raise InputError("the hyperplane bound needs a nonnegative slack matrix")
     inner = w.frobenius_with(m)
-    alpha = rat(alpha)
-    if alpha < 0:
-        raise InputError("alpha cannot be negative: the empty rectangle has value 0")
+    alpha = max_rectangle_value(w)
     norm = m.max_norm()
-    if alpha == 0 or norm == 0:
-        if inner > 0:
-            raise InputError(
-                "positive inner product with zero alpha or zero slack: "
-                "the bound is unbounded; inputs are inconsistent"
-            )
-        return Fraction(0)
-    return inner / (norm * alpha)
+    # Every single cell is a rectangle, so alpha = 0 leaves <W,S> <= 0.
+    if alpha.value == 0 or norm == 0:
+        return Fraction(0), alpha
+    return inner / (norm * alpha.value), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +474,18 @@ def _check_cover(supports: list[int], rectangles: Sequence[Rectangle]) -> bool:
 # Heuristic nonnegative factorization
 
 def _padded_trivial(m: ExactMatrix, r: int) -> Factorization | None:
+    """I * S or S * I padded with zeros to inner dimension r; None if r < both sides."""
     if r >= m.nrows:
-        left = ExactMatrix.identity(m.nrows)
-        right = m
-        if r > m.nrows:
-            left = left.hstack(ExactMatrix.zeros(m.nrows, r - m.nrows))
-            right = right.vstack(ExactMatrix.zeros(r - m.nrows, m.ncols))
-        return Factorization(left, right)
-    if r >= m.ncols:
-        left = m
-        right = ExactMatrix.identity(m.ncols)
-        if r > m.ncols:
-            left = left.hstack(ExactMatrix.zeros(m.nrows, r - m.ncols))
-            right = right.vstack(ExactMatrix.zeros(r - m.ncols, m.ncols))
-        return Factorization(left, right)
-    return None
+        left, right = ExactMatrix.identity(m.nrows), m
+    elif r >= m.ncols:
+        left, right = m, ExactMatrix.identity(m.ncols)
+    else:
+        return None
+    pad = r - left.ncols
+    if pad:
+        left = left.hstack(ExactMatrix.zeros(m.nrows, pad))
+        right = right.vstack(ExactMatrix.zeros(pad, m.ncols))
+    return Factorization(left, right)
 
 
 def _extreme_row_indices(m: ExactMatrix) -> list[int]:
@@ -721,8 +715,7 @@ def nonnegative_rank_bounds(
             certs.append(Certificate("cover", cover.size, cover.rectangles))
 
     for w in config.hyperplane:
-        alpha = max_rectangle_value(w)
-        value = hyperplane_bound(w, m, alpha.value)
+        value, alpha = hyperplane_bound(w, m)
         certs.append(Certificate("hyperplane", max(0, math.ceil(value)), (w, alpha)))
 
     lower = max(c.value for c in certs)

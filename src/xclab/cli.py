@@ -4,11 +4,13 @@ One binary with subcommands, one result envelope.  Every run emits JSON of
 the shape {command, inputs, seed, result, timing}; file inputs are recorded
 with their sha256 so pipelines can be chained and audited.  `inputs` holds
 every parsed argument of the verb except --seed and --output, so results are
-deterministic given the recorded inputs and seed.  Envelopes chain directly:
-`gen` output is accepted wherever a polytope file is expected, `extend`
-output wherever `--system` wants a formulation, and `contract`/`factorize`
-output wherever `--factorization` wants a factorization.  Bare payload files
-work in all three places too.
+deterministic given the recorded inputs and seed.  Only the four verbs that
+draw at random (bounds, factorize, ratio, verify) take --seed; every other
+verb records seed null.  Envelopes chain directly: `gen` output is accepted
+wherever a polytope file is expected, `extend` output wherever `--system`
+wants a formulation, and `contract`/`factorize` output wherever
+`--factorization` wants a factorization.  Bare payload files work in all
+three places too.
 
 Exit codes: 0 success, 1 computational failure (budget exceeded, failed
 verification), 2 input error or bad usage.
@@ -312,9 +314,15 @@ def _cmd_ratio(args):
     return result, 0
 
 
+# Projection trials of verify --system.
+VERIFY_TRIALS = 20
+
+
 def _cmd_verify(args):
     if args.factorization is None and args.rows != "all":
         raise InputError("--rows applies only to a --factorization check")
+    if args.system is None and (args.trials != VERIFY_TRIALS or args.seed != 0):
+        raise InputError("--trials and --seed apply only to a --system check")
     poly = read_polytope(args.input)
     if args.factorization is not None:
         fac = factorization_from_json(load_payload(args.factorization, "factorization"))
@@ -346,8 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # and --k are groups of their own so that mu and rectvalue keep their
     # flag order, which usage lines and missing-argument errors show.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in the envelope")
     common.add_argument("--output", default=None, help="write the envelope here instead of stdout")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in the envelope")
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--input", required=True)
     source.add_argument("--rows", default="all", help="'all', 'oddset', or a label prefix")
@@ -381,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = verb("slack", _cmd_slack, [source], "slack matrix of a polytope")
     p.add_argument("--format", choices=["json", "csv", "matrix-text"], default="json")
 
-    p = verb("bounds", _cmd_bounds, [source], "certified nonnegative-rank interval")
+    p = verb("bounds", _cmd_bounds, [seeded, source], "certified nonnegative-rank interval")
     p.add_argument("--cover-limit", type=int, default=BoundConfig.cover_limit)
     p.add_argument("--cover-cap", type=int, default=BoundConfig.cover_cap)
     p.add_argument("--nmf-restarts", type=int, default=BoundConfig.nmf_restarts)
@@ -389,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmf-tries", type=int, default=BoundConfig.nmf_max_tries)
     p.add_argument("--witness-out", default=None, help="write the upper witness factorization here")
 
-    p = verb("factorize", _cmd_factorize, [source], "heuristic nonnegative factorization")
+    p = verb("factorize", _cmd_factorize, [seeded, source], "heuristic nonnegative factorization")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--restarts", type=int, default=NMF_RESTARTS)
 
@@ -416,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="JSON with 'domains' and 'tuples'")
     p.add_argument("--eps", required=True, help="two-sided slack factor, rational")
 
-    p = verb("ratio", _cmd_ratio, [], "relaxation-vs-polytope objective ratio")
+    p = verb("ratio", _cmd_ratio, [seeded], "relaxation-vs-polytope objective ratio")
     p.add_argument("--relaxation", required=True)
     p.add_argument("--polytope", required=True)
     p.add_argument("--trials", type=int, default=50)
@@ -427,11 +436,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="extra objective 'c1,c2,...', repeatable",
     )
 
-    p = verb("verify", _cmd_verify, [source], "check vertices, a factorization, or a formulation")
+    p = verb(
+        "verify", _cmd_verify, [seeded, source], "check vertices, a factorization, or a formulation"
+    )
     check = p.add_mutually_exclusive_group()
     check.add_argument("--factorization", default=None)
     check.add_argument("--system", default=None)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=int, default=VERIFY_TRIALS)
 
     return parser
 
@@ -471,7 +482,7 @@ def main(argv=None) -> int:
             envelope = {
                 "command": args.verb,
                 "inputs": _inputs(args),
-                "seed": args.seed,
+                "seed": vars(args).get("seed"),
                 "result": result,
                 "timing": {"seconds": round(time.monotonic() - start, 6)},
             }

@@ -93,30 +93,20 @@ class MatchingCutInstance:
 
     m: int
     k: int
-    n: int
-    t: int
 
     def __post_init__(self):
         if self.k < 5 or self.k % 2 == 0:
             raise InputError(f"k must be odd and >= 5, got {self.k}")
         if self.m < 1 or self.m % 2 == 0:
             raise InputError(f"m must be odd and >= 1, got {self.m}")
-        if self.n != 3 * self.m * (self.k - 3) + 2 * self.k:
-            raise InputError(
-                f"n = {self.n} does not match 3m(k-3) + 2k = "
-                f"{3 * self.m * (self.k - 3) + 2 * self.k}"
-            )
-        if self.t != (self.m + 1) // 2 * (self.k - 3) + 3:
-            raise InputError(
-                f"t = {self.t} does not match (m+1)/2 (k-3) + 3 = "
-                f"{(self.m + 1) // 2 * (self.k - 3) + 3}"
-            )
 
-    @classmethod
-    def from_mk(cls, m: int, k: int) -> "MatchingCutInstance":
-        n = 3 * m * (k - 3) + 2 * k
-        t = (m + 1) // 2 * (k - 3) + 3
-        return cls(m, k, n, t)
+    @property
+    def n(self) -> int:
+        return 3 * self.m * (self.k - 3) + 2 * self.k
+
+    @property
+    def t(self) -> int:
+        return (self.m + 1) // 2 * (self.k - 3) + 3
 
 
 class CutMatchingGround:
@@ -127,8 +117,7 @@ class CutMatchingGround:
     EdgeIndexing(n), so a crossing count is one popcount of their AND."""
 
     __slots__ = (
-        "n", "t", "cuts", "matchings", "edges", "cut_masks", "matching_masks",
-        "_table", "_class_counts",
+        "n", "t", "cuts", "matchings", "edges", "cut_masks", "matching_masks", "_table",
     )
 
     def __init__(self, n, t, cuts, matchings, table):
@@ -147,7 +136,6 @@ class CutMatchingGround:
                 for c in self.cut_masks
             )
         self._table = table
-        self._class_counts = None
 
     @classmethod
     def build(cls, n: int, t: int) -> "CutMatchingGround":
@@ -179,13 +167,10 @@ class CutMatchingGround:
 
     def class_counts(self) -> dict[int, int]:
         """Pair count per crossing number, tallied from the table."""
-        if self._class_counts is None:
-            counts: dict[int, int] = {}
-            for row in self._table:
-                for ell in row:
-                    counts[ell] = counts.get(ell, 0) + 1
-            self._class_counts = counts
-        return dict(self._class_counts)
+        counts = Counter()
+        for row in self._table:
+            counts.update(row)
+        return dict(counts)
 
     def slack_grid(self) -> ExactMatrix:
         """Slack of each pair: crossing count minus one."""

@@ -82,7 +82,7 @@ def test_ac01_inner_product_both_paths():
         assert materialized == 1
         assert counting == materialized
 
-        inst = MatchingCutInstance.from_mk(1, 5)
+        inst = MatchingCutInstance(1, 5)
         assert (inst.n, inst.t) == (16, 5)
         assert ws_inner_product(inst.n, inst.t, inst.k) == 1
 
@@ -192,9 +192,8 @@ def test_ac05_separation_bound_soundness():
             w = WeightMatrix.from_rows(
                 [[rng.choice(pool) for _ in range(v)] for _ in range(f)]
             )
-            alpha = max_rectangle_value(w)
+            bound, alpha = hyperplane_bound(w, s)
             assert alpha.certified
-            bound = hyperplane_bound(w, s, alpha.value)
             assert bound <= fac.r
             if f <= 4 and v <= 4:
                 assert alpha.value == naive_alpha(w)

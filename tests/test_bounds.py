@@ -201,24 +201,31 @@ def test_hyperplane_bound_identity():
     w2 = WeightMatrix.from_rows(
         [[1 if i == j else -1 for j in range(3)] for i in range(3)]
     )
-    alpha2 = max_rectangle_value(w2).value
-    assert alpha2 == 1
-    assert hyperplane_bound(w2, eye, alpha2) == 3
+    bound, alpha2 = hyperplane_bound(w2, eye)
+    assert alpha2.value == 1
+    assert bound == 3
 
 
 def test_hyperplane_bound_edge_cases():
     eye = ExactMatrix.identity(2)
     zero_w = WeightMatrix.from_rows([[0, 0], [0, 0]])
-    assert hyperplane_bound(zero_w, eye, Fraction(1)) == 0
-    assert hyperplane_bound(zero_w, eye, Fraction(0)) == 0
-    pos_w = WeightMatrix.from_rows([[1, 0], [0, 1]])
-    with pytest.raises(InputError, match="zero alpha|unbounded"):
-        hyperplane_bound(pos_w, eye, Fraction(0))
-    with pytest.raises(InputError, match="negative"):
-        hyperplane_bound(pos_w, eye, Fraction(-1))
+    assert hyperplane_bound(zero_w, eye)[0] == 0
     forb_w = WeightMatrix.from_rows([[FORBIDDEN, 0], [0, 0]])
     with pytest.raises(InputError, match="FORBIDDEN"):
-        hyperplane_bound(forb_w, eye, Fraction(1))
+        hyperplane_bound(forb_w, eye)
+
+
+def test_hyperplane_bound_derives_alpha_and_refuses_negative_slack():
+    """alpha is max_rectangle_value(w), never a caller's number: W = I
+    against S = I gives alpha = 2 and the bound 2 / (1 * 2) = 1."""
+    eye = ExactMatrix.identity(2)
+    w = WeightMatrix.from_rows([[1, 0], [0, 1]])
+    bound, alpha = hyperplane_bound(w, eye)
+    assert (bound, alpha) == (1, max_rectangle_value(w))
+    assert alpha.value == 2 and alpha.certified
+    negative = ExactMatrix([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]])
+    with pytest.raises(InputError, match="nonnegative slack"):
+        hyperplane_bound(w, negative)
 
 
 def test_fooling_set_identity_and_ones():

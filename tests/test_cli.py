@@ -30,6 +30,7 @@ from xclab.matchgen import (
 )
 from xclab.polytope import (
     SlackMatrix,
+    face,
     hypercube_polytope,
     polytope_to_json,
     simplex_polytope,
@@ -75,7 +76,7 @@ def test_gen_envelope_schema(tmp_path):
     assert set(env) == {"command", "inputs", "seed", "result", "timing"}
     assert env["command"] == "gen"
     assert env["inputs"] == {"family": "ppm", "n": 6, "s": None}
-    assert env["seed"] == 0
+    assert env["seed"] is None
     assert len(env["result"]["polytope"]["vertices"]) == 15
     assert env["timing"]["seconds"] >= 0
 
@@ -768,3 +769,104 @@ def test_inputs_hold_every_parsed_argument(verb, net_files, ground_cache, tmp_pa
             assert value == {"path": parsed[key], "sha256": digest}, key
         else:
             assert value == parsed[key], key
+
+
+# ---------------------------------------------------------------------------
+# Seeds: only the verbs that draw at random take --seed.
+
+SEEDED_VERBS = {"bounds", "factorize", "ratio", "verify"}
+
+
+@pytest.mark.parametrize("verb", sorted(NET_CASES))
+def test_seed_only_on_seeded_verbs(verb, net_files, ground_cache, tmp_path, capsys):
+    """A seeded verb records its seed; every other verb records seed null
+    and refuses --seed as bad usage."""
+    argv, env = _run_net_case(verb, net_files, tmp_path)
+    if verb in SEEDED_VERBS:
+        assert env["seed"] == (int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0)
+        return
+    assert env["seed"] is None
+    out = tmp_path / "seeded.json"
+    assert main(argv + ["--seed", "1", "--output", str(out)]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--trials", 5], ["--seed", 3]], ids=["trials", "seed"])
+@pytest.mark.parametrize("check", ["vertices", "factorization"])
+def test_verify_trials_and_seed_need_a_system(check, extra, net_files, tmp_path, capsys):
+    """--trials and --seed change only the --system check, so the other
+    checks refuse them; the verify net case runs --system with both."""
+    argv = ["verify", "--input", net_files / "ppm4.json"]
+    if check == "factorization":
+        argv += ["--factorization", net_files / "fac4.json"]
+    out = tmp_path / "v.json"
+    assert main([str(a) for a in argv + extra + ["--output", out]]) == 2
+    assert "--trials and --seed apply only to a --system check" in capsys.readouterr().err
+    assert not out.exists()
+    rc, env = run(argv, out)
+    assert rc == 0
+    assert env["result"]["check"] == check
+
+
+# ---------------------------------------------------------------------------
+# Input errors on paths the other tests do not reach.
+
+@pytest.fixture(scope="module")
+def error_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("errors")
+    square = polytope_to_json(hypercube_polytope(2))
+    docs = {
+        "square": square,
+        "segment": polytope_to_json(face(hypercube_polytope(2), [2])),
+        "header": {**square, "ineqs": {"file": "header.txt"}},
+        "no-rhs": {**square, "ineqs": {"rows": square["ineqs"]["rows"]}},
+        "vertex-dict": {**square, "vertices": {"rows": square["vertices"]}},
+        "pm3": polytope_to_json(matching_polytope(3)),
+        "pm3-s1": polytope_to_json(truncated_matching_relaxation(3, 1)),
+    }
+    for name, doc in docs.items():
+        (d / f"{name}.json").write_text(json.dumps(doc))
+    (d / "header.txt").write_text("2 x\n1 0\n0 1\n")
+    return {name: str(d / f"{name}.json") for name in docs}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mu", "--n", 6, "--t", 3, "--ell", 3, "--e1", "0-1-2", "--e2", "2-3"],
+         "edge must look like 'a-b', got '0-1-2'"),
+        (["mu", "--n", 6, "--t", 3, "--ell", 3, "--e1", "a-b", "--e2", "2-3"],
+         "edge must be two integers, got 'a-b'"),
+        (["ratio", "--relaxation", "{pm3-s1}", "--polytope", "{pm3}", "--objective", "1,x,1"],
+         "objective must be comma-separated integers, got '1,x,1'"),
+        (["slack", "--input", "{header}"], "bad matrix header '2 x'"),
+        (["slack", "--input", "{no-rhs}"], "ineqs: need 'rows'+'rhs' or 'file'"),
+        (["slack", "--input", "{vertex-dict}"],
+         "vertices: need inline rows or a 'file' reference"),
+        (["ratio", "--relaxation", "{square}", "--polytope", "{segment}",
+          "--objective", "0,1", "--trials", 0],
+         "polytope optimum is 0 but relaxation reaches 1"),
+    ],
+    ids=["edge-three-parts", "edge-not-integers", "objective-not-integers",
+         "matrix-file-header", "ineqs-without-rhs", "vertices-dict-without-file",
+         "zero-polytope-optimum"],
+)
+def test_input_errors_exit_2(argv, message, error_files, ground_cache, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    argv = [str(a).format(**error_files) for a in argv] + ["--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+    assert not out.exists()
+
+
+def test_ratio_of_the_zero_objective_is_one(error_files, tmp_path):
+    """Both optima are 0, so the objective is skipped and the ratio stays 1."""
+    rc, env = run(
+        ["ratio", "--relaxation", error_files["pm3-s1"], "--polytope", error_files["pm3"],
+         "--objective", "0,0,0", "--trials", 0],
+        tmp_path / "r.json",
+    )
+    assert rc == 0
+    assert env["result"] == {"ratio": "1", "worst_objective": [0, 0, 0], "trials": 1}

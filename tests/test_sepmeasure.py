@@ -115,26 +115,22 @@ def test_frozen_sizes_10_5():
 # Parameter scheme
 
 def test_instance_from_mk():
-    inst = MatchingCutInstance.from_mk(1, 5)
+    inst = MatchingCutInstance(1, 5)
     assert (inst.n, inst.t) == (16, 5)
-    inst = MatchingCutInstance.from_mk(3, 5)
+    inst = MatchingCutInstance(3, 5)
     assert (inst.n, inst.t) == (28, 7)
-    inst = MatchingCutInstance.from_mk(1, 7)
+    inst = MatchingCutInstance(1, 7)
     assert (inst.n, inst.t) == (26, 7)
     assert inst.t % 2 == 1
 
 
 def test_instance_validation():
     with pytest.raises(InputError):
-        MatchingCutInstance.from_mk(2, 5)
+        MatchingCutInstance(2, 5)
     with pytest.raises(InputError):
-        MatchingCutInstance.from_mk(1, 4)
+        MatchingCutInstance(1, 4)
     with pytest.raises(InputError):
-        MatchingCutInstance.from_mk(1, 3)
-    with pytest.raises(InputError):
-        MatchingCutInstance(1, 5, 16, 7)
-    with pytest.raises(InputError):
-        MatchingCutInstance(1, 5, 18, 5)
+        MatchingCutInstance(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +275,7 @@ def test_weight_values_validation():
 def test_ws_inner_product_counting():
     assert ws_inner_product(10, 5, 5) == 1
     assert ws_inner_product(16, 5, 5) == 1
-    inst = MatchingCutInstance.from_mk(3, 5)
+    inst = MatchingCutInstance(3, 5)
     assert ws_inner_product(inst.n, inst.t, inst.k) == 1
 
 

@@ -1,9 +1,13 @@
 """Rules that hold for the package source as a whole."""
 
+import argparse
 import ast
+import dataclasses
 import pathlib
 
 import xclab
+from xclab.bounds import BoundConfig
+from xclab.cli import _build_parser
 
 
 def test_no_assert_statements_in_package():
@@ -32,3 +36,48 @@ def test_no_imports_inside_functions_in_package():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 )
     assert not sites, "imports inside functions: " + ", ".join(sorted(sites))
+
+
+def _settable_values() -> list[str]:
+    """Every value a user can set: each verb's option flags, each defaulted
+    parameter of a public function or method (cli.main's argv aside), each
+    BoundConfig field and each environment variable the package reads."""
+    (verbs,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    out = [
+        f"{verb} {action.option_strings[-1]}"
+        for verb, parser in verbs.choices.items()
+        for action in parser._actions
+        if action.option_strings and action.dest != "help"
+    ]
+    out += [f"BoundConfig.{field.name}" for field in dataclasses.fields(BoundConfig)]
+    root = pathlib.Path(xclab.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [("", node) for node in tree.body]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                defs += [(f"{cls.name}.", node) for node in cls.body]
+        for prefix, fn in defs:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            names = [a.arg for a in args[len(args) - len(fn.args.defaults):]]
+            names += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+            out += [f"{path.stem}.{prefix}{fn.name}({name})" for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "os.environ.get", "os.getenv"
+            ):
+                out.append(f"${node.args[0].value}")
+            elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "os.environ":
+                out.append(f"${ast.literal_eval(node.slice)}")
+    out.remove("cli.main(argv)")
+    return out
+
+
+def test_settable_value_count():
+    """A new flag, defaulted parameter, config field or environment variable
+    changes this count; a change that adds one updates the pin and says why."""
+    values = _settable_values()
+    assert len(values) == len(set(values))
+    assert len(values) == 104, "\n".join(values)
