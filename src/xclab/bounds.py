@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -32,6 +31,7 @@ from .exactla import (
     rat,
 )
 from .polytope import Rectangle, SlackMatrix, as_matrix
+from .record import record
 from .yannakakis import Factorization, verify_factorization
 
 
@@ -53,7 +53,7 @@ def _require_nonnegative(**budgets: int) -> None:
             raise InputError(f"{name} must be nonnegative, got {value}")
 
 
-@dataclass(frozen=True)
+@record
 class WeightMatrix:
     """W held as integers over one positive denominator: cell (i, j) is
     grid[i][j] / scale, and None in the grid marks FORBIDDEN."""
@@ -125,7 +125,7 @@ class WeightMatrix:
 # ---------------------------------------------------------------------------
 # Maximum rectangle value (the alpha of the separation bound)
 
-@dataclass(frozen=True)
+@record
 class RectangleValue:
     value: Fraction
     rectangle: Rectangle
@@ -315,7 +315,7 @@ def _check_fooling(supports: list[int], cells: Sequence[tuple[int, int]]) -> boo
 # ---------------------------------------------------------------------------
 # Exact rectangle covering of the support
 
-@dataclass(frozen=True)
+@record
 class CoverResult:
     status: str  # "optimal" or "exceeded"
     size: int | None
@@ -651,14 +651,14 @@ def nmf_heuristic(
 # ---------------------------------------------------------------------------
 # Combined report
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     method: str
     value: int
     witness: object = None
 
 
-@dataclass(frozen=True)
+@record
 class BoundConfig:
     """Search budgets, the seed, and the weight matrices whose hyperplane
     bounds to add; each alpha comes from exact max_rectangle_value."""
@@ -676,7 +676,7 @@ class BoundConfig:
         _require_nonnegative(**{name: getattr(self, name) for name in budgets})
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     lower: int
     upper: int

@@ -349,6 +349,17 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 # Parser assembly and the envelope writer.
 
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser.  It refuses an argument the verb does not take itself,
+    so the error shows the verb's usage, not the top-level usage of every verb."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # Argument groups that several verbs share, as parent parsers.  --ell
     # and --k are groups of their own so that mu and rectvalue keep their
@@ -375,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="xclab",
         description="Exact-arithmetic toolkit for polytopes, slack matrices, and extension bounds.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
 
     def verb(name, handler, parents, summary):
         p = sub.add_parser(name, parents=[common, *parents], help=summary)

@@ -41,18 +41,18 @@ All decisions compare integers, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import InputError
+from ..record import record
 from .matrix import ExactMatrix, common_denominator, rat
 
 _DEGENERATE_SWITCH = 8
 _PIVOT_CAP = 500_000
 
 
-@dataclass(frozen=True)
+@record
 class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None

@@ -21,7 +21,6 @@ from those masks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -31,6 +30,7 @@ from .errors import InputError
 # perfbench's span table wraps `xclab.matchgen.lp_solve`.
 from .exactla import ExactMatrix, lp_solve, lp_solve_all, rat  # noqa: F401
 from .polytope import Polytope, Rectangle, SlackMatrix, face, slack_matrix
+from .record import record
 
 
 class EdgeIndexing:
@@ -287,7 +287,7 @@ def two_edge_rectangle(
     )
 
 
-@dataclass(frozen=True)
+@record
 class MatchingCover:
     """One rectangle per unordered pair of disjoint edges: rows are the
     proper odd cuts crossed by both edges, columns the perfect matchings
@@ -322,7 +322,7 @@ def canonical_matching_cover(n: int) -> MatchingCover:
     return MatchingCover(n, slack, tuple(rectangles), tuple(pairs))
 
 
-@dataclass(frozen=True)
+@record
 class FaceEmbedding:
     """The matching polytope of K_n realized on a face of the perfect
     matching polytope of K_{2n}.
@@ -375,7 +375,7 @@ def embed_matchings_as_face(n: int) -> FaceEmbedding:
     return FaceEmbedding(n, host, sub, tuple(forbidden), completions)
 
 
-@dataclass(frozen=True)
+@record
 class RatioReport:
     ratio: Fraction
     worst_objective: tuple[int, ...]

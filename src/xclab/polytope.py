@@ -15,7 +15,6 @@ import os
 import random
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -32,9 +31,10 @@ from .exactla import (
     read_matrix,
     solve_unique,
 )
+from .record import factory, record
 
 
-@dataclass(frozen=True)
+@record
 class Polytope:
     ineq_coefs: ExactMatrix
     ineq_rhs: tuple[Fraction, ...]
@@ -140,7 +140,7 @@ class Polytope:
         return self.first_violation([p]) is None
 
 
-@dataclass(frozen=True)
+@record
 class SlackMatrix:
     matrix: ExactMatrix
     row_labels: tuple[str, ...]
@@ -180,7 +180,7 @@ def as_matrix(s: SlackMatrix | ExactMatrix) -> ExactMatrix:
     return s.matrix if isinstance(s, SlackMatrix) else s
 
 
-@dataclass(frozen=True)
+@record
 class Rectangle:
     """An index rectangle: a set of rows times a set of columns."""
 
@@ -305,7 +305,7 @@ def face(poly: Polytope, tight_rows: Sequence[int]) -> Polytope:
     )
 
 
-@dataclass(frozen=True)
+@record
 class XYSystem:
     """Constraint system over the joint variables (x, y), x columns first:
     `ineqs` holds the rows of B x + C y <= d and `eqs` the equalities, each
@@ -351,11 +351,11 @@ def unique_lift(ineqs: tuple | None, eqs: tuple | None) -> tuple[Fraction, ...] 
     return point
 
 
-@dataclass(frozen=True)
+@record
 class ProjectionReport:
     passed: bool
     reason: str | None = None
-    detail: dict = field(default_factory=dict)
+    detail: dict = factory(dict)
 
 
 def lp_equal_under_projection(

@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -35,6 +34,7 @@ from .matchgen import (
     two_edge_rectangle,
 )
 from .polytope import Rectangle, write_atomic
+from .record import record
 
 MATERIALIZE_CAP = 1_000_000
 
@@ -44,6 +44,13 @@ def perfect_matching_count(n: int) -> int:
     if n < 0 or n % 2:
         return 0
     return double_factorial(n - 1)
+
+
+def _decimal_digits(x: int) -> int:
+    """The number of decimal digits of x >= 1, found without str(x), which
+    CPython refuses by default above 4 300 digits."""
+    d = int(math.log10(x)) + 1
+    return d - (10 ** (d - 1) > x) + (10**d <= x)
 
 
 def _validate_ground_params(n: int, t: int) -> None:
@@ -86,7 +93,7 @@ def slack_max_norm(n: int, t: int) -> int:
     return min(t, n - t) - 1
 
 
-@dataclass(frozen=True)
+@record
 class MatchingCutInstance:
     """Parameter scheme tying the block count m and odd parameter k to the
     node count n = 3m(k-3) + 2k and cut size t = (m+1)/2 (k-3) + 3."""
@@ -143,8 +150,8 @@ class CutMatchingGround:
         size = q_class_total(n, t)
         if size > MATERIALIZE_CAP:
             raise InputError(
-                f"ground has {size} pairs, over the materialization cap {MATERIALIZE_CAP}; "
-                "use the counting-mode operations"
+                f"ground's pair count has {_decimal_digits(size)} digits, over the "
+                f"materialization cap {MATERIALIZE_CAP}; use the counting-mode operations"
             )
         cuts = tuple(combinations(range(n), t))
         matchings = enumerate_perfect_matchings(n)
@@ -322,7 +329,7 @@ def canonical_rectangle(ground: CutMatchingGround, e1, e2) -> Rectangle:
     return two_edge_rectangle(ground.cut_masks, ground.matching_masks, k1, k2)
 
 
-@dataclass(frozen=True)
+@record
 class RectangleWReport:
     """Outcome of <W, R> for a ground rectangle: finite value
     mu_3 - mu_k / (k-1), or a FORBIDDEN violation when the rectangle

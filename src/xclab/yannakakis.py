@@ -11,7 +11,6 @@ left one, and the product reproduces S exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotAnExtensionError, NotDerivableError
@@ -31,9 +30,10 @@ from .polytope import (
     system_to_json,
     unique_lift,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     """S = left @ right with both factors entrywise nonnegative."""
 
@@ -77,7 +77,7 @@ def slack_variable_factorization(s: SlackMatrix | ExactMatrix) -> Factorization:
     return Factorization(ExactMatrix.identity(m.nrows), m)
 
 
-@dataclass(frozen=True)
+@record
 class ExtendedFormulation:
     """Q = {(x, y) : eq_rows (x, y) = eq_rhs, y >= 0}, x columns first.
 

@@ -452,6 +452,25 @@ def test_only_the_envelope_write_lifts_the_int_digit_limit(tmp_path):
     assert size == q_class_size(4000, 3, 3)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mu", "--n", 3000, "--t", 5, "--ell", 3, "--e1", "0-1", "--e2", "2-3"],
+        ["wdot", "--n", 3000, "--t", 5, "--k", 5, "--crosscheck"],
+    ],
+    ids=["mu", "wdot"],
+)
+def test_ground_over_the_cap_is_input_error_at_any_size(argv, tmp_path, capsys):
+    # the pair count of (3000, 5) has more than 4 300 digits, CPython's
+    # default int-to-str limit, so the refusal gives its digit count
+    out = tmp_path / "o.json"
+    assert main([str(a) for a in argv] + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "pair count has 4580 digits, over the materialization cap 1000000" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("token", ['"1{}"', "1{}"], ids=["rational-string", "json-integer"])
 def test_oversized_number_in_an_input_file_is_input_error(token, tmp_path, capsys):
     obj = polytope_to_json(hypercube_polytope(2))
@@ -789,6 +808,18 @@ def test_seed_only_on_seeded_verbs(verb, net_files, ground_cache, tmp_path, caps
     out = tmp_path / "seeded.json"
     assert main(argv + ["--seed", "1", "--output", str(out)]) == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["gen", "rectvalue"])
+def test_unrecognized_argument_shows_the_verbs_usage(verb, net_files, tmp_path, capsys):
+    """A flag the verb does not take is refused in the verb's own usage."""
+    argv = [str(a) for a in NET_CASES[verb][0]]
+    out = tmp_path / "o.json"
+    assert main(argv + ["--seed", "1", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: xclab {verb} [-h]")
+    assert f"xclab {verb}: error: unrecognized arguments: --seed 1" in err
     assert not out.exists()
 
 

@@ -154,7 +154,9 @@ def test_ground_parity(ground63, ground105):
 
 def test_ground_cap():
     assert q_class_total(12, 5) == 8_232_840
-    with pytest.raises(InputError, match="8232840 pairs, over the materialization cap"):
+    with pytest.raises(
+        InputError, match="pair count has 7 digits, over the materialization cap 1000000"
+    ):
         CutMatchingGround.build(12, 5)
 
 

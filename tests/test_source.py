@@ -2,8 +2,10 @@
 
 import argparse
 import ast
-import dataclasses
+import os
 import pathlib
+import subprocess
+import sys
 
 import xclab
 from xclab.bounds import BoundConfig
@@ -38,6 +40,18 @@ def test_no_imports_inside_functions_in_package():
     assert not sites, "imports inside functions: " + ", ".join(sorted(sites))
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Records come from xclab.record, so a process that imports xclab pays
+    for neither `dataclasses` nor the `inspect` it pulls in."""
+    src = str(pathlib.Path(xclab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, xclab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
+
+
 def _settable_values() -> list[str]:
     """Every value a user can set: each verb's option flags, each defaulted
     parameter of a public function or method (cli.main's argv aside), each
@@ -49,7 +63,7 @@ def _settable_values() -> list[str]:
         for action in parser._actions
         if action.option_strings and action.dest != "help"
     ]
-    out += [f"BoundConfig.{field.name}" for field in dataclasses.fields(BoundConfig)]
+    out += [f"BoundConfig.{name}" for name in BoundConfig._fields]
     root = pathlib.Path(xclab.__file__).parent
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
