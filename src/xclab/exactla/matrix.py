@@ -90,6 +90,18 @@ class IntegerRows:
         values, den = self._scaled(x)
         return [Fraction(s, c * den) for s, c in zip(values, self.scales)]
 
+    def rank(self, idx: Iterable[int], limit: int) -> int:
+        """The rank of the rows idx (right-hand sides left out), counted no
+        further than limit."""
+        pivots: list[tuple[int, dict[int, int], int]] = []
+        for i in idx:
+            red, _ = _reduce(pivots, self.rows[i], 0)
+            if red:
+                pivots.append((min(red), red, 0))
+                if len(pivots) == limit:
+                    break
+        return len(pivots)
+
 
 class ExactMatrix:
     """Immutable dense matrix over Fraction, row-major."""
@@ -279,31 +291,14 @@ def solve_unique(
     ncols = len(rows[0]) if rows else None
     pivots: list[tuple[int, dict[int, int], int]] = []
     solution = _back_substitute(pivots) if ncols == 0 else None
-    system = IntegerRows(rows, rhs)  # this call's own rows, reduced in place
-    for red, d in zip(system.rows, system.rhs):
+    system = IntegerRows(rows, rhs)
+    for row, d in zip(system.rows, system.rhs):
         if solution is not None:
             xs, den = solution
-            if sum(v * xs[k] for k, v in red.items()) != d * den:
+            if sum(v * xs[k] for k, v in row.items()) != d * den:
                 return "inconsistent"
             continue
-        for col, prow, pd in pivots:
-            f = red.get(col)
-            if not f:
-                continue
-            p = prow[col]
-            if p != 1:
-                red = {k: v * p for k, v in red.items()}
-            for k, v in prow.items():
-                t = red.get(k, 0) - f * v
-                if t:
-                    red[k] = t
-                else:
-                    del red[k]
-            d = d * p - f * pd
-            g = gcd(d, *red.values())
-            if g > 1:
-                red = {k: v // g for k, v in red.items()}
-                d //= g
+        red, d = _reduce(pivots, row, d)
         if red:
             pivots.append((min(red), red, d))
             if len(pivots) == ncols:
@@ -314,6 +309,34 @@ def solve_unique(
         return "not unique"
     xs, den = solution
     return tuple(Fraction(v, den) for v in xs)
+
+
+def _reduce(
+    pivots: list[tuple[int, dict[int, int], int]], row: dict[int, int], d: int
+) -> tuple[dict[int, int], int]:
+    """The integer row `row . x == d` reduced against the pivot rows, in the
+    order taken, divided by its content after each step; `row` itself is
+    left alone."""
+    red = row
+    for col, prow, pd in pivots:
+        f = red.get(col)
+        if not f:
+            continue
+        p = prow[col]
+        if p != 1 or red is row:
+            red = {k: v * p for k, v in red.items()}
+        for k, v in prow.items():
+            t = red.get(k, 0) - f * v
+            if t:
+                red[k] = t
+            else:
+                del red[k]
+        d = d * p - f * pd
+        g = gcd(d, *red.values())
+        if g > 1:
+            red = {k: v // g for k, v in red.items()}
+            d //= g
+    return red, d
 
 
 def _back_substitute(pivots) -> tuple[list[int], int]:

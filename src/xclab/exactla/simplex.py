@@ -33,6 +33,19 @@ and then runs phase two for each objective on its own copy of that state
 (the last one in place).  Each objective gets exactly the pivots, point
 and value of a solve with that objective alone.
 
+When every goal is zero (a feasibility question, as in
+`conic_combination`), phase one stops as soon as its objective, minus the
+sum of the artificials, reads 0, and the point is read from that basis;
+the drive-out, the drop and phase two are skipped.  The point is the one
+the full run would give: at a basic feasible point that objective is never
+positive, so once it reads 0 every later phase-one pivot leaves on a row
+whose right-hand side is 0, and so does every drive-out pivot (the
+artificials are all 0 by then).  Such degenerate pivots change no
+variable's value, and phase two with a zero objective makes no pivot.
+With any nonzero goal the full run stays: phase two starts from the basis
+where phase one ended, and a different basis could pick a different
+optimum among ties.
+
 Pivot choice is Dantzig's rule (ties to the smallest column id), switching
 to Bland's rule after a streak of degenerate pivots, which keeps runs fast
 and still guarantees termination.  The ratio test breaks ties by basis id.
@@ -156,7 +169,7 @@ def conic_combination(
     nonnegative except those of the last `free` rows, which are free.
 
     Pure feasibility: phase one of the simplex, one equality per coordinate
-    of the target.
+    of the target, stopped at its first feasible basis.
     """
     if not isinstance(rows, ExactMatrix):
         rows = ExactMatrix(rows)
@@ -270,21 +283,37 @@ def _simplex_all(
             basis.append(nstruct + len(kept_le) + len(art_cols))
             art_cols.add(basis[-1])
 
-    # Phase-2 objective rows: z_j - c_j with the all-logical starting basis.
+    # Phase-2 objective rows: z_j - c_j with the all-logical starting basis;
+    # none when every goal is zero, as phase two then never runs.
+    feasibility = not any(any(goal) for goal in goals)
     pad = [0] * (len(flipped) + 1)
-    objs = [[-a for a in scaled_int_row(goal, Fraction(0))[0]] + pad for goal in goals]
+    objs = [] if feasibility else [
+        [-a for a in scaled_int_row(goal, Fraction(0))[0]] + pad for goal in goals
+    ]
     state = _State(rows, basis, cols, objs, twin)
+
+    def basic_point(run: _State) -> list[Fraction]:
+        point = [Fraction(0)] * nvars
+        for row, d, b in zip(run.rows, run.scales, run.basis):
+            if b < nstruct:
+                v, s = col_var[b]
+                point[v] += Fraction(s * row[-1], d)
+        return point
 
     if art_cols:
         # Phase-1 objective: maximize minus the sum of artificials.
         obj1 = [-sum(c) for c in zip(*(r for r, b in zip(rows, basis) if b in art_cols))]
         state.objs.append(obj1)
-        _optimize(state, obj1, phase=1)
+        _optimize(state, obj1, phase=1, stop_at_zero=feasibility)
         if obj1[-1] != 0:
             return ["infeasible"] * len(goals)
         state.objs.pop()
-        _drive_out_artificials(state, art_cols)
-        _drop_columns(state, art_cols)
+        if not feasibility:
+            _drive_out_artificials(state, art_cols)
+            _drop_columns(state, art_cols)
+    if feasibility:
+        # Every pivot left would be degenerate: the basis holds the point.
+        return [basic_point(state) for _ in goals]
 
     out: list[list[Fraction] | str] = []
     objs = state.objs
@@ -294,12 +323,7 @@ def _simplex_all(
         if _optimize(run, obj, phase=2) == "unbounded":
             out.append("unbounded")
             continue
-        point = [Fraction(0)] * nvars
-        for row, d, b in zip(run.rows, run.scales, run.basis):
-            if b < nstruct:
-                v, s = col_var[b]
-                point[v] += Fraction(s * row[-1], d)
-        out.append(point)
+        out.append(basic_point(run))
     return out
 
 
@@ -388,10 +412,14 @@ def _pivot(state: _State, r: int, s: int) -> None:
         state.den = -p
 
 
-def _optimize(state: _State, obj: list[int], phase: int) -> str:
+def _optimize(state: _State, obj: list[int], phase: int, stop_at_zero: bool = False) -> str:
+    """Pivot until `obj` is optimal, or with `stop_at_zero` until its value
+    first reads 0; returns "optimal" or "unbounded"."""
     stall = 0
     twin = state.twin
     for _ in range(_PIVOT_CAP):
+        if stop_at_zero and obj[-1] == 0:
+            return "optimal"
         cols = state.cols
         # (reduced cost, column id, slot): a stored column with a negative
         # reduced cost, or the twin of one with a positive reduced cost.

@@ -256,9 +256,8 @@ def _rank_certifies_vertex(poly: Polytope, system: IntegerRows, v) -> bool:
     slacks = system.scaled_slacks(v)
     if any(s < 0 for s in slacks[:m]) or any(slacks[m:]):
         return False
-    rows, rhs = poly.all_rows()
-    tight = [i for i, s in enumerate(slacks) if s == 0]  # every equality is tight here
-    return solve_unique([rows[i] for i in tight], [rhs[i] for i in tight]) == v
+    tight = (i for i, s in enumerate(slacks) if s == 0)  # every equality is tight here
+    return system.rank(tight, poly.dim) == poly.dim
 
 
 def face(poly: Polytope, tight_rows: Sequence[int]) -> Polytope:

@@ -19,6 +19,7 @@ import xclab
 from xclab.errors import InputError
 from xclab.exactla import (
     ExactMatrix,
+    IntegerRows,
     LPResult,
     common_denominator,
     conic_combination,
@@ -319,6 +320,15 @@ def test_solve_unique_agrees_with_rank(data):
         rhs[i] += data.draw(st.fractions(-2, 2, max_denominator=2))
     out = solve_unique(rows, rhs)
     r = rank(ExactMatrix(rows))
+    # IntegerRows.rank shares solve_unique's elimination: the rank of any
+    # subset of rows, counted up to a limit, leaving the held rows alone.
+    system = IntegerRows(rows, rhs)
+    held = [dict(row) for row in system.rows]
+    idx = data.draw(st.lists(st.integers(0, len(rows) - 1), unique=True))
+    limit = data.draw(st.integers(1, ncols))
+    sub = rank(ExactMatrix([rows[i] for i in idx])) if idx else 0
+    assert system.rank(idx, limit) == min(sub, limit)
+    assert system.rows == held
     if rank(ExactMatrix([row + [b] for row, b in zip(rows, rhs)])) > r:
         assert out == "inconsistent"
     elif r < ncols:
@@ -382,13 +392,16 @@ def test_post_solve_checks_survive_python_O():
 # ---------------------------------------------------------------------------
 # Differential check of the integer dictionary simplex against the dense
 # integer tableau it replaced: same pivots, so the same status, point and
-# value.  The reference writes its pivots and the rarer paths it took to a
-# `_RefLog`.
+# value.  With a zero goal the dictionary simplex stops where the
+# reference's phase-one objective first reads 0, so there it makes the
+# reference's pivots up to that point.  The reference writes its pivots,
+# that point and the rarer paths it took to a `_RefLog`.
 
 
 class _RefLog:
     def __init__(self):
         self.pivots: list[tuple[int, int]] = []  # (leaving, entering) column ids
+        self.feasible_at: int | None = None  # len(pivots) when phase one first read 0
         self.events: Counter = Counter()
 
 
@@ -580,6 +593,8 @@ def _ref_optimize(state: _RefState, phase: int) -> str:
     rule = "dantzig"
     stall = 0
     for _ in range(500_000):
+        if phase == 1 and obj[-1] == 0 and state.log.feasible_at is None:
+            state.log.feasible_at = len(state.log.pivots)
         ncols = state.width - 1
         enter = -1
         if rule == "dantzig":
@@ -610,6 +625,9 @@ def _ref_optimize(state: _RefState, phase: int) -> str:
             assert phase == 2, "phase one is bounded by construction"
             return "unbounded"
         degenerate = tab[leave][-1] == 0
+        if phase == 1 and state.log.feasible_at is not None:
+            assert degenerate, "a phase-one pivot at 0 moved the point"
+            state.log.events["phase one pivots at 0"] += 1
         _ref_pivot(state, leave, enter)
         if degenerate:
             stall += 1
@@ -698,9 +716,9 @@ def _random_system(rng):
 
 
 def _check_against_reference(system, rng):
-    """Compare `_simplex`, pivot by pivot, then `lp_solve` and
-    `conic_combination` built from the same rows; returns the reference's
-    answer and log for `_simplex`."""
+    """Compare `_simplex`, pivot by pivot (up to the feasibility stop for a
+    zero goal), then `lp_solve` and `conic_combination` built from the same
+    rows; returns the reference's answer and log for `_simplex`."""
     le_rows, le_rhs, eq_rows, eq_rhs, nonneg, goal = system
     log = _RefLog()
     expected = _ref_simplex(*system, log)
@@ -713,7 +731,8 @@ def _check_against_reference(system, rng):
 
     with mock.patch.object(simplex, "_pivot", recording):
         assert simplex._simplex(*system) == expected
-    assert pivots == log.pivots
+    stop = None if any(goal) else log.feasible_at
+    assert pivots == log.pivots[:stop]
 
     # lp_solve: the sign bounds as -x_i <= 0 rows, max or min.
     n = len(nonneg)
@@ -755,7 +774,8 @@ def test_dictionary_simplex_matches_tableau_reference(seed):
 def test_reference_sweep_reaches_every_path():
     """A fixed sweep that must reach Bland's rule, drive-out row deletion,
     a negative pivot, both pivot kinds, a minus column entering, a free
-    variable's column leaving the basis and all three outcomes."""
+    variable's column leaving the basis, a phase-one pivot after its
+    objective read 0 and all three outcomes."""
     statuses, events = Counter(), Counter()
     for seed in range(300):
         rng = random.Random(seed)
@@ -764,7 +784,7 @@ def test_reference_sweep_reaches_every_path():
         events += log.events
     assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 0
     paths = ("bland", "deleted row", "negated", "p == den", "p != den",
-             "minus column enters", "twin leaves the basis")
+             "minus column enters", "twin leaves the basis", "phase one pivots at 0")
     assert min(events[e] for e in paths) > 0, events
 
 

@@ -255,6 +255,26 @@ def test_free_equality_multipliers_keep_the_pivots(n, monkeypatch):
         assert any(enter in minus for pivots in calls for _, enter in pivots)
 
 
+def test_contract_pivot_count_on_ppm6(monkeypatch):
+    """Each derivation is a feasibility solve that stops at its first
+    feasible basis: 1 218 pivots on ppm6, against 5 496 when every
+    phase-one, drive-out and phase-two pivot ran."""
+    poly = perfect_matching_polytope(6)
+    system = extension_from_factorization(
+        poly, slack_variable_factorization(slack_matrix(poly))
+    ).to_xy_system()
+    pivots = []
+    pivot = simplex._pivot
+
+    def counting(state, r, s):
+        pivots.append(s)
+        pivot(state, r, s)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    factorization_from_extension(poly, system)
+    assert len(pivots) == 1218
+
+
 def _lex_lift_by_lp(system, x, vertex_index):
     """Reference: the lexicographic LP sequence for every lift."""
     ineqs, eqs = system.lift_system_for(x)
