@@ -1,16 +1,16 @@
-"""Exact rational linear algebra: matrices, rank, unique solutions of linear
-systems, LP, conic combinations."""
+"""Exact rational linear algebra: matrices, rank, linear systems solved with
+some columns pinned, LP, conic combinations."""
 
 from .matrix import (
     ExactMatrix,
     IntegerRows,
+    PinnedSolve,
     common_denominator,
     format_rational,
     matrix_to_json,
     rank,
     rat,
     read_matrix,
-    solve_unique,
     write_matrix,
 )
 from .simplex import LPResult, conic_combination, lp_solve, lp_solve_all
@@ -19,6 +19,7 @@ __all__ = [
     "ExactMatrix",
     "IntegerRows",
     "LPResult",
+    "PinnedSolve",
     "common_denominator",
     "conic_combination",
     "format_rational",
@@ -28,6 +29,5 @@ __all__ = [
     "rank",
     "rat",
     "read_matrix",
-    "solve_unique",
     "write_matrix",
 ]

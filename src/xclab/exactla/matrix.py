@@ -103,6 +103,58 @@ class IntegerRows:
         return len(pivots)
 
 
+class PinnedSolve:
+    """The system rows . (p, z) == rhs over `fixed` pinned columns p, first,
+    and `free` unknown columns z, eliminated once for every p.
+
+    The rows are cleared of denominators and reduced with the unknowns
+    ahead of the pinned columns, so a row keeps an unknown as its leading
+    column while it has one.  A row left with no unknown is a condition on
+    p.  When every unknown has a pivot, each pivot row is reduced against
+    the later ones until it holds its unknown alone, and solve(p) reads z
+    off the pivot rows.  Whether z is unique does not depend on p.
+    """
+
+    __slots__ = ("free", "pivots", "conditions")
+
+    def __init__(
+        self, rows: Iterable[Sequence[Fraction]], rhs: Iterable[Fraction], fixed: int, free: int
+    ):
+        self.free = free
+        self.pivots: list[tuple[int, dict[int, int], int]] = []
+        self.conditions: list[tuple[dict[int, int], int]] = []
+        system = IntegerRows(rows, rhs)
+        for row, d in zip(system.rows, system.rhs):
+            keyed = {k - fixed if k >= fixed else k + free: v for k, v in row.items()}
+            red, d = _reduce(self.pivots, keyed, d)
+            lead = min(red, default=free)
+            if lead < free:
+                self.pivots.append((lead, red, d))
+            elif red or d:
+                self.conditions.append((red, d))
+        if len(self.pivots) == free:
+            for k in reversed(range(free)):
+                col, row, d = self.pivots[k]
+                self.pivots[k] = (col, *_reduce(self.pivots[k + 1 :], row, d))
+            self.pivots.sort(key=lambda pivot: pivot[0])
+
+    def solve(self, p: Sequence[Fraction]) -> tuple[Fraction, ...] | str:
+        """The unique z with rows . (p, z) == rhs, else "inconsistent" when
+        no z solves the system or "not unique" when solutions form a line or
+        more; inconsistency is reported first."""
+        den = common_denominator(p)
+        pinned = {self.free + k: v.numerator * (den // v.denominator) for k, v in enumerate(p) if v}
+
+        def rest(row: dict[int, int], d: int) -> int:
+            return d * den - sum(v * pinned[k] for k, v in row.items() if k in pinned)
+
+        if any(rest(row, d) for row, d in self.conditions):
+            return "inconsistent"
+        if len(self.pivots) < self.free:
+            return "not unique"
+        return tuple(Fraction(rest(row, d), row[col] * den) for col, row, d in self.pivots)
+
+
 class ExactMatrix:
     """Immutable dense matrix over Fraction, row-major."""
 
@@ -239,76 +291,9 @@ class ExactMatrix:
 
 
 def rank(m: ExactMatrix) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination over integers."""
-    # Scaling a row by a positive factor preserves rank, so each row is
-    # cleared of denominators on its own.
-    a = []
-    for row in m.rows():
-        scale = common_denominator(row)
-        a.append([int(x * scale) for x in row])
-    nrows, ncols = len(a), len(a[0])
-    r = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        piv = a[r][col]
-        for i in range(r + 1, nrows):
-            ai = a[i]
-            ar = a[r]
-            f = ai[col]
-            if f:
-                for j in range(col, ncols):
-                    ai[j] = (ai[j] * piv - f * ar[j]) // prev
-            else:
-                for j in range(col, ncols):
-                    ai[j] = (ai[j] * piv) // prev
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def solve_unique(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[Fraction, ...] | str:
-    """The unique x with rows . x == rhs, else "inconsistent" when no x
-    solves the system or "not unique" when solutions form a line or more.
-
-    Sparse fraction-free elimination: each row is cleared of denominators
-    and reduced against the pivot rows taken so far, in the order taken, so
-    pivot row k is zero in the pivot columns of rows 1..k-1.  Once every
-    column has a pivot, the rows not yet read are only checked at the
-    solution.  An empty system is "not unique".
-    """
-    ncols = len(rows[0]) if rows else None
-    pivots: list[tuple[int, dict[int, int], int]] = []
-    solution = _back_substitute(pivots) if ncols == 0 else None
-    system = IntegerRows(rows, rhs)
-    for row, d in zip(system.rows, system.rhs):
-        if solution is not None:
-            xs, den = solution
-            if sum(v * xs[k] for k, v in row.items()) != d * den:
-                return "inconsistent"
-            continue
-        red, d = _reduce(pivots, row, d)
-        if red:
-            pivots.append((min(red), red, d))
-            if len(pivots) == ncols:
-                solution = _back_substitute(pivots)
-        elif d:
-            return "inconsistent"
-    if solution is None:
-        return "not unique"
-    xs, den = solution
-    return tuple(Fraction(v, den) for v in xs)
+    """Exact rank: the rows cleared of denominators, then the sparse
+    fraction-free elimination of `IntegerRows.rank`."""
+    return IntegerRows(m.rows(), [Fraction(0)] * m.nrows).rank(range(m.nrows), min(m.shape))
 
 
 def _reduce(
@@ -337,20 +322,6 @@ def _reduce(
             red = {k: v // g for k, v in red.items()}
             d //= g
     return red, d
-
-
-def _back_substitute(pivots) -> tuple[list[int], int]:
-    """Solve a full set of pivot rows from the last to the first; the
-    solution comes back as integers over one common denominator."""
-    x = [Fraction(0)] * len(pivots)
-    for col, prow, pd in reversed(pivots):
-        acc = Fraction(pd)
-        for k, v in prow.items():
-            if k != col:
-                acc -= v * x[k]
-        x[col] = acc / prow[col]
-    den = common_denominator(x)
-    return [v.numerator * (den // v.denominator) for v in x], den
 
 
 def write_matrix(path: str, m: ExactMatrix) -> None:

@@ -13,7 +13,6 @@ import contextlib
 import json
 import os
 import random
-import tempfile
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -22,6 +21,7 @@ from .errors import InputError
 from .exactla import (
     ExactMatrix,
     IntegerRows,
+    PinnedSolve,
     conic_combination,
     format_rational,
     lp_solve,
@@ -29,7 +29,6 @@ from .exactla import (
     matrix_to_json,
     rat,
     read_matrix,
-    solve_unique,
 )
 from .record import factory, record
 
@@ -321,7 +320,8 @@ class XYSystem:
         return 0 if self.ineqs is None else len(self.ineqs[1])
 
     def lift_system_for(self, x: Sequence[Fraction]) -> tuple[tuple | None, tuple | None]:
-        """Constraints over y once x is pinned: (ineqs, eqs) for lp_solve."""
+        """Constraints over y once x is pinned: (ineqs, eqs) for lp_solve,
+        which decides the lifts a `LiftPlan` leaves open."""
         xy = tuple(x) + (Fraction(0),) * self.y_dim
         out = []
         for side in (self.ineqs, self.eqs):
@@ -332,22 +332,33 @@ class XYSystem:
         return out[0], out[1]
 
 
-def unique_lift(ineqs: tuple | None, eqs: tuple | None) -> tuple[Fraction, ...] | str:
-    """The only y satisfying a lift system from `lift_system_for`, found by
-    linear algebra: when the equality rows have full column rank, their
-    unique solution is checked against the inequality rows.  Returns the
-    point, "infeasible" when no y satisfies the system, or "not unique"
-    when the equalities leave y free and an LP has to decide."""
-    if eqs is None:
-        return "not unique"
-    point = solve_unique(*eqs)
-    if point == "inconsistent":
-        return "infeasible"
-    if isinstance(point, tuple) and ineqs is not None and any(
-        s < 0 for s in IntegerRows(*ineqs).scaled_slacks(point)
-    ):
-        return "infeasible"
-    return point
+class LiftPlan:
+    """The lifts of points x into an XYSystem, planned once per system: the
+    joint inequality rows held as integers, and the equalities eliminated
+    over y with x pinned (`PinnedSolve`).  Whether a lift is unique does not
+    depend on x."""
+
+    __slots__ = ("system", "ineqs", "eqs")
+
+    def __init__(self, system: XYSystem):
+        self.system = system
+        self.ineqs = None if system.ineqs is None else IntegerRows(*system.ineqs)
+        self.eqs = PinnedSolve(*(system.eqs or ((), ())), system.x_dim, system.y_dim)
+
+    def lift(self, x: Sequence[Fraction]) -> tuple[Fraction, ...] | str:
+        """The only y with (x, y) in the system, found by linear algebra:
+        when the equality rows' y-block has full column rank, their unique
+        solution is checked against the inequality rows.  Returns the point,
+        "infeasible" when no y satisfies the system, or "not unique" when
+        the equalities leave y free and an LP has to decide."""
+        y = self.eqs.solve(x)
+        if y == "inconsistent" or (
+            isinstance(y, tuple)
+            and self.ineqs is not None
+            and any(s < 0 for s in self.ineqs.scaled_slacks(tuple(x) + y))
+        ):
+            return "infeasible"
+        return y
 
 
 @record
@@ -362,21 +373,21 @@ def lp_equal_under_projection(
 ) -> ProjectionReport:
     """Check that the x-projection of the system agrees with the polytope.
 
-    Deterministic part: every vertex of the polytope lifts into the system
-    (`unique_lift`, or a feasibility LP over y when the lift is not
-    unique).  Randomized part: for `trials` seeded integer objectives on x,
-    the exact maxima over both descriptions coincide; each description
-    takes one `lp_solve_all` over all the objectives.
+    Deterministic part: every vertex of the polytope lifts into the system,
+    by one `LiftPlan` for all of them, or by a feasibility LP over y when
+    the lift is not unique.  Randomized part: for `trials` seeded integer
+    objectives on x, the exact maxima over both descriptions coincide; each
+    description takes one `lp_solve_all` over all the objectives.
     """
     if system.x_dim != poly.dim:
         raise InputError("system x-dimension does not match the polytope")
     if trials < 0:
         raise InputError(f"trials must be >= 0, got {trials}")
+    plan = LiftPlan(system)
     for j, v in enumerate(poly.vertices):
-        ineqs, eqs = system.lift_system_for(v)
-        lift = unique_lift(ineqs, eqs)
+        lift = plan.lift(v)
         if lift == "not unique":
-            lift = lp_solve(ineqs, eqs, [0] * system.y_dim, sense="max").status
+            lift = lp_solve(*system.lift_system_for(v), [0] * system.y_dim, sense="max").status
         if isinstance(lift, str) and lift != "optimal":
             return ProjectionReport(
                 False,
@@ -485,16 +496,15 @@ def polytope_from_json(obj: dict, base_dir: str | None = None) -> Polytope:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write through a temp file unique to this writer in the target's
-    directory, then rename it into place.  On any failure the temp file is
-    removed and the error re-raised, so a failed write leaves nothing.  The
-    file gets the mode a plain open() would give it."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    """Write through a temp file next to the target, named with this
+    process's id and a random suffix so that it is unique to this writer,
+    then rename it into place.  On any failure the temp file is removed and
+    the error re-raised, so a failed write leaves nothing.  The file is
+    created with mode 0o666 less the umask, as a plain open() would."""
+    tmp = f"{path}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

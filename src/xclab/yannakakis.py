@@ -14,21 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, NotAnExtensionError, NotDerivableError
-from .exactla import (
-    ExactMatrix,
-    IntegerRows,
-    conic_combination,
-    lp_solve,
-    rat,
-)
+from .exactla import ExactMatrix, conic_combination, lp_solve, rat
 from .polytope import (
+    LiftPlan,
     Polytope,
     SlackMatrix,
     XYSystem,
     as_matrix,
     slack_matrix,
     system_to_json,
-    unique_lift,
 )
 from .record import record
 
@@ -140,28 +134,22 @@ def extension_from_factorization(poly: Polytope, fac: Factorization) -> Extended
     )
 
 
-def _lex_min_lift(system: XYSystem, x, vertex_index: int):
+def _lex_min_lift(plan: LiftPlan, x, vertex_index: int):
     """Deterministic lift of a pinned x: the lexicographically least y.
 
     When the equality rows' y-block has rank y_dim, as in every
-    ExtendedFormulation from `extension_from_factorization`, the lift is
-    unique and `unique_lift` solves for it directly.  Otherwise LPs
-    minimize the y coordinates one at a time, lowest index first, pinning
-    each minimum before the next.
+    ExtendedFormulation from `extension_from_factorization` and in every
+    system without y, the lift is unique and the system's `LiftPlan` solves
+    for it directly.  Otherwise LPs minimize the y coordinates one at a
+    time, lowest index first, pinning each minimum before the next.
     """
-    ineqs, eqs = system.lift_system_for(x)
-    if system.y_dim == 0:
-        ok = (ineqs is None or all(b >= 0 for b in ineqs[1])) and (
-            eqs is None or all(f == 0 for f in eqs[1])
-        )
-        if not ok:
-            raise NotAnExtensionError(vertex_index)
-        return ()
-    lift = unique_lift(ineqs, eqs)
+    lift = plan.lift(x)
     if lift == "infeasible":
         raise NotAnExtensionError(vertex_index)
     if lift != "not unique":
         return lift
+    system = plan.system
+    ineqs, eqs = system.lift_system_for(x)
     eq_rows = [] if eqs is None else list(eqs[0])
     eq_rhs = [] if eqs is None else list(eqs[1])
     point = None
@@ -200,10 +188,10 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
     if r == 0:
         raise InputError("system has no inequality rows to act as facets")
 
-    ineq_rows = IntegerRows(*system.ineqs)
+    plan = LiftPlan(system)
     cols = []
     for j, x in enumerate(poly.vertices):
-        col = ineq_rows.slacks(tuple(x) + tuple(_lex_min_lift(system, x, j)))
+        col = plan.ineqs.slacks(tuple(x) + tuple(_lex_min_lift(plan, x, j)))
         if any(c < 0 for c in col):
             raise NotAnExtensionError(j, f"lift of vertex {j} violates the system")
         cols.append(col)

@@ -21,6 +21,7 @@ from xclab.exactla import (
     ExactMatrix,
     IntegerRows,
     LPResult,
+    PinnedSolve,
     common_denominator,
     conic_combination,
     format_rational,
@@ -29,11 +30,50 @@ from xclab.exactla import (
     matrix_to_json,
     rank,
     rat,
-    solve_unique,
 )
 from xclab.exactla import simplex
 
 F = Fraction
+
+
+def _ref_rank(rows) -> int:
+    """Reference: exact rank by dense fraction-free (Bareiss) elimination,
+    each row first cleared of denominators; no rows or no columns give 0."""
+    a = []
+    for row in rows:
+        scale = common_denominator(row)
+        a.append([int(x * scale) for x in row])
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    r = 0
+    prev = 1
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        piv = a[r][col]
+        for i in range(r + 1, nrows):
+            f = a[i][col]
+            for j in range(col, ncols):
+                a[i][j] = (a[i][j] * piv - f * a[r][j]) // prev
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _dependent_rows(data, ncols, entry, max_rows=4):
+    """Rows with `ncols` entries drawn from `entry`, some of them combined
+    from earlier ones so that rank deficiency is common."""
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=max_rows)
+    )
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(-2, 2))
+        rows.insert(data.draw(st.integers(0, len(rows))), [a + c * b for a, b in zip(rows[i], rows[j])])
+    return rows
 
 
 def test_rat_parsing():
@@ -283,58 +323,89 @@ def test_lp_random_small_feasible(seed):
     assert sum(F(a) * x for a, x in zip(c, res.point)) == res.value
 
 
-def test_solve_unique_examples():
-    assert solve_unique([[1, 1], [1, -1]], [3, 1]) == (F(2), F(1))
-    assert solve_unique([[F(1, 2), 0], [0, 3]], [1, 1]) == (F(2), F(1, 3))
-    assert solve_unique([[1, 1]], [1]) == "not unique"
-    assert solve_unique([[1, 1], [2, 2]], [1, 3]) == "inconsistent"
-    assert solve_unique([[1, 1], [2, 2], [1, 0]], [1, 2, 0]) == (F(0), F(1))
-    # full rank after two rows; the third is only checked at the solution
-    assert solve_unique([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) == "inconsistent"
+def _solve(rows, rhs, p=(), free=None):
+    """PinnedSolve of rows over len(p) pinned columns, then `free` unknowns
+    (by default the remaining columns), solved at p."""
+    if free is None:
+        free = len(rows[0]) - len(p)
+    return PinnedSolve(rows, rhs, len(p), free).solve(p)
+
+
+def test_pinned_solve_examples():
+    assert _solve([[1, 1], [1, -1]], [3, 1]) == (F(2), F(1))
+    assert _solve([[F(1, 2), 0], [0, 3]], [1, 1]) == (F(2), F(1, 3))
+    assert _solve([[1, 1]], [1]) == "not unique"
+    assert _solve([[1, 1], [2, 2]], [1, 3]) == "inconsistent"
+    assert _solve([[1, 1], [2, 2], [1, 0]], [1, 2, 0]) == (F(0), F(1))
+    # full rank after two rows; the third reduces to a condition that fails
+    assert _solve([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) == "inconsistent"
     # inconsistency wins over rank deficiency
-    assert solve_unique([[1, 1, 0], [1, 1, 0]], [1, 2]) == "inconsistent"
-    assert solve_unique([], []) == "not unique"
-    assert solve_unique([[], []], [0, 0]) == ()
-    assert solve_unique([[], []], [0, 1]) == "inconsistent"
+    assert _solve([[1, 1, 0], [1, 1, 0]], [1, 2]) == "inconsistent"
+    assert _solve([[], []], [0, 0]) == ()
+    assert _solve([[], []], [0, 1]) == "inconsistent"
+    # no rows: unique exactly when there is no unknown
+    assert PinnedSolve([], [], 0, 0).solve(()) == ()
+    assert PinnedSolve([], [], 1, 2).solve((F(1),)) == "not unique"
+
+
+def test_pinned_solve_with_pinned_columns():
+    # z0 = p + 1 and z1 = 2 z0 - p / 3; the last row asks p == 3
+    rows = [[-1, 1, 0], [F(1, 3), -2, 1], [1, 0, 0]]
+    plan = PinnedSolve(rows, [1, 0, 3], 1, 2)
+    assert plan.solve((F(3),)) == (F(4), F(7))
+    assert plan.solve((F(2),)) == "inconsistent"
+    # a pin whose row has no unknown at all is only a condition
+    assert PinnedSolve([[1, 0]], [2], 1, 1).solve((F(2),)) == "not unique"
+    assert PinnedSolve([[1, 0]], [2], 1, 1).solve((F(1),)) == "inconsistent"
+    # the same plan answers at every pin
+    line = PinnedSolve([[1, 1]], [F(1, 2)], 1, 1)
+    assert [line.solve((F(k, 3),)) for k in range(3)] == [(F(1, 2),), (F(1, 6),), (F(-1, 6),)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_solve_unique_agrees_with_rank(data):
-    # A x = b has a solution iff rank [A | b] == rank A, and it is unique
-    # iff moreover rank A == ncols.
+def test_pinned_solve_agrees_with_rank(data):
+    # With p pinned, A_z z = b - A_p p has a solution iff appending the
+    # right-hand side keeps the rank of A_z, and it is unique iff moreover
+    # A_z has rank equal to its column count.
     ncols = data.draw(st.integers(1, 4))
-    entry = st.fractions(-3, 3, max_denominator=3)
-    rows = data.draw(
-        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=4)
-    )
-    # rows combined from earlier ones make rank deficiency common
-    for _ in range(data.draw(st.integers(0, 3))):
-        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
-        c = data.draw(st.integers(-2, 2))
-        rows.insert(data.draw(st.integers(0, len(rows))), [a + c * b for a, b in zip(rows[i], rows[j])])
+    fixed = data.draw(st.integers(0, ncols))
+    rows = _dependent_rows(data, ncols, st.fractions(-3, 3, max_denominator=3))
     x0 = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=ncols, max_size=ncols))
     rhs = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in rows]
     if data.draw(st.booleans()):
         i = data.draw(st.integers(0, len(rows) - 1))
         rhs[i] += data.draw(st.fractions(-2, 2, max_denominator=2))
-    out = solve_unique(rows, rhs)
-    r = rank(ExactMatrix(rows))
-    # IntegerRows.rank shares solve_unique's elimination: the rank of any
-    # subset of rows, counted up to a limit, leaving the held rows alone.
+    p = tuple(x0[:fixed])
+    if data.draw(st.booleans()):
+        p = tuple(v + data.draw(st.integers(-1, 1)) for v in p)
+    out = PinnedSolve(rows, rhs, fixed, ncols - fixed).solve(p)
+    zrows = [row[fixed:] for row in rows]
+    rest = [b - sum((a * v for a, v in zip(row, p)), F(0)) for row, b in zip(rows, rhs)]
+    r = _ref_rank(zrows)
+    if _ref_rank([row + [b] for row, b in zip(zrows, rest)]) > r:
+        assert out == "inconsistent"
+    elif r < ncols - fixed:
+        assert out == "not unique"
+    else:
+        assert all(sum((a * z for a, z in zip(row, out)), F(0)) == b for row, b in zip(zrows, rest))
+    # IntegerRows.rank: the rank of any subset of rows, counted up to a
+    # limit, leaving the held rows alone.
     system = IntegerRows(rows, rhs)
     held = [dict(row) for row in system.rows]
     idx = data.draw(st.lists(st.integers(0, len(rows) - 1), unique=True))
     limit = data.draw(st.integers(1, ncols))
-    sub = rank(ExactMatrix([rows[i] for i in idx])) if idx else 0
-    assert system.rank(idx, limit) == min(sub, limit)
+    assert system.rank(idx, limit) == min(_ref_rank([rows[i] for i in idx]), limit)
     assert system.rows == held
-    if rank(ExactMatrix([row + [b] for row, b in zip(rows, rhs)])) > r:
-        assert out == "inconsistent"
-    elif r < ncols:
-        assert out == "not unique"
-    else:
-        assert all(sum((a * x for a, x in zip(row, out)), F(0)) == b for row, b in zip(rows, rhs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rank_matches_reference(data):
+    ncols = data.draw(st.integers(1, 6))
+    entry = st.fractions(-5, 5, max_denominator=data.draw(st.sampled_from([1, 4])))
+    rows = _dependent_rows(data, ncols, entry, max_rows=6)
+    assert rank(ExactMatrix(rows)) == _ref_rank(rows)
 
 
 def test_post_solve_checks_survive_python_O():

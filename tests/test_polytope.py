@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from xclab.errors import InputError
 from xclab.exactla import ExactMatrix, conic_combination, format_rational, lp_solve, rat, write_matrix
 from xclab.polytope import (
+    LiftPlan,
     Polytope,
     ProjectionReport,
     SlackMatrix,
@@ -363,6 +364,105 @@ def test_projection_check_reports_the_first_failing_trial(seed):
         assert report == _projection_by_cold_solves(simplex_polytope(2), system, 6, seed)
         reasons.add(report.reason)
     assert reasons == {None, "objective-value", "objective-status"}
+
+
+def _ref_solve(rows, rhs, ncols):
+    """Reference: Gauss-Jordan elimination of [A | b] over Fractions; the
+    unique x with A x == b, else "inconsistent" or "not unique"."""
+    a = [list(row) + [b] for row, b in zip(rows, rhs)]
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                a[i] = [v - a[i][c] * w for v, w in zip(a[i], a[r])]
+        r += 1
+    if any(row[-1] for row in a[r:]):
+        return "inconsistent"
+    return tuple(row[-1] for row in a[:r]) if r == ncols else "not unique"
+
+
+def _lift_by_vertex(system, x):
+    """Reference: each lift on its own, from `lift_system_for`: the unique
+    solution of the pinned equalities, checked against the pinned
+    inequalities.  Without equality rows a y with coordinates is never
+    decided here; without y the lift is empty once the checks pass."""
+    ineqs, eqs = system.lift_system_for(x)
+    if eqs is None and system.y_dim:
+        return "not unique"
+    point = _ref_solve(*(eqs or ((), ())), system.y_dim)
+    if point == "inconsistent":
+        return "infeasible"
+    if point != "not unique" and ineqs is not None:
+        for row, b in zip(*ineqs):
+            if sum((a * v for a, v in zip(row, point)), Fraction(0)) > b:
+                return "infeasible"
+    return point
+
+
+def _random_xy_system(data, x_dim, y_dim, x0):
+    """Joint rows with small rational entries: the equality rows hold at
+    (x0, y0) unless one right-hand side is shifted, and each inequality row
+    has slack -1, 0, 1 or 2 there.  Either side may be None."""
+    entry = st.fractions(-2, 2, max_denominator=data.draw(st.sampled_from([1, 3])))
+    y0 = data.draw(st.lists(st.integers(-2, 2), min_size=y_dim, max_size=y_dim))
+    xy0 = list(x0) + y0
+
+    def side(nrows, slack):
+        if nrows < 0:
+            return None
+        rows = [data.draw(st.lists(entry, min_size=x_dim + y_dim, max_size=x_dim + y_dim))
+                for _ in range(nrows)]
+        rhs = tuple(sum((a * v for a, v in zip(row, xy0)), Fraction(0)) + data.draw(slack)
+                    for row in rows)
+        return rows, rhs
+
+    # -1 rows stands for None; the y-block of the equalities is short,
+    # square or tall
+    n_eq = data.draw(st.integers(-1, y_dim + 2))
+    n_ineq = data.draw(st.integers(-1, 3))
+    eqs = side(n_eq, st.sampled_from([0, 0, 0, 0, 0, 1]))
+    return XYSystem(x_dim, y_dim, side(n_ineq, st.integers(-1, 2)), eqs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lift_plan_matches_per_vertex_lifts(data):
+    x_dim = data.draw(st.integers(1, 3))
+    y_dim = data.draw(st.integers(0, 3))
+    x0 = data.draw(st.lists(st.integers(-2, 2), min_size=x_dim, max_size=x_dim))
+    system = _random_xy_system(data, x_dim, y_dim, x0)
+    plan = LiftPlan(system)
+    x1 = data.draw(st.lists(st.fractions(-2, 2, max_denominator=2), min_size=x_dim, max_size=x_dim))
+    for x in (x0, x1):
+        x = tuple(Fraction(v) for v in x)
+        assert plan.lift(x) == _lift_by_vertex(system, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_projection_reports_the_first_vertex_without_a_lift(data):
+    """Against a feasibility LP per vertex, in vertex order: the first
+    vertex with no lift and its status, or no failure at all."""
+    poly = data.draw(st.sampled_from([simplex_polytope(2), hypercube_polytope(2)]))
+    y_dim = data.draw(st.integers(0, 2))
+    system = _random_xy_system(data, 2, y_dim, poly.vertices[0])
+    expected = None
+    for j, v in enumerate(poly.vertices):
+        if y_dim == 0 and not any(side and side[1] for side in (system.ineqs, system.eqs)):
+            break  # no variable and no row: there is no LP, and nothing to violate
+        status = lp_solve(*system.lift_system_for(v), [0] * y_dim, sense="max").status
+        if status != "optimal":
+            expected = ProjectionReport(
+                False, "vertex-lift", {"vertex": j, "label": poly.vertex_labels[j], "status": status}
+            )
+            break
+    report = lp_equal_under_projection(poly, system, 0, 0)
+    assert report == (expected or ProjectionReport(True))
 
 
 def test_projection_dim_mismatch():

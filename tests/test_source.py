@@ -40,6 +40,34 @@ def test_no_imports_inside_functions_in_package():
     assert not sites, "imports inside functions: " + ", ".join(sorted(sites))
 
 
+def test_no_module_imports_a_private_name_from_another():
+    """A `_`-prefixed name stays inside its module: another module reaches
+    it only through that module's public functions and classes."""
+    root = pathlib.Path(xclab.__file__).parent
+    sites = [
+        f"{path.relative_to(root.parent)}:{node.lineno} {alias.name}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not sites, "private names imported: " + ", ".join(sites)
+
+
+def test_importing_the_cli_loads_neither_tempfile_nor_shutil():
+    """Output files are written without `tempfile`, so a process that
+    imports xclab pays for neither it nor the `shutil` it pulls in.  `-S`
+    keeps site hooks, which may import either, out of the check."""
+    src = str(pathlib.Path(xclab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, xclab.cli; print(sorted({'tempfile', 'shutil'} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """Records come from xclab.record, so a process that imports xclab pays
     for neither `dataclasses` nor the `inspect` it pulls in."""

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 import xclab.yannakakis
 from xclab.errors import InputError, NotAnExtensionError, NotDerivableError
-from xclab.exactla import ExactMatrix, conic_combination, lp_solve, rat
+from xclab.exactla import ExactMatrix, IntegerRows, conic_combination, lp_solve, rat
 from xclab.exactla import simplex
 from xclab.matchgen import perfect_matching_polytope
 from xclab.polytope import (
+    LiftPlan,
     Polytope,
     XYSystem,
     hypercube_polytope,
@@ -275,6 +276,36 @@ def test_contract_pivot_count_on_ppm6(monkeypatch):
     assert len(pivots) == 1218
 
 
+@pytest.mark.parametrize("check", ["projection", "contract"])
+def test_integer_rows_builds_do_not_grow_with_the_vertex_count(check, monkeypatch):
+    """The lifts of one system share one plan: ppm6 with all 15 vertices
+    and with its first 5 build the same number of IntegerRows."""
+    poly = perfect_matching_polytope(6)
+    system = extension_from_factorization(
+        poly, slack_variable_factorization(slack_matrix(poly))
+    ).to_xy_system()
+    few = Polytope.build(
+        poly.ineq_coefs, poly.ineq_rhs, poly.vertices[:5], eq_coefs=poly.eq_coefs, eq_rhs=poly.eq_rhs
+    )
+    builds = []
+    init = IntegerRows.__init__
+
+    def counting(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    def count(p):
+        builds.clear()
+        if check == "projection":
+            assert lp_equal_under_projection(p, system, 2, 0).passed
+        else:
+            assert verify_factorization(slack_matrix(p), factorization_from_extension(p, system))
+        return len(builds)
+
+    monkeypatch.setattr(IntegerRows, "__init__", counting)
+    assert count(poly) == count(few)
+
+
 def _lex_lift_by_lp(system, x, vertex_index):
     """Reference: the lexicographic LP sequence for every lift."""
     ineqs, eqs = system.lift_system_for(x)
@@ -295,9 +326,9 @@ def _lex_lift_by_lp(system, x, vertex_index):
     return point
 
 
-def _lift_outcome(lift, system, x):
+def _lift_outcome(lift, *args):
     try:
-        return lift(system, x, 7)
+        return lift(*args, 7)
     except NotAnExtensionError as exc:
         return ("no lift", exc.vertex_index)
 
@@ -340,9 +371,10 @@ def test_direct_lift_matches_lex_lp_sequence(data):
         eqs=([rx + ry for rx, ry in zip(eq_x, eq_y)], tuple(rat(v) for v in eq_rhs)),
     )
     x1 = data.draw(st.lists(small, min_size=x_dim, max_size=x_dim))
+    plan = LiftPlan(system)
     for x in (x0, x1):
         x = tuple(rat(v) for v in x)
-        assert _lift_outcome(_lex_min_lift, system, x) == _lift_outcome(
+        assert _lift_outcome(_lex_min_lift, plan, x) == _lift_outcome(
             _lex_lift_by_lp, system, x
         )
 
