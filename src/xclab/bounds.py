@@ -15,7 +15,6 @@ is a hard input error.  FORBIDDEN times zero contributes zero.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -660,8 +659,7 @@ class Certificate:
 
 @record
 class BoundConfig:
-    """Search budgets, the seed, and the weight matrices whose hyperplane
-    bounds to add; each alpha comes from exact max_rectangle_value."""
+    """Search budgets and the seed."""
 
     cover_limit: int = COVER_LIMIT
     cover_cap: int = COVER_CAP
@@ -669,7 +667,6 @@ class BoundConfig:
     nmf_cell_cap: int = 256
     nmf_max_tries: int = 3
     seed: int = 0
-    hyperplane: tuple[WeightMatrix, ...] = ()
 
     def __post_init__(self):
         budgets = ("cover_limit", "cover_cap", "nmf_restarts", "nmf_cell_cap", "nmf_max_tries")
@@ -690,9 +687,8 @@ def nonnegative_rank_bounds(
     """Certified interval for the nonnegative rank.
 
     lower = max over re-verified certificates (rank, fooling set, exact
-    cover, and per configured weight matrix the hyperplane bound, with its
-    exact alpha rectangle as witness); upper = min(rows, cols, best
-    verified heuristic factorization)."""
+    cover); upper = min(rows, cols, best verified heuristic
+    factorization)."""
     m = as_matrix(s)
     if not m.is_nonnegative():
         raise InputError("nonnegative rank is defined for nonnegative matrices")
@@ -713,10 +709,6 @@ def nonnegative_rank_bounds(
             if not _check_cover(supports, cover.rectangles):
                 raise AssertionError("exact cover failed re-verification")
             certs.append(Certificate("cover", cover.size, cover.rectangles))
-
-    for w in config.hyperplane:
-        value, alpha = hyperplane_bound(w, m)
-        certs.append(Certificate("hyperplane", max(0, math.ceil(value)), (w, alpha)))
 
     lower = max(c.value for c in certs)
 

@@ -112,10 +112,11 @@ class PinnedSolve:
     column while it has one.  A row left with no unknown is a condition on
     p.  When every unknown has a pivot, each pivot row is reduced against
     the later ones until it holds its unknown alone, and solve(p) reads z
-    off the pivot rows.  Whether z is unique does not depend on p.
+    off the pivot rows.  Whether z is unique does not depend on p.  The
+    cleared rows stay in `system`.
     """
 
-    __slots__ = ("free", "pivots", "conditions")
+    __slots__ = ("free", "pivots", "conditions", "system")
 
     def __init__(
         self, rows: Iterable[Sequence[Fraction]], rhs: Iterable[Fraction], fixed: int, free: int
@@ -123,8 +124,8 @@ class PinnedSolve:
         self.free = free
         self.pivots: list[tuple[int, dict[int, int], int]] = []
         self.conditions: list[tuple[dict[int, int], int]] = []
-        system = IntegerRows(rows, rhs)
-        for row, d in zip(system.rows, system.rhs):
+        self.system = IntegerRows(rows, rhs)
+        for row, d in zip(self.system.rows, self.system.rhs):
             keyed = {k - fixed if k >= fixed else k + free: v for k, v in row.items()}
             red, d = _reduce(self.pivots, keyed, d)
             lead = min(red, default=free)

@@ -26,9 +26,10 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InputError
+from .exactla import lp_solve_all, rat
 # Nothing here calls `lp_solve`; it stays a name of this module because
 # perfbench's span table wraps `xclab.matchgen.lp_solve`.
-from .exactla import ExactMatrix, lp_solve, lp_solve_all, rat  # noqa: F401
+from .exactla import lp_solve  # noqa: F401
 from .polytope import Polytope, Rectangle, SlackMatrix, face, slack_matrix
 from .record import record
 

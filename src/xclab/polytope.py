@@ -319,30 +319,18 @@ class XYSystem:
     def n_ineqs(self) -> int:
         return 0 if self.ineqs is None else len(self.ineqs[1])
 
-    def lift_system_for(self, x: Sequence[Fraction]) -> tuple[tuple | None, tuple | None]:
-        """Constraints over y once x is pinned: (ineqs, eqs) for lp_solve,
-        which decides the lifts a `LiftPlan` leaves open."""
-        xy = tuple(x) + (Fraction(0),) * self.y_dim
-        out = []
-        for side in (self.ineqs, self.eqs):
-            if side is not None:
-                rows, rhs = side
-                side = ([row[self.x_dim :] for row in rows], IntegerRows(rows, rhs).slacks(xy))
-            out.append(side)
-        return out[0], out[1]
-
 
 class LiftPlan:
     """The lifts of points x into an XYSystem, planned once per system: the
     joint inequality rows held as integers, and the equalities eliminated
-    over y with x pinned (`PinnedSolve`).  Whether a lift is unique does not
-    depend on x."""
+    over y with x pinned (`PinnedSolve`), a side given as None held as no
+    rows.  Whether a lift is unique does not depend on x."""
 
     __slots__ = ("system", "ineqs", "eqs")
 
     def __init__(self, system: XYSystem):
         self.system = system
-        self.ineqs = None if system.ineqs is None else IntegerRows(*system.ineqs)
+        self.ineqs = IntegerRows(*(system.ineqs or ((), ())))
         self.eqs = PinnedSolve(*(system.eqs or ((), ())), system.x_dim, system.y_dim)
 
     def lift(self, x: Sequence[Fraction]) -> tuple[Fraction, ...] | str:
@@ -353,12 +341,21 @@ class LiftPlan:
         the equalities leave y free and an LP has to decide."""
         y = self.eqs.solve(x)
         if y == "inconsistent" or (
-            isinstance(y, tuple)
-            and self.ineqs is not None
-            and any(s < 0 for s in self.ineqs.scaled_slacks(tuple(x) + y))
+            isinstance(y, tuple) and any(s < 0 for s in self.ineqs.scaled_slacks(tuple(x) + y))
         ):
             return "infeasible"
         return y
+
+    def lp_system(self, x: Sequence[Fraction]) -> tuple[tuple, tuple]:
+        """The system over y once x is pinned: (ineqs, eqs) for lp_solve,
+        which decides the lifts `lift` leaves open.  Each side is its rows'
+        y-block with their exact slacks at (x, 0)."""
+        ys = range(self.system.x_dim, self.system.x_dim + self.system.y_dim)
+        return tuple(
+            ([[Fraction(row.get(k, 0), c) for k in ys] for row, c in zip(side.rows, side.scales)],
+             side.slacks(x))
+            for side in (self.ineqs, self.eqs.system)
+        )
 
 
 @record
@@ -387,7 +384,7 @@ def lp_equal_under_projection(
     for j, v in enumerate(poly.vertices):
         lift = plan.lift(v)
         if lift == "not unique":
-            lift = lp_solve(*system.lift_system_for(v), [0] * system.y_dim, sense="max").status
+            lift = lp_solve(*plan.lp_system(v), [0] * system.y_dim, sense="max").status
         if isinstance(lift, str) and lift != "optimal":
             return ProjectionReport(
                 False,
@@ -519,8 +516,8 @@ def write_polytope(path: str, poly: Polytope) -> None:
 
 def load_json(path: str):
     """Parse a JSON file; malformed JSON, an integer over CPython's
-    int-to-str digit limit, or text that is not UTF-8 is an InputError
-    naming the path."""
+    int-to-str digit limit, nesting deeper than the parser's recursion
+    limit, or text that is not UTF-8 is an InputError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -528,6 +525,8 @@ def load_json(path: str):
             raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
         except ValueError as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise InputError(f"{path}: JSON nested too deeply to parse") from exc
 
 
 def load_payload(path: str, key: str):

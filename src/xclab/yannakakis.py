@@ -148,15 +148,13 @@ def _lex_min_lift(plan: LiftPlan, x, vertex_index: int):
         raise NotAnExtensionError(vertex_index)
     if lift != "not unique":
         return lift
-    system = plan.system
-    ineqs, eqs = system.lift_system_for(x)
-    eq_rows = [] if eqs is None else list(eqs[0])
-    eq_rhs = [] if eqs is None else list(eqs[1])
+    y_dim = plan.system.y_dim
+    ineqs, (eq_rows, eq_rhs) = plan.lp_system(x)
     point = None
-    for i in range(system.y_dim):
-        obj = [0] * system.y_dim
+    for i in range(y_dim):
+        obj = [0] * y_dim
         obj[i] = 1
-        res = lp_solve(ineqs, (eq_rows, eq_rhs) if eq_rows else None, obj, sense="min")
+        res = lp_solve(ineqs, (eq_rows, eq_rhs), obj, sense="min")
         if res.status == "infeasible":
             raise NotAnExtensionError(vertex_index)
         if res.status == "unbounded":
@@ -164,7 +162,7 @@ def _lex_min_lift(plan: LiftPlan, x, vertex_index: int):
                 f"lift coordinate {i} of vertex {vertex_index} is unbounded "
                 "below; the lexicographic lift is undefined"
             )
-        pin = [Fraction(0)] * system.y_dim
+        pin = [Fraction(0)] * y_dim
         pin[i] = Fraction(1)
         eq_rows.append(pin)
         eq_rhs.append(res.value)

@@ -17,7 +17,6 @@ from xclab.bounds import (
     _check_cover,
     _check_fooling,
     _supports,
-    BoundConfig,
     Certificate,
     CoverResult,
     Factorization,
@@ -389,10 +388,11 @@ def test_bounds_with_hyperplane_certificate():
     w = WeightMatrix.from_rows(
         [[1 if i == j else -1 for j in range(3)] for i in range(3)]
     )
-    config = BoundConfig(hyperplane=(w,))
-    report = nonnegative_rank_bounds(eye, config)
-    assert any(c.method == "hyperplane" and c.value == 3 for c in report.certificates)
-    assert report.lower == 3
+    value, alpha = hyperplane_bound(w, eye)
+    assert value == 3 and alpha.certified
+    assert w.rectangle_sum(alpha.rectangle.rows, alpha.rectangle.cols) == alpha.value == 1
+    report = nonnegative_rank_bounds(eye)
+    assert report.lower == value == report.upper
 
 
 def test_report_json():
@@ -499,11 +499,9 @@ def test_weight_grid_matches_fraction_reference(case, seed):
 def test_hyperplane_certificate_on_ppm4_all_ones():
     s = slack_matrix(perfect_matching_polytope(4))
     w = WeightMatrix.from_rows([[1] * s.ncols for _ in range(s.nrows)])
-    report = nonnegative_rank_bounds(s, BoundConfig(hyperplane=(w,)))
-    assert report.lower <= report.upper
-    (cert,) = [c for c in report.certificates if c.method == "hyperplane"]
-    witness_w, alpha = cert.witness
-    assert witness_w is w and alpha.certified
+    value, alpha = hyperplane_bound(w, s)
+    assert 0 < value <= nonnegative_rank_bounds(s).upper
+    assert alpha.certified
     assert alpha.value == s.nrows * s.ncols
     assert w.rectangle_sum(alpha.rectangle.rows, alpha.rectangle.cols) == alpha.value
 

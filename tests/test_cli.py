@@ -297,6 +297,32 @@ def test_bridge_results_match_golden_digests(tmp_path):
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == golden[key], key
 
 
+def test_padded_extension_lifts_keep_their_results(tmp_path):
+    """`factorize --r 11` on ppm4 pads its factorization with a zero column,
+    so the extension's equalities leave that lift coordinate free and
+    `contract` and `verify --system` decide every lift by LPs.  Each step's
+    exit code and `result` digest is pinned."""
+    p, fac, ext = (tmp_path / f"{name}.json" for name in ("ppm4", "fac", "ext"))
+    steps = [
+        (["gen", "ppm", "--n", 4], p,
+         "dc264c728a146a04d331c98ec13b82fc50e0a3e392736dd6cb7e1a801950371a"),
+        (["factorize", "--input", p, "--r", 11], fac,
+         "6eb1b1a0baf47bd56acd664924710bf62866fe124255ef8ec774c557f48d1516"),
+        (["extend", "--input", p, "--factorization", fac], ext,
+         "317a185623d8bb536b485eadb2c079d4a92159ef29a5d4377c06db0cfc2cc2df"),
+        (["contract", "--input", p, "--system", ext], tmp_path / "c.json",
+         "f31c08e74c09870356975fd1ed374847b37d8f8036462644011f565929cbde56"),
+        (["verify", "--input", p, "--system", ext, "--trials", 20, "--seed", 1], tmp_path / "v.json",
+         "e397e6565ec85f407ffa7dd4a5ca5f205ee0cbc0ed0565e971ab6aa9f609823e"),
+    ]
+    for argv, out, digest in steps:
+        rc, env = run(argv, out)
+        text = json.dumps(env["result"], sort_keys=True, separators=(",", ":"))
+        assert (rc, hashlib.sha256(text.encode("utf-8")).hexdigest()) == (0, digest), argv[0]
+    left = json.loads(fac.read_text())["result"]["factorization"]["left"]
+    assert all(row[-1] == "0" for row in left)
+
+
 def test_extend_contract_verify_chain(tmp_path):
     rc, _ = run(["gen", "ppm", "--n", 4], tmp_path / "p.json")
     rc, env = run(["extend", "--input", tmp_path / "p.json"], tmp_path / "ef.json")
@@ -677,6 +703,20 @@ def test_non_utf8_input_is_input_error(case, tmp_path, capsys):
     assert main(["verify", "--input", str(doc), "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and f"{bad}: not UTF-8 text" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["verify", "bias"])
+def test_deeply_nested_json_is_input_error(verb, tmp_path, capsys):
+    """Nesting past the parser's recursion limit is refused like any other
+    malformed JSON, not raised as a RecursionError."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    argv = {"verify": ["verify", "--input", deep], "bias": ["bias", "--input", deep, "--eps", "1/2"]}
+    out = tmp_path / "o.json"
+    assert main([str(a) for a in argv[verb]] + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and f"{deep}: JSON nested too deeply" in err
     assert not out.exists()
 
 

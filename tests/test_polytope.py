@@ -386,18 +386,27 @@ def _ref_solve(rows, rhs, ncols):
     return tuple(row[-1] for row in a[:r]) if r == ncols else "not unique"
 
 
+def _pinned(system, x):
+    """Reference: the system over y once x is pinned, from its Fraction
+    rows: (ineqs, eqs) for lp_solve, each side's y-block against
+    b - a . (x, 0), and a side given as None without rows."""
+    return tuple(
+        ([row[system.x_dim :] for row in rows],
+         [b - sum((a * v for a, v in zip(row, x)), Fraction(0)) for row, b in zip(rows, rhs)])
+        for rows, rhs in (system.ineqs or ((), ()), system.eqs or ((), ()))
+    )
+
+
 def _lift_by_vertex(system, x):
-    """Reference: each lift on its own, from `lift_system_for`: the unique
-    solution of the pinned equalities, checked against the pinned
-    inequalities.  Without equality rows a y with coordinates is never
-    decided here; without y the lift is empty once the checks pass."""
-    ineqs, eqs = system.lift_system_for(x)
-    if eqs is None and system.y_dim:
-        return "not unique"
-    point = _ref_solve(*(eqs or ((), ())), system.y_dim)
+    """Reference: each lift on its own, from `_pinned`: the unique solution
+    of the pinned equalities, checked against the pinned inequalities.
+    Without equality rows a y with coordinates is never decided here;
+    without y the lift is empty once the checks pass."""
+    ineqs, eqs = _pinned(system, x)
+    point = _ref_solve(*eqs, system.y_dim)
     if point == "inconsistent":
         return "infeasible"
-    if point != "not unique" and ineqs is not None:
+    if point != "not unique":
         for row, b in zip(*ineqs):
             if sum((a * v for a, v in zip(row, point)), Fraction(0)) > b:
                 return "infeasible"
@@ -441,6 +450,7 @@ def test_lift_plan_matches_per_vertex_lifts(data):
     for x in (x0, x1):
         x = tuple(Fraction(v) for v in x)
         assert plan.lift(x) == _lift_by_vertex(system, x)
+        assert plan.lp_system(x) == _pinned(system, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -455,7 +465,7 @@ def test_projection_reports_the_first_vertex_without_a_lift(data):
     for j, v in enumerate(poly.vertices):
         if y_dim == 0 and not any(side and side[1] for side in (system.ineqs, system.eqs)):
             break  # no variable and no row: there is no LP, and nothing to violate
-        status = lp_solve(*system.lift_system_for(v), [0] * y_dim, sense="max").status
+        status = lp_solve(*_pinned(system, v), [0] * y_dim, sense="max").status
         if status != "optimal":
             expected = ProjectionReport(
                 False, "vertex-lift", {"vertex": j, "label": poly.vertex_labels[j], "status": status}

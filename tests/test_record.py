@@ -37,7 +37,7 @@ SAMPLES = {
     "RectangleValue": [(Fraction(2), _R, True), (Fraction(2), _R, False)],
     "CoverResult": [("optimal", 1, (_R,), 7), ("exceeded", None, (), 200_000)],
     "Certificate": [("rank", 2), ("fooling", 2, ((0, 1), (1, 0)))],
-    "BoundConfig": [(), (5, 3, 1, 16, 2, 9, ())],
+    "BoundConfig": [(), (5, 3, 1, 16, 2, 9)],
     "BoundReport": [(1, 2, (), None), (2, 2, (), None)],
     "LPResult": [("infeasible",), ("optimal", Fraction(5), (Fraction(1), Fraction(4)))],
     "Factorization": [(_M, _N), (_N, _M)],

@@ -55,6 +55,34 @@ def test_no_module_imports_a_private_name_from_another():
     assert not sites, "private names imported: " + ", ".join(sites)
 
 
+def test_every_imported_name_is_used_in_its_module():
+    """A package module uses every module-level name it imports, so its
+    header shows only what it depends on.  `__init__.py` re-exports and
+    `from __future__` are exempt, and so are the names allowed below."""
+    # perfbench's span table wraps `xclab.matchgen.lp_solve`; the entry goes
+    # once the table names `lp_solve_all` instead.
+    allowed = {"xclab.matchgen.lp_solve"}
+    root = pathlib.Path(xclab.__file__).parent
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += [
+                    f"{module}.{name}"
+                    for name in names
+                    if name not in used and f"{module}.{name}" not in allowed
+                ]
+    assert not unused, "imported but never used: " + ", ".join(unused)
+
+
 def test_importing_the_cli_loads_neither_tempfile_nor_shutil():
     """Output files are written without `tempfile`, so a process that
     imports xclab pays for neither it nor the `shutil` it pulls in.  `-S`
@@ -122,4 +150,4 @@ def test_settable_value_count():
     changes this count; a change that adds one updates the pin and says why."""
     values = _settable_values()
     assert len(values) == len(set(values))
-    assert len(values) == 104, "\n".join(values)
+    assert len(values) == 103, "\n".join(values)

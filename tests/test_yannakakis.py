@@ -276,10 +276,9 @@ def test_contract_pivot_count_on_ppm6(monkeypatch):
     assert len(pivots) == 1218
 
 
-@pytest.mark.parametrize("check", ["projection", "contract"])
-def test_integer_rows_builds_do_not_grow_with_the_vertex_count(check, monkeypatch):
-    """The lifts of one system share one plan: ppm6 with all 15 vertices
-    and with its first 5 build the same number of IntegerRows."""
+def _ppm6_with_all_and_with_5_vertices():
+    """ppm6 with all 15 vertices and with its first 5, in one system whose
+    equalities decide every lift."""
     poly = perfect_matching_polytope(6)
     system = extension_from_factorization(
         poly, slack_variable_factorization(slack_matrix(poly))
@@ -287,6 +286,35 @@ def test_integer_rows_builds_do_not_grow_with_the_vertex_count(check, monkeypatc
     few = Polytope.build(
         poly.ineq_coefs, poly.ineq_rhs, poly.vertices[:5], eq_coefs=poly.eq_coefs, eq_rhs=poly.eq_rhs
     )
+    return (poly, system), (few, system)
+
+
+def _cubes_with_a_free_y():
+    """The 2-cube and the 4-cube, each in its own rows plus -y <= 0 with no
+    equality rows, so that LPs decide every lift."""
+    pairs = []
+    for d in (2, 4):
+        cube = hypercube_polytope(d)
+        rows = [row + (Fraction(0),) for row in cube.ineq_coefs.rows()]
+        rows.append((Fraction(0),) * d + (Fraction(-1),))
+        pairs.append((cube, XYSystem(d, 1, (rows, cube.ineq_rhs + (Fraction(0),)))))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "check, cases",
+    [
+        pytest.param("projection", _ppm6_with_all_and_with_5_vertices, id="projection"),
+        pytest.param("contract", _ppm6_with_all_and_with_5_vertices, id="contract"),
+        pytest.param("projection", _cubes_with_a_free_y, id="free-y-projection"),
+        pytest.param("contract", _cubes_with_a_free_y, id="free-y-contract"),
+    ],
+)
+def test_integer_rows_builds_do_not_grow_with_the_vertex_count(check, cases, monkeypatch):
+    """The lifts of one system share one plan, whether the equalities or
+    LPs decide them: both polytopes of a case build the same number of
+    IntegerRows."""
+    first, second = cases()
     builds = []
     init = IntegerRows.__init__
 
@@ -294,28 +322,31 @@ def test_integer_rows_builds_do_not_grow_with_the_vertex_count(check, monkeypatc
         builds.append(1)
         init(self, *args)
 
-    def count(p):
+    def count(p, system):
         builds.clear()
         if check == "projection":
-            assert lp_equal_under_projection(p, system, 2, 0).passed
+            assert lp_equal_under_projection(p, system, 0, 0).passed
         else:
             assert verify_factorization(slack_matrix(p), factorization_from_extension(p, system))
         return len(builds)
 
     monkeypatch.setattr(IntegerRows, "__init__", counting)
-    assert count(poly) == count(few)
+    assert count(*first) == count(*second)
 
 
 def _lex_lift_by_lp(system, x, vertex_index):
-    """Reference: the lexicographic LP sequence for every lift."""
-    ineqs, eqs = system.lift_system_for(x)
-    eq_rows = [] if eqs is None else list(eqs[0])
-    eq_rhs = [] if eqs is None else list(eqs[1])
+    """Reference: the lexicographic LP sequence for every lift, over the
+    system's rows with x pinned: each row's y-block against b - a . (x, 0)."""
+    ineqs, (eq_rows, eq_rhs) = (
+        ([row[system.x_dim :] for row in rows],
+         [b - sum((a * v for a, v in zip(row, x)), Fraction(0)) for row, b in zip(rows, rhs)])
+        for rows, rhs in (system.ineqs, system.eqs)
+    )
     point = None
     for i in range(system.y_dim):
         obj = [0] * system.y_dim
         obj[i] = 1
-        res = lp_solve(ineqs, (eq_rows, eq_rhs) if eq_rows else None, obj, sense="min")
+        res = lp_solve(ineqs, (eq_rows, eq_rhs), obj, sense="min")
         if res.status == "infeasible":
             raise NotAnExtensionError(vertex_index)
         pin = [Fraction(0)] * system.y_dim
