@@ -322,16 +322,19 @@ class XYSystem:
 
 class LiftPlan:
     """The lifts of points x into an XYSystem, planned once per system: the
-    joint inequality rows held as integers, and the equalities eliminated
-    over y with x pinned (`PinnedSolve`), a side given as None held as no
-    rows.  Whether a lift is unique does not depend on x."""
+    joint inequality rows held as integers, the equalities eliminated over
+    y with x pinned (`PinnedSolve`), and both sides' y-blocks for the LPs,
+    a side given as None held as no rows.  Whether a lift is unique does
+    not depend on x."""
 
-    __slots__ = ("system", "ineqs", "eqs")
+    __slots__ = ("system", "ineqs", "eqs", "y_blocks")
 
     def __init__(self, system: XYSystem):
         self.system = system
-        self.ineqs = IntegerRows(*(system.ineqs or ((), ())))
-        self.eqs = PinnedSolve(*(system.eqs or ((), ())), system.x_dim, system.y_dim)
+        sides = [side or ((), ()) for side in (system.ineqs, system.eqs)]
+        self.ineqs = IntegerRows(*sides[0])
+        self.eqs = PinnedSolve(*sides[1], system.x_dim, system.y_dim)
+        self.y_blocks = [[row[system.x_dim :] for row in rows] for rows, _ in sides]
 
     def lift(self, x: Sequence[Fraction]) -> tuple[Fraction, ...] | str:
         """The only y with (x, y) in the system, found by linear algebra:
@@ -349,13 +352,10 @@ class LiftPlan:
     def lp_system(self, x: Sequence[Fraction]) -> tuple[tuple, tuple]:
         """The system over y once x is pinned: (ineqs, eqs) for lp_solve,
         which decides the lifts `lift` leaves open.  Each side is its rows'
-        y-block with their exact slacks at (x, 0)."""
-        ys = range(self.system.x_dim, self.system.x_dim + self.system.y_dim)
-        return tuple(
-            ([[Fraction(row.get(k, 0), c) for k in ys] for row, c in zip(side.rows, side.scales)],
-             side.slacks(x))
-            for side in (self.ineqs, self.eqs.system)
-        )
+        y-block with their exact slacks at (x, 0); the equality rows come as
+        a fresh list, so a caller may append to them."""
+        ineq_y, eq_y = self.y_blocks
+        return (ineq_y, self.ineqs.slacks(x)), (list(eq_y), self.eqs.system.slacks(x))
 
 
 @record
