@@ -47,6 +47,19 @@ def common_denominator(values: Iterable[Fraction]) -> int:
     return lcm(*(x.denominator for x in values))
 
 
+def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times their common denominator, and that denominator."""
+    den = common_denominator(values)
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def scaled_support(point: Sequence[Fraction]) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero coordinates of the point times their common denominator
+    den, as (index, integer) pairs, and den."""
+    den = common_denominator(point)
+    return [(k, x.numerator * (den // x.denominator)) for k, x in enumerate(point) if x], den
+
+
 class IntegerRows:
     """A row system a_i . x against b_i, each row and its right-hand side
     times their common denominator scales[i]: rows[i] holds the nonzero
@@ -64,16 +77,13 @@ class IntegerRows:
         self.rhs: list[int] = []
         self.scales: list[int] = []
         for row, b in zip(rows, rhs):
-            scale = lcm(b.denominator, common_denominator(row))
-            self.rows.append(
-                {k: a.numerator * (scale // a.denominator) for k, a in enumerate(row) if a}
-            )
-            self.rhs.append(b.numerator * (scale // b.denominator))
+            ints, scale = clear_denominators((*row, b))
+            self.rhs.append(ints.pop())
+            self.rows.append({k: a for k, a in enumerate(ints) if a})
             self.scales.append(scale)
 
     def _scaled(self, x: Sequence[Fraction]) -> tuple[list[int], int]:
-        den = common_denominator(x)
-        supp = [(k, v.numerator * (den // v.denominator)) for k, v in enumerate(x) if v]
+        supp, den = scaled_support(x)
         return [
             d * den - sum(row[k] * v for k, v in supp if k in row)
             for row, d in zip(self.rows, self.rhs)
@@ -143,8 +153,8 @@ class PinnedSolve:
         """The unique z with rows . (p, z) == rhs, else "inconsistent" when
         no z solves the system or "not unique" when solutions form a line or
         more; inconsistency is reported first."""
-        den = common_denominator(p)
-        pinned = {self.free + k: v.numerator * (den // v.denominator) for k, v in enumerate(p) if v}
+        supp, den = scaled_support(p)
+        pinned = {self.free + k: v for k, v in supp}
 
         def rest(row: dict[int, int], d: int) -> int:
             return d * den - sum(v * pinned[k] for k, v in row.items() if k in pinned)
@@ -159,7 +169,7 @@ class PinnedSolve:
 class ExactMatrix:
     """Immutable dense matrix over Fraction, row-major."""
 
-    __slots__ = ("_rows", "_nrows", "_ncols")
+    __slots__ = ("_rows", "_nrows", "_ncols", "_cleared_columns")
 
     def __init__(self, rows: Iterable[Sequence[int | str | Fraction]]):
         data = tuple(tuple(rat(x) for x in row) for row in rows)
@@ -173,6 +183,7 @@ class ExactMatrix:
         self._rows = data
         self._nrows = len(data)
         self._ncols = width
+        self._cleared_columns = None
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -207,6 +218,15 @@ class ExactMatrix:
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
+
+    def cleared_columns(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """`clear_denominators` of each column, its entries as a tuple;
+        computed on the first call and kept."""
+        if self._cleared_columns is None:
+            self._cleared_columns = tuple(
+                (tuple(ints), den) for ints, den in map(clear_denominators, zip(*self._rows))
+            )
+        return self._cleared_columns
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(zip(*self._rows))

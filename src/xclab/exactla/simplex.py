@@ -1,5 +1,14 @@
 """Exact linear programming over the rationals.
 
+Each call clears its rows of denominators once: row i and its right-hand
+side times the lcm of their denominators, an integer row with the
+right-hand side last.  The tableau is built from those rows, and the
+independent checks of the answer read them too, in integers against the
+point cleared to one denominator; they raise explicitly, so `python -O`
+keeps them.  `conic_combination` takes its columns cleared from the
+`ExactMatrix`, which clears them once, and rescales only a column whose
+target entry has a denominator the column's scale lacks.
+
 Two-phase primal simplex with integer-preserving pivots (Edmonds): the full
 tableau always equals det(basis) times the true rational one, so every entry
 stays an integer (adjugate argument) and every pivot divides exactly by the
@@ -55,11 +64,12 @@ All decisions compare integers, never floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from ..errors import InputError
 from ..record import record
-from .matrix import ExactMatrix, common_denominator, rat
+from .matrix import ExactMatrix, clear_denominators, rat, scaled_support
 
 _DEGENERATE_SWITCH = 8
 _PIVOT_CAP = 500_000
@@ -76,15 +86,21 @@ class LPResult:
         return self.status == "optimal"
 
 
+def _cleared(rows: Iterable[Sequence[Fraction]], rhs: Iterable[Fraction]) -> list[list[int]]:
+    """Each row with its right-hand side appended, times the lcm of their
+    denominators: the form `_simplex_all` takes."""
+    return [clear_denominators((*row, b))[0] for row, b in zip(rows, rhs)]
+
+
 def _coerce_system(
     system: tuple | None, nvars: int | None, what: str
-) -> tuple[list[list[Fraction]], list[Fraction], int | None]:
-    """Normalize an (A, b) pair to rational row lists."""
+) -> tuple[list[list[int]], int | None]:
+    """Normalize an (A, b) pair to `_cleared` rows."""
     if system is None:
-        return [], [], nvars
+        return [], nvars
     mat, rhs = system
     if isinstance(mat, ExactMatrix):
-        rows = [list(r) for r in mat.rows()]
+        rows = mat.rows()
     else:
         rows = [[rat(x) for x in row] for row in mat]
     rhs = [rat(x) for x in rhs]
@@ -99,7 +115,13 @@ def _coerce_system(
             raise InputError(
                 f"{what}: row width {len(row)} does not match variable count {nvars}"
             )
-    return rows, rhs, nvars
+    return _cleared(rows, rhs), nvars
+
+
+def _excess(row: Sequence[int], support: list[tuple[int, int]], den: int) -> int:
+    """The cleared row times a `scaled_support` point, minus its right-hand
+    side: a positive multiple of the true row's excess."""
+    return sum(row[k] * v for k, v in support) - row[-1] * den
 
 
 def lp_solve(
@@ -135,29 +157,31 @@ def lp_solve_all(
     if len(widths) > 1:
         raise InputError(f"objective widths differ: {widths}")
     nvars = widths[0] if widths else None
-    le_rows, le_rhs, nvars = _coerce_system(ineqs, nvars, "ineqs")
-    eq_rows, eq_rhs, nvars = _coerce_system(eqs, nvars, "eqs")
+    le, nvars = _coerce_system(ineqs, nvars, "ineqs")
+    eq, nvars = _coerce_system(eqs, nvars, "eqs")
     if not cs:
         return []
     if nvars is None:
         raise InputError("cannot infer variable count: no objective, no rows")
     cs = [c or [Fraction(0)] * nvars for c in cs]
 
-    goals = cs if sense == "max" else [[-x for x in c] for c in cs]
-    points = _simplex_all(le_rows, le_rhs, eq_rows, eq_rhs, [False] * nvars, goals)
+    sign = 1 if sense == "max" else -1
+    goals = [[sign * a for a in clear_denominators(c)[0]] for c in cs]
+    points = _simplex_all(le, eq, [False] * nvars, goals)
     results = []
     for c, point in zip(cs, points):
         if isinstance(point, str):
             results.append(LPResult(status=point))
             continue
-        # Independent checks of the solver; explicit so that `python -O` keeps them.
-        for row, rhs in zip(le_rows, le_rhs):
-            if sum(a * x for a, x in zip(row, point) if a) > rhs:
-                raise AssertionError("solver returned an infeasible point")
-        for row, rhs in zip(eq_rows, eq_rhs):
-            if sum(a * x for a, x in zip(row, point) if a) != rhs:
-                raise AssertionError("solver returned a point violating an equality")
-        value = sum(a * x for a, x in zip(c, point))
+        # Independent checks of the solver, in integers on the cleared rows,
+        # each a positive multiple of its row; explicit so that `python -O`
+        # keeps them.
+        support, den = scaled_support(point)
+        if any(_excess(row, support, den) > 0 for row in le):
+            raise AssertionError("solver returned an infeasible point")
+        if any(_excess(row, support, den) for row in eq):
+            raise AssertionError("solver returned a point violating an equality")
+        value = sum((c[k] * point[k] for k, _ in support), Fraction(0))
         results.append(LPResult(status="optimal", value=value, point=tuple(point)))
     return results
 
@@ -181,17 +205,24 @@ def conic_combination(
     nvars = rows.nrows
     if not 0 <= free <= nvars:
         raise InputError(f"free must be between 0 and {nvars}, got {free}")
-    eq_rows = [list(rows.column(j)) for j in range(rows.ncols)]
-    zero = [Fraction(0)] * nvars
+    # One equality per column, `_cleared` against its target entry: the
+    # matrix holds its columns cleared, and a column is rescaled only when
+    # its target entry has a denominator the column's scale lacks.
+    eq = []
+    for (col, scale), t in zip(rows.cleared_columns(), tgt):
+        if scale % t.denominator:
+            grow = t.denominator // gcd(scale, t.denominator)
+            col, scale = [a * grow for a in col], scale * grow
+        eq.append([*col, t.numerator * (scale // t.denominator)])
     nonneg = [True] * (nvars - free) + [False] * free
-    point = _simplex([], [], eq_rows, tgt, nonneg, zero)
+    point = _simplex_all([], eq, nonneg, [[0] * nvars])[0]
     if isinstance(point, str):
         if point == "infeasible":
             return None
         raise AssertionError("feasibility program cannot be unbounded")
-    for erow, erhs in zip(eq_rows, tgt):
-        if sum(a * x for a, x in zip(erow, point) if a) != erhs:
-            raise AssertionError("solver returned a point off the target")
+    support, den = scaled_support(point)
+    if any(_excess(row, support, den) for row in eq):
+        raise AssertionError("solver returned a point off the target")
     if any(x < 0 for x in point[: nvars - free]):
         raise AssertionError("solver returned a negative multiplier")
     return tuple(point)
@@ -205,27 +236,29 @@ def _simplex(
     nonneg: list[bool],
     goal: list[Fraction],
 ) -> list[Fraction] | str:
-    """`_simplex_all` with the one objective `goal`."""
-    return _simplex_all(le_rows, le_rhs, eq_rows, eq_rhs, nonneg, [goal])[0]
+    """`_simplex_all` over rational rows, with the one objective `goal`:
+    the entry the differential tests drive with a reference's inputs."""
+    goals = [clear_denominators(goal)[0]]
+    return _simplex_all(_cleared(le_rows, le_rhs), _cleared(eq_rows, eq_rhs), nonneg, goals)[0]
 
 
 def _simplex_all(
-    le_rows: list[list[Fraction]],
-    le_rhs: list[Fraction],
-    eq_rows: list[list[Fraction]],
-    eq_rhs: list[Fraction],
+    le: list[list[int]],
+    eq: list[list[int]],
     nonneg: list[bool],
-    goals: list[list[Fraction]],
+    goals: list[list[int]],
 ) -> list[list[Fraction] | str]:
-    """Core solver, maximization: a point or a status string per goal."""
+    """Core solver, maximization: a point or a status string per goal.
+    `le` and `eq` hold `_cleared` rows, right-hand side last, and `goals`
+    the objectives times their common denominators; none is modified."""
     nvars = len(nonneg)
     nonneg = list(nonneg)
 
     # Presolve: a row -x_i <= 0 is just a sign bound, not worth a tableau row.
     kept_le: list[int] = []
-    for ridx, (row, rhs) in enumerate(zip(le_rows, le_rhs)):
-        nz = [(j, a) for j, a in enumerate(row) if a]
-        if rhs == 0 and len(nz) == 1 and nz[0][1] < 0:
+    for ridx, row in enumerate(le):
+        nz = [(j, a) for j, a in enumerate(row) if a]  # a zero rhs adds no entry
+        if row[-1] == 0 and len(nz) == 1 and nz[0][1] < 0:
             nonneg[nz[0][0]] = True
         else:
             kept_le.append(ridx)
@@ -242,28 +275,20 @@ def _simplex_all(
             col_var.append((i, -1))
     nstruct = len(col_var)
 
-    def scaled_int_row(row: list[Fraction], rhs: Fraction) -> tuple[list[int], int]:
-        scale = common_denominator((*row, rhs))
-        out = [a.numerator * (scale // a.denominator) for a in row]
-        return out, rhs.numerator * (scale // rhs.denominator)
-
-    # Assemble rows, each with a nonnegative right-hand side.
-    body: list[list[int]] = []
+    # Assemble rows, each with a nonnegative right-hand side; the tableau
+    # rows below are new lists, so the caller's rows are only read.
+    body: list[Sequence[int]] = []
     kinds: list[str] = []  # "slack" | "flipped" | "eq"
     for ridx in kept_le:
-        coefs, rhs = scaled_int_row(le_rows[ridx], le_rhs[ridx])
-        if rhs >= 0:
-            body.append(coefs + [rhs])
+        row = le[ridx]
+        if row[-1] >= 0:
+            body.append(row)
             kinds.append("slack")
         else:
-            body.append([-a for a in coefs] + [-rhs])
+            body.append([-a for a in row])
             kinds.append("flipped")
-    for row, rhs in zip(eq_rows, eq_rhs):
-        coefs, irhs = scaled_int_row(row, rhs)
-        if irhs >= 0:
-            body.append(coefs + [irhs])
-        else:
-            body.append([-a for a in coefs] + [-irhs])
+    for row in eq:
+        body.append(row if row[-1] >= 0 else [-a for a in row])
         kinds.append("eq")
 
     # Tableau column ids: the structural columns, then one slack (basic) or
@@ -287,9 +312,7 @@ def _simplex_all(
     # none when every goal is zero, as phase two then never runs.
     feasibility = not any(any(goal) for goal in goals)
     pad = [0] * (len(flipped) + 1)
-    objs = [] if feasibility else [
-        [-a for a in scaled_int_row(goal, Fraction(0))[0]] + pad for goal in goals
-    ]
+    objs = [] if feasibility else [[-a for a in goal] + pad for goal in goals]
     state = _State(rows, basis, cols, objs, twin)
 
     def basic_point(run: _State) -> list[Fraction]:
@@ -368,8 +391,9 @@ def _pivot(state: _State, r: int, s: int) -> None:
     A row whose slot-s entry f is zero keeps its true values, so it is left
     alone at its old scale: each row is rescaled only when a pivot touches
     it.  At scale d, (a * p - f * b) / d is the full tableau's next entry,
-    so the division is exact; when p == d, only the pivot row's support
-    changes.
+    so the division is exact.  When d divides p, it also divides f * b,
+    and the row becomes its entries times p / d less f * b / d on the
+    pivot row's support alone; when p == d, only that support changes.
     """
     den, rows, scales = state.den, state.rows, state.scales
     prow = rows[r]
@@ -382,11 +406,14 @@ def _pivot(state: _State, r: int, s: int) -> None:
 
     def eliminate(row: list[int], d: int) -> None:
         f = row[s]
-        if p == d:
+        if p % d:
+            row[:] = [(a * p - f * b) // d if a or b else 0 for a, b in zip(row, prow)]
+        else:
+            if p != d:
+                q = p // d
+                row[:] = [a * q for a in row]
             for j, b in support:
                 row[j] -= f * b // d
-        else:
-            row[:] = [(a * p - f * b) // d if a or b else 0 for a, b in zip(row, prow)]
         row[s] = -(f * den // d)
 
     for i, row in enumerate(rows):

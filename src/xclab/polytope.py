@@ -224,20 +224,29 @@ def slack_matrix(
 def verify_vertices(poly: Polytope) -> tuple[bool, int | None]:
     """Check that no listed vertex is a convex combination of the others.
 
-    A point listed twice fails at its first listing.  A point of P(H) at
-    which the tight inequality rows plus the equalities have rank dim is a
-    vertex of P(H), hence of conv(V), and passes by that rank certificate
-    alone.  Every other point, such as one of a relaxation whose P(H) is
-    larger than conv(V), gets a feasibility LP: nonnegative weights on the
-    other vertices summing to one that reproduce the point.  Returns
+    A point listed twice fails at its first listing.  A point whose every
+    coordinate is that coordinate's least or greatest value over V is a
+    corner of V's bounding box: any convex combination of other points
+    that gives it would use points equal to it in every coordinate, so it
+    passes with no elimination (every 0/1 vertex set passes this way).  A
+    point of P(H) at which the tight inequality rows plus the equalities
+    have rank dim is a vertex of P(H), hence of conv(V), and passes by that
+    rank certificate.  Every other point, such as one of a relaxation whose
+    P(H) is larger than conv(V), gets a feasibility LP: nonnegative weights
+    on the other vertices summing to one that reproduce the point.  Returns
     (True, None) or (False, first offending index).
     """
     verts = poly.vertices
     counts = Counter(verts)
-    system = IntegerRows(*poly.all_rows())
+    extremes = [{min(coord), max(coord)} for coord in zip(*verts)]
+    system = None
     for j, v in enumerate(verts):
         if counts[v] > 1:
             return False, j
+        if all(x in ends for x, ends in zip(v, extremes)):
+            continue
+        if system is None:
+            system = IntegerRows(*poly.all_rows())
         if _rank_certifies_vertex(poly, system, v):
             continue
         others = [verts[i] + (Fraction(1),) for i in range(len(verts)) if i != j]

@@ -460,6 +460,145 @@ def test_post_solve_checks_survive_python_O():
     ]
 
 
+def test_post_solve_checks_catch_the_smallest_violation():
+    """The integer checks read each row cleared to scale 6 (denominators 2
+    and 3), never the copy the tableau flips for a negative right-hand
+    side: a point that misses the row by 1/6 is caught on every side, also
+    under `python -O`, and the point on the row passes."""
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction as F
+        import xclab.exactla.simplex as simplex
+
+        assert not __debug__, "asserts are on"
+
+        def outcome(point, call):
+            simplex._simplex_all = lambda *args: [list(point)]
+            try:
+                call()
+            except AssertionError as exc:
+                return str(exc)
+            return "no raise"
+
+        row = [F(1, 2), F(1, 3)]
+        for b, on, over, under in (
+            (1, (1, F(3, 2)), (1, 2), (1, 1)),
+            (-1, (-1, F(-3, 2)), (-1, -1), (-1, -2)),
+        ):
+            print(outcome(on, lambda: simplex.lp_solve(([row], [b]), None, [1, 1])))
+            print(outcome(over, lambda: simplex.lp_solve(([row], [b]), None, [1, 1])))
+            print(outcome(on, lambda: simplex.lp_solve(None, ([row], [b]), [1, 1])))
+            print(outcome(over, lambda: simplex.lp_solve(None, ([row], [b]), [1, 1])))
+            print(outcome(under, lambda: simplex.lp_solve(None, ([row], [b]), [1, 1])))
+            print(outcome(on, lambda: simplex.conic_combination([[r] for r in row], [b], 2)))
+            print(outcome(over, lambda: simplex.conic_combination([[r] for r in row], [b], 2)))
+            print(outcome(under, lambda: simplex.conic_combination([[r] for r in row], [b], 2)))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xclab.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == 2 * [
+        "no raise",
+        "solver returned an infeasible point",
+        "no raise",
+        "solver returned a point violating an equality",
+        "solver returned a point violating an equality",
+        "no raise",
+        "solver returned a point off the target",
+        "solver returned a point off the target",
+    ]
+
+
+def _lcm_multiple(cleared, rows, rhs):
+    """Whether each cleared row is (row, rhs) times the lcm of their
+    denominators, in ints."""
+    assert len(cleared) == len(rows) == len(rhs)
+    for ints, row, b in zip(cleared, rows, rhs):
+        scale = common_denominator((*row, b))
+        assert all(type(a) is int for a in ints)
+        assert list(ints) == [a * scale for a in (*row, b)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rows_are_cleared_to_the_lcm_of_their_denominators(data):
+    """The rows `lp_solve` and `conic_combination` hand the solver, and
+    that their checks read: rows with denominators up to 6, zero rows,
+    negative right-hand sides, and for `conic_combination` the columns of
+    one matrix against two targets, the second reading the columns the
+    first cleared."""
+    ncols = data.draw(st.integers(1, 4))
+    entry = st.fractions(-6, 6, max_denominator=6)
+    vec = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(vec, min_size=1, max_size=4))
+    for _ in range(data.draw(st.integers(0, 2))):
+        rows.insert(data.draw(st.integers(0, len(rows))), [F(0)] * ncols)
+    rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    targets = data.draw(st.lists(vec, min_size=2, max_size=2))
+    seen = []
+    solve = simplex._simplex_all
+
+    def capturing(le, eq, nonneg, goals):
+        seen.append((le, eq))
+        return solve(le, eq, nonneg, goals)
+
+    with mock.patch.object(simplex, "_simplex_all", capturing):
+        lp_solve((rows, rhs), (rows, rhs), [1] * ncols)
+        m = ExactMatrix(rows)
+        for target in targets:
+            conic_combination(m, target)
+    (le, eq), *conics = seen
+    _lcm_multiple(le, rows, rhs)
+    _lcm_multiple(eq, rows, rhs)
+    for (le, eq), target in zip(conics, targets):
+        assert le == []
+        _lcm_multiple(eq, list(zip(*rows)), target)
+
+
+def test_shared_matrix_solves_like_a_fresh_copy():
+    """One matrix, whose columns have scales 6, 3 and 2, against five
+    targets, each with an entry whose denominator its column's scale lacks:
+    each answer and each (leaving, entering) pivot sequence is that of a
+    cold solve over a fresh copy, and the columns the matrix holds stay as
+    first cleared."""
+    m = ExactMatrix([[F(1, 2), F(1, 3), 0], [0, F(2, 3), 1], [1, 0, F(1, 2)], [F(1, 3), 1, 1]])
+    weights = [
+        (F(1, 5), 0, F(2, 7), 1),
+        (0, F(3, 4), F(1, 5), F(2, 7)),
+        (1, 1, 0, F(1, 3)),
+        (F(1, 7), F(1, 5), F(1, 4), F(1, 2)),
+    ]
+    targets = [[sum(w * r[j] for w, r in zip(u, m.rows())) for j in range(3)] for u in weights]
+    targets.append([F(-1, 5), F(1, 7), 1])  # no nonnegative combination reaches it
+    scales = [6, 3, 2]
+    assert all(any(d % t.denominator for t, d in zip(target, scales)) for target in targets)
+    pivots = []
+    pivot = simplex._pivot
+
+    def recording(state, r, s):
+        pivots.append((state.basis[r], state.cols[s]))
+        pivot(state, r, s)
+
+    def solve(matrix, target):
+        pivots.clear()
+        u = conic_combination(matrix, target)
+        return u, list(pivots)
+
+    answers = []
+    with mock.patch.object(simplex, "_pivot", recording):
+        for target in targets:
+            shared = solve(m, target)
+            assert shared == solve(ExactMatrix(m.rows()), target)
+            assert shared[1], "every target takes a pivot"
+            answers.append(shared[0])
+    assert [u is None for u in answers] == [False] * 4 + [True]
+    assert m.cleared_columns() == ExactMatrix(m.rows()).cleared_columns()
+    assert [scale for _, scale in m.cleared_columns()] == scales
+
+
 # ---------------------------------------------------------------------------
 # Differential check of the integer dictionary simplex against the dense
 # integer tableau it replaced: same pivots, so the same status, point and

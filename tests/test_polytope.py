@@ -7,7 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xclab.errors import InputError
-from xclab.exactla import ExactMatrix, conic_combination, format_rational, lp_solve, rat, write_matrix
+from xclab.exactla import (
+    ExactMatrix,
+    IntegerRows,
+    conic_combination,
+    format_rational,
+    lp_solve,
+    rat,
+    write_matrix,
+)
+from xclab.matchgen import perfect_matching_polytope
 from xclab.polytope import (
     LiftPlan,
     Polytope,
@@ -200,6 +209,31 @@ def test_verify_vertices_takes_no_lp_at_rank_certified_vertices(monkeypatch):
     monkeypatch.setattr("xclab.polytope.conic_combination", no_lp)
     assert verify_vertices(hypercube_polytope(3)) == (True, None)
     assert verify_vertices(cross_polytope(3)) == (True, None)
+
+
+def test_verify_vertices_counts_its_certificates(monkeypatch):
+    """Every vertex of ppm8 is a 0/1 point, so a corner of the bounding box:
+    no rank elimination and no LP.  The vertices ±e_i of the 3-cross
+    polytope are not box corners, so each takes a rank certificate."""
+    ranks, conics = [], []
+    rank = IntegerRows.rank
+
+    def counting_rank(self, *args):
+        ranks.append(1)
+        return rank(self, *args)
+
+    def counting_conic(*args, **kwargs):
+        conics.append(1)
+        return conic_combination(*args, **kwargs)
+
+    monkeypatch.setattr(IntegerRows, "rank", counting_rank)
+    monkeypatch.setattr("xclab.polytope.conic_combination", counting_conic)
+    ppm8 = perfect_matching_polytope(8)
+    assert len(ppm8.vertices) == 105
+    assert verify_vertices(ppm8) == (True, None)
+    assert (len(ranks), len(conics)) == (0, 0)
+    assert verify_vertices(cross_polytope(3)) == (True, None)
+    assert (len(ranks), len(conics)) == (6, 0)
 
 
 def test_verify_vertices_relaxation_falls_back_to_lp():
