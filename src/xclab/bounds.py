@@ -131,7 +131,7 @@ class RectangleValue:
     certified: bool
 
 
-def _best_cols_for_rows(grid, nrows, ncols, rows: frozenset[int]):
+def _best_cols_for_rows(grid, ncols, rows: frozenset[int]):
     cols = []
     value = 0
     for j in range(ncols):
@@ -213,7 +213,7 @@ def max_rectangle_value(
             best_mask = mask
 
     rows = frozenset(i for i in range(nrows) if (best_mask >> i) & 1)
-    cols, check = _best_cols_for_rows(grid, nrows, ncols, rows)
+    cols, check = _best_cols_for_rows(grid, ncols, rows)
     if check != best_value:
         raise AssertionError(f"Gray-code value {best_value}, its rectangle sums to {check}")
     rect = Rectangle(cols, rows) if transposed else Rectangle(rows, cols)
@@ -231,14 +231,14 @@ def _max_rectangle_heuristic(w: WeightMatrix, restarts: int, seed: int) -> Recta
         rows = frozenset(i for i in range(nrows) if rng.random() < 0.5)
         value = -1
         while True:
-            cols, v1 = _best_cols_for_rows(grid, nrows, ncols, rows)
-            new_rows, v2 = _best_cols_for_rows(tgrid, ncols, nrows, cols)
+            cols = _best_cols_for_rows(grid, ncols, rows)[0]
+            new_rows, v2 = _best_cols_for_rows(tgrid, nrows, cols)
             if v2 <= value:
                 break
             rows, value = new_rows, v2
         if value > best_value:
             best_value = value
-            best = (rows, _best_cols_for_rows(grid, nrows, ncols, rows)[0])
+            best = (rows, _best_cols_for_rows(grid, ncols, rows)[0])
     return RectangleValue(
         Fraction(best_value, w.scale), Rectangle(best[0], best[1]), False
     )

@@ -61,33 +61,33 @@ def scaled_support(point: Sequence[Fraction]) -> tuple[list[tuple[int, int]], in
 
 
 class IntegerRows:
-    """A row system a_i . x against b_i, each row and its right-hand side
-    times their common denominator scales[i]: rows[i] holds the nonzero
-    integer coefficients by column, rhs[i] the integer right-hand side.
+    """A row system a_i . x against b_i, cleared of denominators: rows[i]
+    holds a_i and then b_i, all times their least common denominator
+    scales[i], as one list of ints.  It is the form the simplex takes, and
+    `cleared` wraps rows already in it at scale 1.
 
     The slacks b_i - a_i . x of a rational point come out exact: the point
     is scaled by the common denominator of its coordinates, and only its
     support is read.
     """
 
-    __slots__ = ("rows", "rhs", "scales")
+    __slots__ = ("rows", "scales")
 
     def __init__(self, rows: Iterable[Sequence[Fraction]], rhs: Iterable[Fraction]):
-        self.rows: list[dict[int, int]] = []
-        self.rhs: list[int] = []
-        self.scales: list[int] = []
-        for row, b in zip(rows, rhs):
-            ints, scale = clear_denominators((*row, b))
-            self.rhs.append(ints.pop())
-            self.rows.append({k: a for k, a in enumerate(ints) if a})
-            self.scales.append(scale)
+        pairs = [clear_denominators((*row, b)) for row, b in zip(rows, rhs)]
+        self.rows = [ints for ints, _ in pairs]
+        self.scales = [scale for _, scale in pairs]
+
+    @classmethod
+    def cleared(cls, rows: list[list[int]]) -> IntegerRows:
+        """The integer rows, right-hand side last, each taken at scale 1."""
+        system = cls.__new__(cls)
+        system.rows, system.scales = rows, [1] * len(rows)
+        return system
 
     def _scaled(self, x: Sequence[Fraction]) -> tuple[list[int], int]:
         supp, den = scaled_support(x)
-        return [
-            d * den - sum(row[k] * v for k, v in supp if k in row)
-            for row, d in zip(self.rows, self.rhs)
-        ], den
+        return [row[-1] * den - sum(row[k] * v for k, v in supp) for row in self.rows], den
 
     def scaled_slacks(self, x: Sequence[Fraction]) -> list[int]:
         """Per row, (b_i - a_i . x) times scales[i] times the common
@@ -105,7 +105,7 @@ class IntegerRows:
         further than limit."""
         pivots: list[tuple[int, dict[int, int], int]] = []
         for i in idx:
-            red, _ = _reduce(pivots, self.rows[i], 0)
+            red, _ = _reduce(pivots, {k: a for k, a in enumerate(self.rows[i][:-1]) if a}, 0)
             if red:
                 pivots.append((min(red), red, 0))
                 if len(pivots) == limit:
@@ -135,9 +135,9 @@ class PinnedSolve:
         self.pivots: list[tuple[int, dict[int, int], int]] = []
         self.conditions: list[tuple[dict[int, int], int]] = []
         self.system = IntegerRows(rows, rhs)
-        for row, d in zip(self.system.rows, self.system.rhs):
-            keyed = {k - fixed if k >= fixed else k + free: v for k, v in row.items()}
-            red, d = _reduce(self.pivots, keyed, d)
+        for row in self.system.rows:
+            keyed = {k - fixed if k >= fixed else k + free: v for k, v in enumerate(row[:-1]) if v}
+            red, d = _reduce(self.pivots, keyed, row[-1])
             lead = min(red, default=free)
             if lead < free:
                 self.pivots.append((lead, red, d))

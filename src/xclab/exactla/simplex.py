@@ -1,13 +1,13 @@
 """Exact linear programming over the rationals.
 
-Each call clears its rows of denominators once: row i and its right-hand
-side times the lcm of their denominators, an integer row with the
-right-hand side last.  The tableau is built from those rows, and the
-independent checks of the answer read them too, in integers against the
-point cleared to one denominator; they raise explicitly, so `python -O`
-keeps them.  `conic_combination` takes its columns cleared from the
-`ExactMatrix`, which clears them once, and rescales only a column whose
-target entry has a denominator the column's scale lacks.
+Each call clears its rows of denominators once, as `IntegerRows`: row i
+and its right-hand side times the lcm of their denominators, one integer
+list with the right-hand side last.  The tableau is built from those rows,
+and `scaled_slacks` on them checks the answer in integers; the checks
+raise explicitly, so `python -O` keeps them.  `conic_combination` takes
+its columns cleared from the `ExactMatrix`, which clears them once,
+rescales only a column whose target entry has a denominator the column's
+scale lacks, and checks those rows as `IntegerRows.cleared`.
 
 Two-phase primal simplex with integer-preserving pivots (Edmonds): the full
 tableau always equals det(basis) times the true rational one, so every entry
@@ -69,7 +69,7 @@ from typing import Iterable, Sequence
 
 from ..errors import InputError
 from ..record import record
-from .matrix import ExactMatrix, clear_denominators, rat, scaled_support
+from .matrix import ExactMatrix, IntegerRows, clear_denominators, rat
 
 _DEGENERATE_SWITCH = 8
 _PIVOT_CAP = 500_000
@@ -86,18 +86,12 @@ class LPResult:
         return self.status == "optimal"
 
 
-def _cleared(rows: Iterable[Sequence[Fraction]], rhs: Iterable[Fraction]) -> list[list[int]]:
-    """Each row with its right-hand side appended, times the lcm of their
-    denominators: the form `_simplex_all` takes."""
-    return [clear_denominators((*row, b))[0] for row, b in zip(rows, rhs)]
-
-
 def _coerce_system(
     system: tuple | None, nvars: int | None, what: str
-) -> tuple[list[list[int]], int | None]:
-    """Normalize an (A, b) pair to `_cleared` rows."""
+) -> tuple[IntegerRows, int | None]:
+    """Normalize an (A, b) pair, None for no rows, to `IntegerRows`."""
     if system is None:
-        return [], nvars
+        return IntegerRows.cleared([]), nvars
     mat, rhs = system
     if isinstance(mat, ExactMatrix):
         rows = mat.rows()
@@ -115,13 +109,7 @@ def _coerce_system(
             raise InputError(
                 f"{what}: row width {len(row)} does not match variable count {nvars}"
             )
-    return _cleared(rows, rhs), nvars
-
-
-def _excess(row: Sequence[int], support: list[tuple[int, int]], den: int) -> int:
-    """The cleared row times a `scaled_support` point, minus its right-hand
-    side: a positive multiple of the true row's excess."""
-    return sum(row[k] * v for k, v in support) - row[-1] * den
+    return IntegerRows(rows, rhs), nvars
 
 
 def lp_solve(
@@ -167,21 +155,19 @@ def lp_solve_all(
 
     sign = 1 if sense == "max" else -1
     goals = [[sign * a for a in clear_denominators(c)[0]] for c in cs]
-    points = _simplex_all(le, eq, [False] * nvars, goals)
+    points = _simplex_all(le.rows, eq.rows, [False] * nvars, goals)
     results = []
     for c, point in zip(cs, points):
         if isinstance(point, str):
             results.append(LPResult(status=point))
             continue
-        # Independent checks of the solver, in integers on the cleared rows,
-        # each a positive multiple of its row; explicit so that `python -O`
-        # keeps them.
-        support, den = scaled_support(point)
-        if any(_excess(row, support, den) > 0 for row in le):
+        # Independent checks of the solver, in integers on the rows it took;
+        # explicit so that `python -O` keeps them.
+        if any(s < 0 for s in le.scaled_slacks(point)):
             raise AssertionError("solver returned an infeasible point")
-        if any(_excess(row, support, den) for row in eq):
+        if any(eq.scaled_slacks(point)):
             raise AssertionError("solver returned a point violating an equality")
-        value = sum((c[k] * point[k] for k, _ in support), Fraction(0))
+        value = sum((a * x for a, x in zip(c, point) if x), Fraction(0))
         results.append(LPResult(status="optimal", value=value, point=tuple(point)))
     return results
 
@@ -205,9 +191,9 @@ def conic_combination(
     nvars = rows.nrows
     if not 0 <= free <= nvars:
         raise InputError(f"free must be between 0 and {nvars}, got {free}")
-    # One equality per column, `_cleared` against its target entry: the
-    # matrix holds its columns cleared, and a column is rescaled only when
-    # its target entry has a denominator the column's scale lacks.
+    # One equality per column, cleared against its target entry: the matrix
+    # holds its columns cleared, and a column is rescaled only when its
+    # target entry has a denominator the column's scale lacks.
     eq = []
     for (col, scale), t in zip(rows.cleared_columns(), tgt):
         if scale % t.denominator:
@@ -220,8 +206,7 @@ def conic_combination(
         if point == "infeasible":
             return None
         raise AssertionError("feasibility program cannot be unbounded")
-    support, den = scaled_support(point)
-    if any(_excess(row, support, den) for row in eq):
+    if any(IntegerRows.cleared(eq).scaled_slacks(point)):
         raise AssertionError("solver returned a point off the target")
     if any(x < 0 for x in point[: nvars - free]):
         raise AssertionError("solver returned a negative multiplier")
@@ -239,7 +224,8 @@ def _simplex(
     """`_simplex_all` over rational rows, with the one objective `goal`:
     the entry the differential tests drive with a reference's inputs."""
     goals = [clear_denominators(goal)[0]]
-    return _simplex_all(_cleared(le_rows, le_rhs), _cleared(eq_rows, eq_rhs), nonneg, goals)[0]
+    le, eq = IntegerRows(le_rows, le_rhs).rows, IntegerRows(eq_rows, eq_rhs).rows
+    return _simplex_all(le, eq, nonneg, goals)[0]
 
 
 def _simplex_all(
@@ -249,7 +235,7 @@ def _simplex_all(
     goals: list[list[int]],
 ) -> list[list[Fraction] | str]:
     """Core solver, maximization: a point or a status string per goal.
-    `le` and `eq` hold `_cleared` rows, right-hand side last, and `goals`
+    `le` and `eq` hold `IntegerRows.rows`, right-hand side last, and `goals`
     the objectives times their common denominators; none is modified."""
     nvars = len(nonneg)
     nonneg = list(nonneg)

@@ -397,7 +397,8 @@ def approximation_ratio(
     relaxation side by exact LPs over its H-description, one phase one for
     all objectives (`lp_solve_all`).  Errors if some
     vertex of the polytope violates the relaxation: containment is the
-    point of a relaxation."""
+    point of a relaxation.  Errors too where a ratio of optima cannot order
+    the two sides: a negative polytope optimum, or 0 below a positive one."""
     if relaxation.dim != poly.dim:
         raise InputError("relaxation and polytope dimensions differ")
     if trials < 0:
@@ -423,6 +424,8 @@ def approximation_ratio(
         )
         if res.status != "optimal":
             raise InputError(f"relaxation is {res.status} for objective {c}")
+        if over_p < 0:
+            raise InputError(f"polytope optimum is {over_p} < 0 on objective {c}")
         if over_p == 0:
             if res.value > 0:
                 raise InputError(

@@ -40,8 +40,6 @@ class Factorization:
                 f"inner dimensions disagree: left is {self.left.nrows}x"
                 f"{self.left.ncols}, right is {self.right.nrows}x{self.right.ncols}"
             )
-        if self.left.ncols < 1:
-            raise InputError("inner dimension must be >= 1")
         if not self.left.is_nonnegative() or not self.right.is_nonnegative():
             raise InputError("factors must be entrywise nonnegative")
 

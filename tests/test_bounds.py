@@ -372,6 +372,25 @@ def test_bounds_cube_meets_cover():
     assert report.lower == report.upper == 6
 
 
+def test_bounds_lowers_the_upper_bound_through_nmf(monkeypatch):
+    """L @ R is 3 x 3 of rank 2, so min(rows, cols) leaves the interval at
+    [2, 3] until the NMF heuristic finds a rank-2 factorization, which is
+    verified and becomes the witness of the upper bound 2."""
+    m = ExactMatrix([[1, 0], [0, 1], [1, 1]]) @ ExactMatrix([[1, 2, 0], [0, 1, 3]])
+    found = []
+    nmf = xclab.bounds.nmf_heuristic
+
+    def recording(*args):
+        found.append(nmf(*args))
+        return found[-1]
+
+    monkeypatch.setattr(xclab.bounds, "nmf_heuristic", recording)
+    report = nonnegative_rank_bounds(m)
+    assert (report.lower, report.upper) == (2, 2)
+    assert found == [report.upper_witness]
+    assert report.upper_witness.r == 2 and verify_factorization(m, report.upper_witness)
+
+
 def test_bounds_zero_matrix():
     report = nonnegative_rank_bounds(ExactMatrix.zeros(2, 3))
     assert (report.lower, report.upper) == (0, 0)

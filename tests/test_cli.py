@@ -29,6 +29,7 @@ from xclab.matchgen import (
     truncated_matching_relaxation,
 )
 from xclab.polytope import (
+    Polytope,
     SlackMatrix,
     face,
     hypercube_polytope,
@@ -887,6 +888,13 @@ def test_verify_trials_and_seed_need_a_system(check, extra, net_files, tmp_path,
 def error_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("errors")
     square = polytope_to_json(hypercube_polytope(2))
+
+    def neg_square(top):
+        """[-2, top]^2: top -1/2 relaxes top -1, and max x is top."""
+        rows = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+        verts = [(top, top), (-2, top), (top, -2), (-2, -2)]
+        return polytope_to_json(Polytope.build(rows, [top, top, 2, 2], verts))
+
     docs = {
         "square": square,
         "segment": polytope_to_json(face(hypercube_polytope(2), [2])),
@@ -895,6 +903,8 @@ def error_files(tmp_path_factory):
         "vertex-dict": {**square, "vertices": {"rows": square["vertices"]}},
         "pm3": polytope_to_json(matching_polytope(3)),
         "pm3-s1": polytope_to_json(truncated_matching_relaxation(3, 1)),
+        "neg-relax": neg_square(Fraction(-1, 2)),
+        "neg-square": neg_square(-1),
     }
     for name, doc in docs.items():
         (d / f"{name}.json").write_text(json.dumps(doc))
@@ -918,10 +928,13 @@ def error_files(tmp_path_factory):
         (["ratio", "--relaxation", "{square}", "--polytope", "{segment}",
           "--objective", "0,1", "--trials", 0],
          "polytope optimum is 0 but relaxation reaches 1"),
+        (["ratio", "--relaxation", "{neg-relax}", "--polytope", "{neg-square}",
+          "--objective", "1,0", "--trials", 0],
+         "polytope optimum is -1 < 0 on objective (1, 0)"),
     ],
     ids=["edge-three-parts", "edge-not-integers", "objective-not-integers",
          "matrix-file-header", "ineqs-without-rhs", "vertices-dict-without-file",
-         "zero-polytope-optimum"],
+         "zero-polytope-optimum", "negative-polytope-optimum"],
 )
 def test_input_errors_exit_2(argv, message, error_files, ground_cache, tmp_path, capsys):
     out = tmp_path / "o.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -392,7 +393,7 @@ def test_pinned_solve_agrees_with_rank(data):
     # IntegerRows.rank: the rank of any subset of rows, counted up to a
     # limit, leaving the held rows alone.
     system = IntegerRows(rows, rhs)
-    held = [dict(row) for row in system.rows]
+    held = [list(row) for row in system.rows]
     idx = data.draw(st.lists(st.integers(0, len(rows) - 1), unique=True))
     limit = data.draw(st.integers(1, ncols))
     assert system.rank(idx, limit) == min(_ref_rank([rows[i] for i in idx]), limit)
@@ -556,6 +557,40 @@ def test_rows_are_cleared_to_the_lcm_of_their_denominators(data):
     for (le, eq), target in zip(conics, targets):
         assert le == []
         _lcm_multiple(eq, list(zip(*rows)), target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_rows_slacks_match_a_fraction_reference(data):
+    """`slacks(x)` is b - a . x in Fractions, and each entry of
+    `scaled_slacks(x)` is its true slack times the row's scale times the
+    common denominator of x, for rows with denominators up to 6, zero rows,
+    negative right-hand sides, the zero point, points with mixed
+    denominators, and rows made by `IntegerRows.cleared` at scale 1."""
+    ncols = data.draw(st.integers(1, 4))
+    entry = st.fractions(-6, 6, max_denominator=6)
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4))
+    for _ in range(data.draw(st.integers(0, 2))):
+        rows.insert(data.draw(st.integers(0, len(rows))), [F(0)] * ncols)
+    rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    coord = st.one_of(st.just(F(0)), st.fractions(-4, 4, max_denominator=7))
+    x = data.draw(st.lists(coord, min_size=ncols, max_size=ncols))
+    ints = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=ncols + 1,
+                                       max_size=ncols + 1), max_size=3))
+    cases = [
+        (IntegerRows(rows, rhs), rows, rhs),
+        (IntegerRows.cleared(ints), [row[:-1] for row in ints], [row[-1] for row in ints]),
+    ]
+    for (system, ref_rows, ref_rhs), point in itertools.product(cases, (x, [F(0)] * ncols)):
+        true = [
+            b - sum((a * v for a, v in zip(row, point)), F(0)) for row, b in zip(ref_rows, ref_rhs)
+        ]
+        assert system.slacks(point) == true
+        den = common_denominator(point)
+        scaled = system.scaled_slacks(point)
+        assert all(type(s) is int for s in scaled)
+        assert scaled == [t * c * den for t, c in zip(true, system.scales)]
+        assert all(c > 0 for c in system.scales)
 
 
 def test_shared_matrix_solves_like_a_fresh_copy():

@@ -273,6 +273,29 @@ def test_approximation_ratio_names_the_first_unbounded_objective():
     assert report.ratio == 1
 
 
+def _negative_squares():
+    """R = [-2, -1/2]^2 relaxes P = [-2, -1]^2; both optima of every
+    nonzero nonnegative objective are negative."""
+    rows = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    half = Fraction(-1, 2)
+    relax = Polytope.build(
+        rows, [half, half, 2, 2], [(half, half), (-2, half), (half, -2), (-2, -2)]
+    )
+    poly = Polytope.build(rows, [-1, -1, 2, 2], [(-1, -1), (-2, -1), (-1, -2), (-2, -2)])
+    return relax, poly
+
+
+def test_approximation_ratio_refuses_a_negative_polytope_optimum():
+    """max x is -1/2 over R and -1 over P: a ratio of optima would read 1/2
+    although R is strictly larger, so the objective is refused by name."""
+    relax, poly = _negative_squares()
+    with pytest.raises(InputError, match=r"polytope optimum is -1 < 0 on objective \(1, 0\)"):
+        approximation_ratio(relax, poly, 0, 0, extra_objectives=[(0, 0), (1, 0)])
+    with pytest.raises(InputError, match="< 0 on objective"):
+        approximation_ratio(relax, poly, 1, 0)
+    assert approximation_ratio(relax, poly, 0, 0, extra_objectives=[(0, 0)]).ratio == 1
+
+
 def test_approximation_ratio_rejects_bad_extra():
     p = matching_polytope(3)
     with pytest.raises(InputError, match="nonnegative"):

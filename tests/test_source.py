@@ -151,3 +151,55 @@ def test_settable_value_count():
     values = _settable_values()
     assert len(values) == len(set(values))
     assert len(values) == 103, "\n".join(values)
+
+
+def _functions():
+    """(site, function node) for every function and method in the package."""
+    root = pathlib.Path(xclab.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield f"{path.relative_to(root.parent)}:{fn.lineno}", fn
+
+
+def _loaded(fn) -> set[str]:
+    """The names a function reads, nested functions included."""
+    return {
+        node.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_parameter_is_read():
+    """A package function reads every named parameter it takes, `self` and
+    `cls` aside: one it never reads is a value its callers pass for nothing.
+    A `*` or `**` parameter may absorb what a protocol passes unread."""
+    unread = []
+    for site, fn in _functions():
+        args = fn.args
+        loaded = _loaded(fn)
+        unread += [
+            f"{site} {a.arg}"
+            for a in args.posonlyargs + args.args + args.kwonlyargs
+            if a.arg not in ("self", "cls") and a.arg not in loaded
+        ]
+    assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def test_every_assigned_local_is_read():
+    """A package function reads every local name it assigns, `_` aside."""
+    unread = []
+    for site, fn in _functions():
+        loaded = _loaded(fn)
+        unread += sorted(
+            {
+                f"{site} {node.id}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Store)
+                and node.id != "_"
+                and node.id not in loaded
+            }
+        )
+    assert not unread, "locals assigned but never read: " + ", ".join(unread)

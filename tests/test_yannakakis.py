@@ -302,21 +302,27 @@ def _cubes_with_a_free_y():
 
 
 @pytest.mark.parametrize(
-    "check, cases, trials",
+    "check, cases, trials, built",
     [
-        pytest.param("projection", _ppm6_with_all_and_with_5_vertices, 2, id="projection"),
-        pytest.param("contract", _ppm6_with_all_and_with_5_vertices, None, id="contract"),
-        pytest.param("projection", _cubes_with_a_free_y, 0, id="free-y-projection"),
-        pytest.param("contract", _cubes_with_a_free_y, None, id="free-y-contract"),
+        pytest.param("projection", _ppm6_with_all_and_with_5_vertices, 2, IntegerRows,
+                     id="projection"),
+        pytest.param("contract", _ppm6_with_all_and_with_5_vertices, None, IntegerRows,
+                     id="contract"),
+        pytest.param("projection", _cubes_with_a_free_y, 0, LiftPlan, id="free-y-projection"),
+        pytest.param("contract", _cubes_with_a_free_y, None, LiftPlan, id="free-y-contract"),
     ],
 )
-def test_integer_rows_builds_do_not_grow_with_the_vertex_count(check, cases, trials, monkeypatch):
+def test_integer_rows_builds_do_not_grow_with_the_vertex_count(
+    check, cases, trials, built, monkeypatch
+):
     """The lifts of one system share one plan, whether the equalities or
     LPs decide them: both polytopes of a case build the same number of
-    IntegerRows, objective trials included where a case runs them."""
+    IntegerRows, objective trials included where a case runs them.  Every
+    LP clears its own rows as IntegerRows, so where LPs decide the lifts
+    the case counts LiftPlan builds instead: one per system."""
     first, second = cases()
     builds = []
-    init = IntegerRows.__init__
+    init = built.__init__
 
     def counting(self, *args):
         builds.append(1)
@@ -330,8 +336,10 @@ def test_integer_rows_builds_do_not_grow_with_the_vertex_count(check, cases, tri
             assert verify_factorization(slack_matrix(p), factorization_from_extension(p, system))
         return len(builds)
 
-    monkeypatch.setattr(IntegerRows, "__init__", counting)
+    monkeypatch.setattr(built, "__init__", counting)
     assert count(*first) == count(*second)
+    if built is LiftPlan:
+        assert count(*first) == 1
 
 
 def _lex_lift_by_lp(system, x, vertex_index):
