@@ -209,14 +209,14 @@ def _cmd_extend(args):
         fac = factorization_from_json(load_payload(args.factorization, "factorization"))
     else:
         fac = slack_variable_factorization(slack_matrix(poly))
-    ef = extension_from_factorization(poly, fac)
-    return {"formulation": formulation_to_json(ef), "n_facets": ef.n_facets}, 0
+    system = extension_from_factorization(poly, fac)
+    return {"formulation": formulation_to_json(system), "n_facets": system.n_ineqs}, 0
 
 
 def _cmd_contract(args):
     poly = read_polytope(args.input)
-    ef = formulation_from_json(load_payload(args.system, "formulation"))
-    fac = factorization_from_extension(poly, ef.to_xy_system())
+    system = formulation_from_json(load_payload(args.system, "formulation"))
+    fac = factorization_from_extension(poly, system)
     return {"factorization": factorization_to_json(fac), "r": fac.r}, 0
 
 
@@ -329,10 +329,8 @@ def _cmd_verify(args):
         ok = verify_factorization(slack_matrix(poly, _row_filter(args.rows)), fac)
         result = {"check": "factorization", "ok": ok}
     elif args.system is not None:
-        ef = formulation_from_json(load_payload(args.system, "formulation"))
-        report = lp_equal_under_projection(
-            poly, ef.to_xy_system(), args.trials, args.seed
-        )
+        system = formulation_from_json(load_payload(args.system, "formulation"))
+        report = lp_equal_under_projection(poly, system, args.trials, args.seed)
         result = {
             "check": "projection",
             "ok": report.passed,

@@ -166,13 +166,23 @@ class PinnedSolve:
         return tuple(Fraction(rest(row, d), row[col] * den) for col, row, d in self.pivots)
 
 
+def _exact_row(row: Sequence[int | str | Fraction]) -> tuple[Fraction, ...]:
+    """One matrix row as rationals; a string is refused, not read one
+    character per entry."""
+    if isinstance(row, str):
+        raise InputError(f"a matrix row is a list of entries, not the string {row!r}")
+    return tuple(rat(x) for x in row)
+
+
 class ExactMatrix:
     """Immutable dense matrix over Fraction, row-major."""
 
     __slots__ = ("_rows", "_nrows", "_ncols", "_cleared_columns")
 
     def __init__(self, rows: Iterable[Sequence[int | str | Fraction]]):
-        data = tuple(tuple(rat(x) for x in row) for row in rows)
+        if isinstance(rows, str):
+            raise InputError(f"a matrix is a list of rows, not the string {rows!r}")
+        data = tuple(map(_exact_row, rows))
         if not data:
             raise InputError("matrix needs at least one row")
         width = len(data[0])

@@ -228,13 +228,14 @@ def verify_vertices(poly: Polytope) -> tuple[bool, int | None]:
     coordinate is that coordinate's least or greatest value over V is a
     corner of V's bounding box: any convex combination of other points
     that gives it would use points equal to it in every coordinate, so it
-    passes with no elimination (every 0/1 vertex set passes this way).  A
-    point of P(H) at which the tight inequality rows plus the equalities
-    have rank dim is a vertex of P(H), hence of conv(V), and passes by that
-    rank certificate.  Every other point, such as one of a relaxation whose
-    P(H) is larger than conv(V), gets a feasibility LP: nonnegative weights
-    on the other vertices summing to one that reproduce the point.  Returns
-    (True, None) or (False, first offending index).
+    passes with no elimination (every 0/1 vertex set passes this way).
+    Every listed point lies in P(H), as `Polytope.build` checked; one at
+    which the tight inequality rows plus the equalities have rank dim is a
+    vertex of P(H), hence of conv(V), and passes by that rank certificate.
+    Every other point, such as one of a relaxation whose P(H) is larger
+    than conv(V), gets a feasibility LP: nonnegative weights on the other
+    vertices summing to one that reproduce the point.  Returns (True, None)
+    or (False, first offending index).
     """
     verts = poly.vertices
     counts = Counter(verts)
@@ -257,14 +258,11 @@ def verify_vertices(poly: Polytope) -> tuple[bool, int | None]:
 
 
 def _rank_certifies_vertex(poly: Polytope, system: IntegerRows, v) -> bool:
-    """Whether v lies in P(H) and is the only solution of its tight rows
+    """Whether v, a point of P(H), is the only solution of its tight rows
     plus the equalities, that is, they have rank dim.  `system` holds the
     rows of `poly.all_rows()`."""
-    m = poly.n_ineqs
     slacks = system.scaled_slacks(v)
-    if any(s < 0 for s in slacks[:m]) or any(slacks[m:]):
-        return False
-    tight = (i for i, s in enumerate(slacks) if s == 0)  # every equality is tight here
+    tight = (i for i, s in enumerate(slacks) if s == 0)  # every equality is tight at v
     return system.rank(tight, poly.dim) == poly.dim
 
 
@@ -316,34 +314,34 @@ def face(poly: Polytope, tight_rows: Sequence[int]) -> Polytope:
 class XYSystem:
     """Constraint system over the joint variables (x, y), x columns first:
     `ineqs` holds the rows of B x + C y <= d and `eqs` the equalities, each
-    a (rows, rhs) pair in the form lp_solve takes, or None for a side
-    without rows."""
+    a (rows, rhs) pair in the form lp_solve takes; a side without rows is
+    ((), ())."""
 
     x_dim: int
     y_dim: int
-    ineqs: tuple | None
-    eqs: tuple | None = None
+    ineqs: tuple
+    eqs: tuple = ((), ())
 
     @property
     def n_ineqs(self) -> int:
-        return 0 if self.ineqs is None else len(self.ineqs[1])
+        return len(self.ineqs[1])
 
 
 class LiftPlan:
     """The lifts of points x into an XYSystem, planned once per system: the
     joint inequality rows held as integers, the equalities eliminated over
-    y with x pinned (`PinnedSolve`), and both sides' y-blocks for the LPs,
-    a side given as None held as no rows.  Whether a lift is unique does
-    not depend on x."""
+    y with x pinned (`PinnedSolve`), and both sides' y-blocks for the LPs.
+    Whether a lift is unique does not depend on x."""
 
     __slots__ = ("system", "ineqs", "eqs", "y_blocks")
 
     def __init__(self, system: XYSystem):
         self.system = system
-        sides = [side or ((), ()) for side in (system.ineqs, system.eqs)]
-        self.ineqs = IntegerRows(*sides[0])
-        self.eqs = PinnedSolve(*sides[1], system.x_dim, system.y_dim)
-        self.y_blocks = [[row[system.x_dim :] for row in rows] for rows, _ in sides]
+        self.ineqs = IntegerRows(*system.ineqs)
+        self.eqs = PinnedSolve(*system.eqs, system.x_dim, system.y_dim)
+        self.y_blocks = [
+            [row[system.x_dim :] for row in rows] for rows, _ in (system.ineqs, system.eqs)
+        ]
 
     def lift(self, x: Sequence[Fraction]) -> tuple[Fraction, ...] | str:
         """The only y with (x, y) in the system, found by linear algebra:
@@ -432,16 +430,16 @@ def lp_equal_under_projection(
 # ---------------------------------------------------------------------------
 # Serialization
 
-def system_to_json(m: ExactMatrix, rhs: Sequence[Fraction]) -> dict:
+def system_to_json(rows: Iterable[Iterable[Fraction]], rhs: Sequence[Fraction]) -> dict:
     """One side of a constraint system as {"rows", "rhs"} JSON."""
-    return {"rows": matrix_to_json(m.rows()), "rhs": [format_rational(x) for x in rhs]}
+    return {"rows": matrix_to_json(rows), "rhs": [format_rational(x) for x in rhs]}
 
 
 def polytope_to_json(poly: Polytope) -> dict:
-    eqs = None if poly.eq_coefs is None else system_to_json(poly.eq_coefs, poly.eq_rhs)
+    eqs = None if poly.eq_coefs is None else system_to_json(poly.eq_coefs.rows(), poly.eq_rhs)
     return {
         "dim": poly.dim,
-        "ineqs": system_to_json(poly.ineq_coefs, poly.ineq_rhs),
+        "ineqs": system_to_json(poly.ineq_coefs.rows(), poly.ineq_rhs),
         "eqs": eqs,
         "vertices": matrix_to_json(poly.vertices),
         "row_labels": list(poly.row_labels),
@@ -467,6 +465,8 @@ def _system_from_json(obj: dict | None, base_dir: str | None, what: str):
         rhs = obj["rhs"]
     except KeyError as exc:
         raise InputError(f"{what}: need 'rows'+'rhs' or 'file'") from exc
+    if not isinstance(rhs, list):
+        raise InputError(f"{what}: 'rhs' must be a list, got {rhs!r}")
     return ExactMatrix(rows), tuple(rat(x) for x in rhs)
 
 

@@ -69,50 +69,31 @@ def slack_variable_factorization(s: SlackMatrix | ExactMatrix) -> Factorization:
     return Factorization(ExactMatrix.identity(m.nrows), m)
 
 
-@record
-class ExtendedFormulation:
-    """Q = {(x, y) : eq_rows (x, y) = eq_rhs, y >= 0}, x columns first.
-
-    The y >= 0 rows are the only inequalities, so the facet count is y_dim;
-    equalities contribute none."""
-
-    x_dim: int
-    y_dim: int
-    eq_rows: ExactMatrix
-    eq_rhs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.x_dim < 1:
-            raise InputError("an extension needs at least one x variable")
-        if self.y_dim < 1:
-            raise InputError("an extension needs at least one lift variable")
-        if self.eq_rows.ncols != self.x_dim + self.y_dim:
-            raise InputError(
-                f"equality row widths disagree with the dimensions: "
-                f"{self.eq_rows.ncols} columns, expected {self.x_dim + self.y_dim}"
-            )
-        if len(self.eq_rhs) != self.eq_rows.nrows:
-            raise InputError(
-                f"{self.eq_rows.nrows} equality rows but {len(self.eq_rhs)} right-hand sides"
-            )
-
-    @property
-    def n_facets(self) -> int:
-        return self.y_dim
-
-    def to_xy_system(self) -> XYSystem:
-        """The formulation with its y >= 0 rows as the inequality side."""
-        zeros_x = (Fraction(0),) * self.x_dim
-        nonneg_y = [zeros_x + row for row in ExactMatrix.identity(self.y_dim).scaled(-1).rows()]
-        return XYSystem(
-            self.x_dim,
-            self.y_dim,
-            (nonneg_y, (Fraction(0),) * self.y_dim),
-            (self.eq_rows.rows(), self.eq_rhs),
+def formulation(
+    x_dim: int, y_dim: int, eq_rows: ExactMatrix, eq_rhs: tuple[Fraction, ...]
+) -> XYSystem:
+    """Q = {(x, y) : eq_rows (x, y) = eq_rhs, y >= 0}, x columns first: the
+    y >= 0 rows are its inequality side, so it has y_dim facets, and the
+    given rows its equality side."""
+    if x_dim < 1:
+        raise InputError("an extension needs at least one x variable")
+    if y_dim < 1:
+        raise InputError("an extension needs at least one lift variable")
+    if eq_rows.ncols != x_dim + y_dim:
+        raise InputError(
+            f"equality row widths disagree with the dimensions: "
+            f"{eq_rows.ncols} columns, expected {x_dim + y_dim}"
         )
+    if len(eq_rhs) != eq_rows.nrows:
+        raise InputError(f"{eq_rows.nrows} equality rows but {len(eq_rhs)} right-hand sides")
+    zeros_x = (Fraction(0),) * x_dim
+    nonneg_y = tuple(zeros_x + row for row in ExactMatrix.identity(y_dim).scaled(-1).rows())
+    return XYSystem(
+        x_dim, y_dim, (nonneg_y, (Fraction(0),) * y_dim), (eq_rows.rows(), eq_rhs)
+    )
 
 
-def extension_from_factorization(poly: Polytope, fac: Factorization) -> ExtendedFormulation:
+def extension_from_factorization(poly: Polytope, fac: Factorization) -> XYSystem:
     """Wrap a verified factorization of the polytope's slack matrix into an
     extension with fac.r facets: the row of inequality i is (a_i | L_i),
     that of an equality (e | 0).  Vertex j lifts to y = column j of the
@@ -127,19 +108,17 @@ def extension_from_factorization(poly: Polytope, fac: Factorization) -> Extended
         raise InputError("factorization does not reproduce the slack matrix")
     rows, rhs = poly.all_rows()
     left = fac.left.rows() + ((Fraction(0),) * fac.r,) * (len(rows) - poly.n_ineqs)
-    return ExtendedFormulation(
-        poly.dim, fac.r, ExactMatrix(a + y for a, y in zip(rows, left)), rhs
-    )
+    return formulation(poly.dim, fac.r, ExactMatrix(a + y for a, y in zip(rows, left)), rhs)
 
 
 def _lex_min_lift(plan: LiftPlan, x, vertex_index: int):
     """Deterministic lift of a pinned x: the lexicographically least y.
 
-    When the equality rows' y-block has rank y_dim, as in every
-    ExtendedFormulation from `extension_from_factorization` and in every
-    system without y, the lift is unique and the system's `LiftPlan` solves
-    for it directly.  Otherwise LPs minimize the y coordinates one at a
-    time, lowest index first, pinning each minimum before the next.
+    When the equality rows' y-block has rank y_dim, as in every extension
+    from `extension_from_factorization` and in every system without y, the
+    lift is unique and the system's `LiftPlan` solves for it directly.
+    Otherwise LPs minimize the y coordinates one at a time, lowest index
+    first, pinning each minimum before the next.
     """
     lift = plan.lift(x)
     if lift == "infeasible":
@@ -187,13 +166,10 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
     plan = LiftPlan(system)
     cols = []
     for j, x in enumerate(poly.vertices):
-        col = plan.ineqs.slacks(tuple(x) + tuple(_lex_min_lift(plan, x, j)))
-        if any(c < 0 for c in col):
-            raise NotAnExtensionError(j, f"lift of vertex {j} violates the system")
-        cols.append(col)
+        cols.append(plan.ineqs.slacks(tuple(x) + tuple(_lex_min_lift(plan, x, j))))
     right = ExactMatrix(cols).transpose()
 
-    eq_rows = [] if system.eqs is None else [[*row, f] for row, f in zip(*system.eqs)]
+    eq_rows = [[*row, f] for row, f in zip(*system.eqs)]
     big = ExactMatrix([[*row, d] for row, d in zip(*system.ineqs)] + eq_rows)
 
     zeros_y = (Fraction(0),) * system.y_dim
@@ -213,24 +189,29 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
 # ---------------------------------------------------------------------------
 # Serialization: polytope-style JSON over the joint (x, y) variables.
 
-def formulation_to_json(ef: ExtendedFormulation) -> dict:
+def formulation_to_json(system: XYSystem) -> dict:
+    """The extension's dimensions and its equality side; the y >= 0 rows
+    are left out, and `formulation_from_json` adds them back."""
     return {
-        "x_dim": ef.x_dim,
-        "y_dim": ef.y_dim,
-        "variables": [f"x:{i}" for i in range(ef.x_dim)]
-        + [f"y:{i}" for i in range(ef.y_dim)],
-        "eqs": system_to_json(ef.eq_rows, ef.eq_rhs),
+        "x_dim": system.x_dim,
+        "y_dim": system.y_dim,
+        "variables": [f"x:{i}" for i in range(system.x_dim)]
+        + [f"y:{i}" for i in range(system.y_dim)],
+        "eqs": system_to_json(*system.eqs),
     }
 
 
-def formulation_from_json(obj: dict) -> ExtendedFormulation:
+def formulation_from_json(obj: dict) -> XYSystem:
     try:
         x_dim, y_dim = obj["x_dim"], obj["y_dim"]
         rows = ExactMatrix(obj["eqs"]["rows"])
-        rhs = tuple(rat(v) for v in obj["eqs"]["rhs"])
+        rhs = obj["eqs"]["rhs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed extension JSON: {exc}") from exc
+    if not isinstance(rhs, list):
+        raise InputError(f"malformed extension JSON: eqs.rhs must be a list, got {rhs!r}")
+    rhs = tuple(rat(v) for v in rhs)
     for key, value in (("x_dim", x_dim), ("y_dim", y_dim)):
         if type(value) is not int:
             raise InputError(f"malformed extension JSON: {key} must be an integer, got {value!r}")
-    return ExtendedFormulation(x_dim, y_dim, rows, rhs)
+    return formulation(x_dim, y_dim, rows, rhs)

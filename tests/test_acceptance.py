@@ -138,8 +138,7 @@ def test_ac04_yannakakis_round_trip():
             assert heuristic is not None
             assert verify_factorization(s, heuristic)
             for fac in (slack_variable_factorization(s), heuristic):
-                ef = extension_from_factorization(poly, fac)
-                system = ef.to_xy_system()
+                system = extension_from_factorization(poly, fac)
                 report = lp_equal_under_projection(poly, system, trials=50, seed=11)
                 assert report.passed, report
                 back = factorization_from_extension(poly, system)

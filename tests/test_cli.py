@@ -905,6 +905,18 @@ def error_files(tmp_path_factory):
         "pm3-s1": polytope_to_json(truncated_matching_relaxation(3, 1)),
         "neg-relax": neg_square(Fraction(-1, 2)),
         "neg-square": neg_square(-1),
+        "string-rows": {"ineqs": {"rows": "12", "rhs": "34"}, "vertices": [["0"], ["1"]]},
+        "string-row": {"ineqs": {"rows": ["1", "2"], "rhs": ["3", "4"]}, "vertices": [["0"], ["1"]]},
+        "short-rhs": {**square, "ineqs": {**square["ineqs"], "rhs": square["ineqs"]["rhs"][:3]}},
+        "short-eq-rhs": {**square, "eqs": {"rows": [["1", "-1"]], "rhs": []}},
+        "narrow-eqs": {**square, "eqs": {"rows": [["1"]], "rhs": ["0"]}},
+        "wide-vertex": {**square, "vertices": [["0", "0", "0"], ["1", "1", "1"]]},
+        "eq-labels": {**square, "eqs": {"rows": [["1", "-1"]], "rhs": ["0"]},
+                      "eq_labels": ["a", "b"]},
+        "ext-string-row": {"x_dim": 2, "y_dim": 1, "eqs": {"rows": ["111"], "rhs": ["1"]}},
+        "ext-no-y": {"x_dim": 2, "y_dim": 0, "eqs": {"rows": [["1", "1"]], "rhs": ["1"]}},
+        "ext-x-dim": {"x_dim": 1, "y_dim": 1, "eqs": {"rows": [["1", "1"]], "rhs": ["1"]}},
+        "fac-string-left": {"left": "12", "right": [["1", "0", "0", "0"]]},
     }
     for name, doc in docs.items():
         (d / f"{name}.json").write_text(json.dumps(doc))
@@ -931,10 +943,32 @@ def error_files(tmp_path_factory):
         (["ratio", "--relaxation", "{neg-relax}", "--polytope", "{neg-square}",
           "--objective", "1,0", "--trials", 0],
          "polytope optimum is -1 < 0 on objective (1, 0)"),
+        (["verify", "--input", "{string-rows}"], "ineqs: 'rhs' must be a list, got '34'"),
+        (["verify", "--input", "{string-row}"],
+         "a matrix row is a list of entries, not the string '1'"),
+        (["verify", "--input", "{short-rhs}"], "4 inequality rows but 3 right-hand sides"),
+        (["verify", "--input", "{short-eq-rhs}"], "1 equality rows but 0 right-hand sides"),
+        (["verify", "--input", "{narrow-eqs}"],
+         "equality and inequality systems disagree on dimension"),
+        (["verify", "--input", "{wide-vertex}"],
+         "vertex dimension does not match the constraint system"),
+        (["verify", "--input", "{eq-labels}"], "equality label count mismatch"),
+        (["contract", "--input", "{square}", "--system", "{ext-string-row}"],
+         "a matrix row is a list of entries, not the string '111'"),
+        (["contract", "--input", "{square}", "--system", "{ext-no-y}"],
+         "an extension needs at least one lift variable"),
+        (["contract", "--input", "{square}", "--system", "{ext-x-dim}"],
+         "system x-dimension does not match the polytope"),
+        (["verify", "--input", "{square}", "--factorization", "{fac-string-left}"],
+         "a matrix is a list of rows, not the string '12'"),
     ],
     ids=["edge-three-parts", "edge-not-integers", "objective-not-integers",
          "matrix-file-header", "ineqs-without-rhs", "vertices-dict-without-file",
-         "zero-polytope-optimum", "negative-polytope-optimum"],
+         "zero-polytope-optimum", "negative-polytope-optimum", "string-for-rows-and-rhs",
+         "string-for-a-row", "short-ineq-rhs", "short-eq-rhs", "eqs-of-another-dimension",
+         "vertex-of-another-dimension", "eq-label-count", "formulation-string-row",
+         "formulation-without-lift-variables", "formulation-x-dim-mismatch",
+         "factorization-string-left"],
 )
 def test_input_errors_exit_2(argv, message, error_files, ground_cache, tmp_path, capsys):
     out = tmp_path / "o.json"

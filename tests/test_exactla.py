@@ -101,6 +101,9 @@ def test_matrix_shape_validation():
         ExactMatrix([[1, 2], [3]])
     with pytest.raises(InputError):
         ExactMatrix([])
+    for rows in ("12", ["12"], [[1, 2], "34"]):  # not read one character at a time
+        with pytest.raises(InputError, match="not the string"):
+            ExactMatrix(rows)
     m = ExactMatrix([[1, "1/2"], [0, -3]])
     assert m.shape == (2, 2)
     assert m.entry(0, 1) == F(1, 2)
@@ -433,7 +436,7 @@ def test_post_solve_checks_survive_python_O():
             return "no raise"
 
         p = simplex_polytope(2)
-        ef = yannakakis.extension_from_factorization(
+        system = yannakakis.extension_from_factorization(
             p, yannakakis.slack_variable_factorization(slack_matrix(p))
         )
         yannakakis.verify_factorization = lambda *args: False
@@ -444,7 +447,7 @@ def test_post_solve_checks_survive_python_O():
         returning([-1])
         print(outcome(lambda: simplex.conic_combination([[1]], [-1])))
         simplex._simplex_all = solve
-        print(outcome(lambda: yannakakis.factorization_from_extension(p, ef.to_xy_system())))
+        print(outcome(lambda: yannakakis.factorization_from_extension(p, system)))
         """
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xclab.__file__)))

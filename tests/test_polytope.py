@@ -71,6 +71,27 @@ def test_build_rejects_label_mismatch():
         Polytope.build([[1]], [1], [(0,), (1,)], row_labels=["a", "b"])
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"ineq_rhs": [1]}, "2 inequality rows but 1 right-hand sides"),
+        ({"eq_coefs": [[1]], "eq_rhs": []}, "1 equality rows but 0 right-hand sides"),
+        ({"eq_coefs": [[1, 1]], "eq_rhs": [1]}, "disagree on dimension"),
+        ({"vertices": [(0, 0), (1, 0)]}, "vertex dimension"),
+        ({"eq_coefs": [[0]], "eq_rhs": [0], "eq_labels": ["a", "b"]}, "equality label count"),
+    ],
+)
+def test_build_rejects_inconsistent_shapes(kwargs, message):
+    args = {"ineq_coefs": [[-1], [1]], "ineq_rhs": [0, 1], "vertices": [(0,), (1,)], **kwargs}
+    with pytest.raises(InputError, match=message):
+        Polytope.build(**args)
+
+
+def test_contains_rejects_a_point_of_another_dimension():
+    with pytest.raises(InputError, match="point dimension"):
+        hypercube_polytope(2).contains((0, 0, 0))
+
+
 def test_slack_matrix_simplex_is_permutation():
     s = slack_matrix(simplex_polytope(2))
     # nonneg rows give the coordinates, the sum row gives 1 - x1 - x2
@@ -316,6 +337,9 @@ def test_face_errors():
         face(sq, [99])
     with pytest.raises(InputError, match="no rows"):
         face(sq, [])
+    segment = Polytope.build([[-1], [1]], [0, 1], [(0,), (1,)])
+    with pytest.raises(InputError, match="leaves no inequality system"):
+        face(segment, [0, 1])
 
 
 def _simplex_lift() -> XYSystem:
@@ -450,21 +474,21 @@ def _lift_by_vertex(system, x):
 def _random_xy_system(data, x_dim, y_dim, x0):
     """Joint rows with small rational entries: the equality rows hold at
     (x0, y0) unless one right-hand side is shifted, and each inequality row
-    has slack -1, 0, 1 or 2 there.  Either side may be None."""
+    has slack -1, 0, 1 or 2 there.  Either side may be without rows."""
     entry = st.fractions(-2, 2, max_denominator=data.draw(st.sampled_from([1, 3])))
     y0 = data.draw(st.lists(st.integers(-2, 2), min_size=y_dim, max_size=y_dim))
     xy0 = list(x0) + y0
 
     def side(nrows, slack):
         if nrows < 0:
-            return None
+            return (), ()
         rows = [data.draw(st.lists(entry, min_size=x_dim + y_dim, max_size=x_dim + y_dim))
                 for _ in range(nrows)]
         rhs = tuple(sum((a * v for a, v in zip(row, xy0)), Fraction(0)) + data.draw(slack)
                     for row in rows)
         return rows, rhs
 
-    # -1 rows stands for None; the y-block of the equalities is short,
+    # -1 rows stands for a side without rows, ((), ()); the y-block of the equalities is short,
     # square or tall
     n_eq = data.draw(st.integers(-1, y_dim + 2))
     n_ineq = data.draw(st.integers(-1, 3))
@@ -497,7 +521,7 @@ def test_projection_reports_the_first_vertex_without_a_lift(data):
     system = _random_xy_system(data, 2, y_dim, poly.vertices[0])
     expected = None
     for j, v in enumerate(poly.vertices):
-        if y_dim == 0 and not any(side and side[1] for side in (system.ineqs, system.eqs)):
+        if y_dim == 0 and not any(side[1] for side in (system.ineqs, system.eqs)):
             break  # no variable and no row: there is no LP, and nothing to violate
         status = lp_solve(*_pinned(system, v), [0] * y_dim, sense="max").status
         if status != "optimal":
@@ -553,3 +577,8 @@ def test_json_declared_dim_checked():
 def test_json_malformed():
     with pytest.raises(InputError, match="malformed|need"):
         polytope_from_json({"vertices": [[0], [1]]})
+    for side in ("ineqs", "eqs"):  # a string rhs is not read one character per row
+        obj = {"ineqs": {"rows": [[-1], [1]], "rhs": [0, 1]}, "vertices": [[0], [1]]}
+        obj[side] = {"rows": [[1], [2]], "rhs": "12"}
+        with pytest.raises(InputError, match=f"{side}: 'rhs' must be a list"):
+            polytope_from_json(obj)

@@ -41,7 +41,6 @@ SAMPLES = {
     "BoundReport": [(1, 2, (), None), (2, 2, (), None)],
     "LPResult": [("infeasible",), ("optimal", Fraction(5), (Fraction(1), Fraction(4)))],
     "Factorization": [(_M, _N), (_N, _M)],
-    "ExtendedFormulation": [(1, 1, _N, (1, 2)), (1, 1, _M, (0, 0))],
 }
 
 
@@ -84,7 +83,7 @@ def _hash_or_error(obj):
 
 def test_every_record_class_has_samples():
     assert set(_record_classes()) == set(SAMPLES)
-    assert len(SAMPLES) == 19
+    assert len(SAMPLES) == 18
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))

@@ -2,8 +2,11 @@
 
 import argparse
 import ast
+import builtins
+import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -203,3 +206,42 @@ def test_every_assigned_local_is_read():
             }
         )
     assert not unread, "locals assigned but never read: " + ", ".join(unread)
+
+
+def _is_xclab_module(name: str) -> bool:
+    root = pathlib.Path(xclab.__file__).parent
+    parts = name.split(".")
+    if parts[0] == "xclab":
+        parts = parts[1:]
+    path = root.joinpath(*parts)
+    return path.is_dir() or path.with_suffix(".py").is_file()
+
+
+def test_readme_module_table_names_only_what_exists():
+    """Each backticked identifier in a row of README's module table is an
+    attribute of that row's module, a builtin, a standard-library module or
+    an xclab module; spans that are not identifiers, such as `@record`, are
+    prose."""
+    readme = pathlib.Path(xclab.__file__).parents[2] / "README.md"
+    identifier = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+    missing = []
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        row = re.match(r"\| `(xclab[\w.]*)` \|", line)
+        if row is None:
+            continue
+        module = importlib.import_module(row.group(1))
+        for name in re.findall(r"`([^`]*)`", line)[1:]:
+            if not identifier.fullmatch(name):
+                continue
+            head, *rest = name.split(".")
+            target = getattr(module, head, None)
+            for part in rest:
+                target = getattr(target, part, None)
+            if (
+                target is None
+                and not hasattr(builtins, name)
+                and name not in sys.stdlib_module_names
+                and not _is_xclab_module(name)
+            ):
+                missing.append(f"{row.group(1)}: {name}")
+    assert not missing, "README names what does not exist: " + ", ".join(missing)

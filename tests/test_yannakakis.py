@@ -19,11 +19,11 @@ from xclab.polytope import (
     slack_matrix,
 )
 from xclab.yannakakis import (
-    ExtendedFormulation,
     Factorization,
     _lex_min_lift,
     extension_from_factorization,
     factorization_from_extension,
+    formulation,
     formulation_from_json,
     formulation_to_json,
     slack_variable_factorization,
@@ -61,9 +61,9 @@ def test_extension_from_factorization_simplex():
     p = simplex_polytope(2)
     fac = slack_variable_factorization(slack_matrix(p))
     ef = extension_from_factorization(p, fac)
-    assert ef.n_facets == 3
+    assert ef.n_ineqs == 3
     assert ef.x_dim == 2 and ef.y_dim == 3
-    report = lp_equal_under_projection(p, ef.to_xy_system(), 10, 5)
+    report = lp_equal_under_projection(p, ef, 10, 5)
     assert report.passed, report
 
 
@@ -78,8 +78,8 @@ def test_extension_from_factorization_with_equalities():
     )
     fac = slack_variable_factorization(slack_matrix(p))
     ef = extension_from_factorization(p, fac)
-    assert ef.eq_rows.nrows == 3  # two wrapped rows plus the original equality
-    report = lp_equal_under_projection(p, ef.to_xy_system(), 8, 2)
+    assert len(ef.eqs[0]) == 3  # two wrapped rows plus the original equality
+    report = lp_equal_under_projection(p, ef, 8, 2)
     assert report.passed, report
 
 
@@ -99,8 +99,8 @@ def test_round_trip_simplex():
     s = slack_matrix(p)
     fac = slack_variable_factorization(s)
     ef = extension_from_factorization(p, fac)
-    back = factorization_from_extension(p, ef.to_xy_system())
-    assert back.r == fac.r == ef.n_facets
+    back = factorization_from_extension(p, ef)
+    assert back.r == fac.r == ef.n_ineqs
     assert verify_factorization(s, back)
     # per-cell identity: product entries equal slacks b_i - a_i . x_j
     prod = back.product()
@@ -115,7 +115,7 @@ def test_round_trip_cube():
     p = hypercube_polytope(2)
     s = slack_matrix(p)
     ef = extension_from_factorization(p, slack_variable_factorization(s))
-    back = factorization_from_extension(p, ef.to_xy_system())
+    back = factorization_from_extension(p, ef)
     assert back.r == 4
     assert verify_factorization(s, back)
 
@@ -133,6 +133,10 @@ def test_extension_without_lift_variables():
     assert err.value.row_index == 0
     with pytest.raises(NotAnExtensionError):
         factorization_from_extension(p, XYSystem(2, 0, (rows, (rhs[0] - 1,) + rhs[1:])))
+    with pytest.raises(InputError, match="x-dimension"):
+        factorization_from_extension(p, XYSystem(3, 0, (rows, rhs)))
+    with pytest.raises(InputError, match="no inequality rows"):
+        factorization_from_extension(p, XYSystem(2, 0, ((), ())))
 
 
 def test_factorization_from_product_with_box():
@@ -201,7 +205,7 @@ def test_unique_lifts_take_no_lp(monkeypatch):
     p = hypercube_polytope(3)
     s = slack_matrix(p)
     ef = extension_from_factorization(p, slack_variable_factorization(s))
-    assert verify_factorization(s, factorization_from_extension(p, ef.to_xy_system()))
+    assert verify_factorization(s, factorization_from_extension(p, ef))
 
 
 def _duplicated_row_matrix(system):
@@ -224,7 +228,7 @@ def test_free_equality_multipliers_keep_the_pivots(n, monkeypatch):
     poly = perfect_matching_polytope(n)
     system = extension_from_factorization(
         poly, slack_variable_factorization(slack_matrix(poly))
-    ).to_xy_system()
+    )
     calls = []
     pivot, conic = simplex._pivot, xclab.yannakakis.conic_combination
 
@@ -263,7 +267,7 @@ def test_contract_pivot_count_on_ppm6(monkeypatch):
     poly = perfect_matching_polytope(6)
     system = extension_from_factorization(
         poly, slack_variable_factorization(slack_matrix(poly))
-    ).to_xy_system()
+    )
     pivots = []
     pivot = simplex._pivot
 
@@ -282,7 +286,7 @@ def _ppm6_with_all_and_with_5_vertices():
     poly = perfect_matching_polytope(6)
     system = extension_from_factorization(
         poly, slack_variable_factorization(slack_matrix(poly))
-    ).to_xy_system()
+    )
     few = Polytope.build(
         poly.ineq_coefs, poly.ineq_rhs, poly.vertices[:5], eq_coefs=poly.eq_coefs, eq_rhs=poly.eq_rhs
     )
@@ -431,10 +435,20 @@ def test_formulation_json_round_trip():
 
 def test_formulation_validation():
     with pytest.raises(InputError, match="lift variable"):
-        ExtendedFormulation(1, 0, ExactMatrix([[1]]), (rat(1),))
+        formulation(1, 0, ExactMatrix([[1]]), (rat(1),))
     with pytest.raises(InputError, match="widths"):
-        ExtendedFormulation(2, 1, ExactMatrix([[1, 1]]), (rat(1),))
+        formulation(2, 1, ExactMatrix([[1, 1]]), (rat(1),))
     with pytest.raises(InputError, match="x variable"):
-        ExtendedFormulation(0, 1, ExactMatrix([[1]]), (rat(1),))
+        formulation(0, 1, ExactMatrix([[1]]), (rat(1),))
     with pytest.raises(InputError, match="right-hand sides"):
-        ExtendedFormulation(1, 1, ExactMatrix([[1, 1]]), (rat(1), rat(2)))
+        formulation(1, 1, ExactMatrix([[1, 1]]), (rat(1), rat(2)))
+
+
+@pytest.mark.parametrize(
+    "eqs, message",
+    [({"rows": ["11"], "rhs": [1]}, "not the string '11'"),
+     ({"rows": [[1, 1]], "rhs": "1"}, "eqs.rhs must be a list")],
+)
+def test_formulation_json_refuses_strings_for_lists(eqs, message):
+    with pytest.raises(InputError, match=message):
+        formulation_from_json({"x_dim": 1, "y_dim": 1, "eqs": eqs})
