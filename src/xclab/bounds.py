@@ -17,11 +17,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
 from .exactla import (
     ExactMatrix,
+    clear_denominators,
     common_denominator,
     conic_combination,
     lp_solve,
@@ -29,7 +30,7 @@ from .exactla import (
     rank,
     rat,
 )
-from .polytope import Rectangle, SlackMatrix, as_matrix
+from .polytope import Rectangle, SlackMatrix, as_matrix, bits
 from .record import record
 from .yannakakis import Factorization, verify_factorization
 
@@ -87,23 +88,24 @@ class WeightMatrix:
         x = self.grid[i][j]
         return FORBIDDEN if x is None else Fraction(x, self.scale)
 
-    def frobenius_with(self, s: SlackMatrix | ExactMatrix) -> Fraction:
-        """<W, S> with FORBIDDEN * 0 = 0 and FORBIDDEN * nonzero an error; each
-        row is summed in integers over its slack row's common denominator."""
-        m = as_matrix(s)
-        if m.nrows != self.nrows or m.ncols != self.ncols:
+    def frobenius_with(self, s: SlackMatrix | ExactMatrix | Sequence[Sequence[int]]) -> Fraction:
+        """<W, S> with FORBIDDEN * 0 = 0 and FORBIDDEN * nonzero an error, in
+        integers: S is rows of ints, or a matrix whose rows are each cleared."""
+        if isinstance(s, (SlackMatrix, ExactMatrix)):
+            rows = [clear_denominators(row) for row in as_matrix(s).rows()]
+        else:
+            rows = [(row, 1) for row in s]
+        if len(rows) != self.nrows or any(len(row) != self.ncols for row, _ in rows):
             raise InputError("weight and slack dimensions differ")
         total = Fraction(0)
-        for i, wrow in enumerate(self.grid):
-            srow = m.row(i)
-            den = common_denominator(srow)
+        for i, (wrow, (srow, den)) in enumerate(zip(self.grid, rows)):
             acc = 0
             for w, x in zip(wrow, srow):
                 if w is None:
                     if x:
                         raise InputError(f"FORBIDDEN weight meets nonzero slack at row {i}")
                 elif w and x:
-                    acc += w * x.numerator * (den // x.denominator)
+                    acc += w * x
             total += Fraction(acc, den)
         return total / self.scale
 
@@ -273,17 +275,9 @@ def _supports(m: ExactMatrix) -> list[int]:
     return [sum(1 << j for j, x in enumerate(m.row(i)) if x) for i in range(m.nrows)]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _support_cells(supports: list[int]) -> list[tuple[int, int]]:
     """The support cells (i, j) in row-major order."""
-    return [(i, j) for i, supp in enumerate(supports) for j in _bits(supp)]
+    return [(i, j) for i, supp in enumerate(supports) for j in bits(supp)]
 
 
 def fooling_set_greedy(
@@ -410,8 +404,8 @@ def rectangle_cover_exact(
     cells = _support_cells(supports)
     holders: dict[tuple[int, int], list[int]] = {c: [] for c in cells}
     for k, (rows, cols) in enumerate(rects):
-        for i in _bits(rows):
-            for j in _bits(cols):
+        for i in bits(rows):
+            for j in bits(cols):
                 holders[i, j].append(k)
     order = sorted(cells, key=lambda c: (len(holders[c]), c))
     cover = [0] * len(rects)
@@ -459,7 +453,7 @@ def rectangle_cover_exact(
     return CoverResult(
         "optimal",
         len(best),
-        tuple(Rectangle.of(_bits(rects[k][0]), _bits(rects[k][1])) for k in best),
+        tuple(Rectangle.of(bits(rects[k][0]), bits(rects[k][1])) for k in best),
         explored,
     )
 

@@ -5,6 +5,7 @@ from .matrix import (
     ExactMatrix,
     IntegerRows,
     PinnedSolve,
+    clear_denominators,
     common_denominator,
     format_rational,
     matrix_to_json,
@@ -20,6 +21,7 @@ __all__ = [
     "IntegerRows",
     "LPResult",
     "PinnedSolve",
+    "clear_denominators",
     "common_denominator",
     "conic_combination",
     "format_rational",

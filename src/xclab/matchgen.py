@@ -15,14 +15,16 @@ filter them out (the default odd-set filter does).
 This module owns the crossing model: `EdgeIndexing` holds a cut's edges and
 a matching's edges as int bitmasks over its edge order, and the canonical
 two-edge rectangles (and their cover of the odd-set slack support) are read
-from those masks.
+from the transposes of those masks, one holder mask per edge.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, repeat
+from operator import xor
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -30,7 +32,7 @@ from .exactla import lp_solve_all, rat
 # Nothing here calls `lp_solve`; it stays a name of this module because
 # perfbench's span table wraps `xclab.matchgen.lp_solve`.
 from .exactla import lp_solve  # noqa: F401
-from .polytope import Polytope, Rectangle, SlackMatrix, face, slack_matrix
+from .polytope import Polytope, Rectangle, SlackMatrix, bits, face, slack_matrix
 from .record import record
 
 
@@ -45,6 +47,8 @@ class EdgeIndexing:
             (i, j) for i in range(n) for j in range(i + 1, n)
         )
         self._index = {pair: k for k, pair in enumerate(self.pairs)}
+        # per node, the mask of the edges that meet it
+        self._stars = [sum(1 << k for k, e in enumerate(self.pairs) if v in e) for v in range(n)]
 
     @property
     def n_edges(self) -> int:
@@ -64,19 +68,24 @@ class EdgeIndexing:
 
     def cut(self, nodes: Iterable[int]) -> tuple[int, ...]:
         """Edge indices with exactly one endpoint in the node set."""
-        s = set(nodes)
-        return tuple(
-            k for k, (i, j) in enumerate(self.pairs) if (i in s) != (j in s)
-        )
+        return tuple(bits(self.cut_mask(nodes)))
 
     def cut_mask(self, nodes: Iterable[int]) -> int:
-        """The edges of `cut(nodes)` as one int: bit k set for edge k."""
-        return sum(1 << k for k in self.cut(nodes))
+        """The edges of `cut(nodes)` as one int: bit k set for edge k.  It is
+        the XOR of the (distinct) nodes' star masks: an inner edge cancels."""
+        return reduce(xor, map(self._stars.__getitem__, nodes), 0)
 
     def matching_mask(self, pairs: Iterable[tuple[int, int]]) -> int:
         """The edges of a matching, given as distinct node pairs, as one
         int: bit `index(i, j)` set for each pair (i, j)."""
         return sum(1 << self.index(i, j) for i, j in pairs)
+
+    def holders(self, masks: Iterable[int]) -> tuple[int, ...]:
+        """Per edge k, the int whose bit i is set when the i-th mask holds edge
+        k: every width-th digit of the masks' fixed-width binary numerals."""
+        width = self.n_edges
+        text = "".join(map(format, masks, repeat(f"0{width}b")))
+        return tuple(int(text[width - 1 - k :: width][::-1] or "0", 2) for k in range(width))
 
     def interior(self, nodes: Iterable[int]) -> tuple[int, ...]:
         """Edge indices with both endpoints in the node set."""
@@ -277,14 +286,13 @@ def odd_set_slack(poly: Polytope):
 
 
 def two_edge_rectangle(
-    cut_masks: Sequence[int], matching_masks: Sequence[int], k1: int, k2: int
+    cut_holders: Sequence[int], matching_holders: Sequence[int], k1: int, k2: int
 ) -> Rectangle:
-    """The canonical rectangle of edges k1 and k2: the rows whose cut mask
-    holds both edges, times the columns whose matching mask holds both."""
-    want = (1 << k1) | (1 << k2)
-    return Rectangle(
-        frozenset(i for i, mask in enumerate(cut_masks) if mask & want == want),
-        frozenset(j for j, mask in enumerate(matching_masks) if mask & want == want),
+    """The canonical rectangle of edges k1 and k2 from `EdgeIndexing.holders`
+    of the cut and matching masks: the rows and columns that hold both."""
+    return Rectangle.of(
+        bits(cut_holders[k1] & cut_holders[k2]),
+        bits(matching_holders[k1] & matching_holders[k2]),
     )
 
 
@@ -310,17 +318,12 @@ def canonical_matching_cover(n: int) -> MatchingCover:
     proper = [u for u in canonical_odd_sets(n) if 3 <= len(u) <= n - 3]
     if len(proper) != slack.nrows:
         raise AssertionError(f"{len(proper)} proper odd sets, {slack.nrows} slack rows")
-    cut_masks = [edges.cut_mask(u) for u in proper]
-    pm_masks = [edges.matching_mask(m) for m in enumerate_perfect_matchings(n)]
-    rectangles = []
-    pairs = []
-    for k1, k2 in combinations(range(edges.n_edges), 2):
-        e1, e2 = edges.pairs[k1], edges.pairs[k2]
-        if set(e1) & set(e2):
-            continue
-        rectangles.append(two_edge_rectangle(cut_masks, pm_masks, k1, k2))
-        pairs.append((e1, e2))
-    return MatchingCover(n, slack, tuple(rectangles), tuple(pairs))
+    cut_holders = edges.holders(map(edges.cut_mask, proper))
+    pm_holders = edges.holders(map(edges.matching_mask, enumerate_perfect_matchings(n)))
+    pairs = tuple((e1, e2) for e1, e2 in combinations(edges.pairs, 2) if not set(e1) & set(e2))
+    ks = [(edges.index(*e1), edges.index(*e2)) for e1, e2 in pairs]
+    rectangles = tuple(two_edge_rectangle(cut_holders, pm_holders, *k) for k in ks)
+    return MatchingCover(n, slack, rectangles, pairs)
 
 
 @record

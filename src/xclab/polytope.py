@@ -15,7 +15,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .exactla import (
@@ -198,6 +198,14 @@ class Rectangle:
         for i in sorted(self.rows):
             for j in sorted(self.cols):
                 yield i, j
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def slack_matrix(

@@ -22,18 +22,19 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .bounds import FORBIDDEN, WeightMatrix
 from .errors import InputError
-from .exactla import ExactMatrix, rat
+from .exactla import rat
 from .matchgen import (
     EdgeIndexing,
     double_factorial,
     enumerate_perfect_matchings,
     two_edge_rectangle,
 )
-from .polytope import Rectangle, write_atomic
+from .polytope import Rectangle, bits, write_atomic
 from .record import record
 
 MATERIALIZE_CAP = 1_000_000
@@ -116,32 +117,41 @@ class MatchingCutInstance:
         return (self.m + 1) // 2 * (self.k - 3) + 3
 
 
+def _picker(indices: Sequence[int]):
+    """Maps a row to the tuple of its entries at `indices`: one itemgetter,
+    which returns a bare entry for a single index and refuses none."""
+    if len(indices) < 2:
+        return lambda row: tuple(row[j] for j in indices)
+    return itemgetter(*indices)
+
+
 class CutMatchingGround:
     """Materialized universe: all t-cuts against all perfect matchings,
-    with the crossing count of every pair precomputed.
+    with the crossing count of every pair precomputed.  Per edge of
+    EdgeIndexing(n), it also holds the cuts and the matchings that hold it."""
 
-    Each cut and each matching is also held as an edge bitmask over
-    EdgeIndexing(n), so a crossing count is one popcount of their AND."""
-
-    __slots__ = (
-        "n", "t", "cuts", "matchings", "edges", "cut_masks", "matching_masks", "_table",
-    )
+    __slots__ = ("n", "t", "cuts", "matchings", "edges", "cut_holders", "matching_holders",
+                 "_table")
 
     def __init__(self, n, t, cuts, matchings, table):
         """`table` is a validated cached crossing table, or None to count
-        the crossings from the masks."""
+        the crossings by byte-spread sums: byte j of spread[k] is 1 when
+        matching j holds edge k, so byte j of the sum over a cut's edges is
+        matching j's crossing count (at most n / 2, so no byte carries)."""
         self.n = n
         self.t = t
         self.cuts = cuts
         self.matchings = matchings
         self.edges = EdgeIndexing(n)
-        self.cut_masks = tuple(map(self.edges.cut_mask, cuts))
-        self.matching_masks = tuple(map(self.edges.matching_mask, matchings))
+        cut_masks = tuple(map(self.edges.cut_mask, cuts))
+        self.cut_holders = self.edges.holders(cut_masks)
+        self.matching_holders = self.edges.holders(map(self.edges.matching_mask, matchings))
         if table is None:
-            table = tuple(
-                bytes((c & p).bit_count() for p in self.matching_masks)
-                for c in self.cut_masks
-            )
+            width = len(matchings)
+            spread = [int.from_bytes(format(h, f"0{width}b").encode().translate(_BIT_BYTES), "big")
+                      for h in self.matching_holders]
+            table = tuple(sum(map(spread.__getitem__, bits(mask))).to_bytes(width, "little")
+                          for mask in cut_masks)
         self._table = table
 
     @classmethod
@@ -174,17 +184,12 @@ class CutMatchingGround:
 
     def class_counts(self) -> dict[int, int]:
         """Pair count per crossing number, tallied from the table."""
-        counts = Counter()
-        for row in self._table:
-            counts.update(row)
-        return dict(counts)
+        return dict(Counter(b"".join(self._table)))
 
-    def slack_grid(self) -> ExactMatrix:
-        """Slack of each pair: crossing count minus one."""
-        values = {ell: Fraction(ell - 1) for ell in range(self.t + 1)}
-        return ExactMatrix(
-            [[values[ell] for ell in row] for row in self._table]
-        )
+    def slack_grid(self) -> tuple[tuple[int, ...], ...]:
+        """Slack of each pair, as rows of ints: crossing count minus one."""
+        values = tuple(range(-1, self.t))
+        return tuple(_picker(row)(values) for row in self._table)
 
 
 def _cache_path(n: int, t: int) -> str | None:
@@ -202,40 +207,40 @@ def _cache_header(n, t, n_cuts, n_matchings) -> str:
 
 
 # Maps each ASCII digit of a cache row to its value and every other byte
-# to 255, which no crossing class admits.
+# to 255, which no crossing class admits; and back, each value to its digit.
 _CACHE_DIGITS = bytes(b - 48 if 48 <= b <= 57 else 255 for b in range(256))
+_DIGIT_CHARS = bytes((b + 48) % 256 for b in range(256))
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _load_cached_table(n, t, n_cuts, n_matchings):
     """The cached table, or None when it is absent or fails validation.
 
-    Each row is read as bytes and turned into entries by one translate that
-    deletes the spaces and the newline, so every entry must be one digit.
-    Under MATERIALIZE_CAP no crossing number exceeds 5, so one digit per
-    entry suffices.  Per odd class ell <= t, the entry count must equal the
-    closed-form q_class_size.  Those sizes sum to the table's cell count, so a table
-    that passes also holds no even entry, none above t and no byte that was
-    not a digit."""
+    The file must be the header and n_cuts rows, each ended by a newline.
+    One translate that deletes the spaces turns a row into entries, so each
+    entry must be one digit (under MATERIALIZE_CAP none exceeds 5).  Per odd
+    class ell <= t, the entry count must equal the closed-form q_class_size.
+    Those sizes sum to the cell count, so a table that passes also holds no
+    even entry, none above t and no byte that was not a digit."""
     path = _cache_path(n, t)
     if path is None or not os.path.exists(path):
         return None
     header = _cache_header(n, t, n_cuts, n_matchings).encode()
     try:
         with open(path, "rb") as fh:
-            if fh.readline().split() != header.split():
-                return None
-            table = []
-            for _ in range(n_cuts):
-                row = fh.readline().translate(_CACHE_DIGITS, b" \n")
-                if len(row) != n_matchings:
-                    return None
-                table.append(row)
+            lines = fh.read().split(b"\n")
     except OSError:
         return None
+    if lines[0].split() != header.split() or len(lines) != n_cuts + 2 or lines[-1]:
+        return None
+    table = tuple(row.translate(_CACHE_DIGITS, b" ") for row in lines[1:-1])
+    if any(len(row) != n_matchings for row in table):
+        return None
+    cells = b"".join(table)
     for ell in range(1, t + 1, 2):
-        if sum(row.count(ell) for row in table) != q_class_size(n, t, ell):
+        if cells.count(ell) != q_class_size(n, t, ell):
             return None
-    return tuple(table)
+    return table
 
 
 def _store_cached_table(n, t, table) -> None:
@@ -245,7 +250,7 @@ def _store_cached_table(n, t, table) -> None:
     if path is None:
         return
     lines = [_cache_header(n, t, len(table), len(table[0]) if table else 0)]
-    lines += [" ".join(str(x) for x in row) for row in table]
+    lines += [" ".join(row.translate(_DIGIT_CHARS).decode()) for row in table]
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         write_atomic(path, "\n".join(lines) + "\n")
@@ -276,9 +281,7 @@ def weight_matrix(ground: CutMatchingGround, k: int) -> WeightMatrix:
     values = weight_values(ground.n, ground.t, k)
     classes = WeightMatrix.from_rows([[values.get(ell, 0) for ell in range(ground.t + 1)]])
     lookup = classes.grid[0]
-    return WeightMatrix(
-        tuple(tuple(map(lookup.__getitem__, row)) for row in ground._table), classes.scale
-    )
+    return WeightMatrix(tuple(_picker(row)(lookup) for row in ground._table), classes.scale)
 
 
 def ws_inner_product(n: int, t: int, k: int) -> Fraction:
@@ -286,28 +289,22 @@ def ws_inner_product(n: int, t: int, k: int) -> Fraction:
     weights with zero slack, the three-crossing class contributes
     2 |Q_3| / |Q_3|, the k-crossing class -(k-1) |Q_k| / ((k-1) |Q_k|)."""
     values = weight_values(n, t, k)
-    total = Fraction(0)
-    total += Fraction(3 - 1) * q_class_size(n, t, 3) * values[3]
-    total += Fraction(k - 1) * q_class_size(n, t, k) * values[k]
-    return total
+    return 2 * q_class_size(n, t, 3) * values[3] + (k - 1) * q_class_size(n, t, k) * values[k]
 
 
 def ws_inner_product_materialized(ground: CutMatchingGround, k: int) -> Fraction:
-    """Independent evaluation path: full Frobenius sum over the
-    materialized weight matrix and slack grid."""
+    """Independent evaluation path: full Frobenius sum, cell by cell in
+    integers, over the materialized weight matrix and slack grid."""
     return weight_matrix(ground, k).frobenius_with(ground.slack_grid())
 
 
 # ---------------------------------------------------------------------------
 # Rectangles over the ground and their measures
 
-def _class_hits(ground: CutMatchingGround, rect: Rectangle) -> Counter:
-    """Per crossing count ell, how many cells of the rectangle lie in Q_ell."""
-    cols = sorted(rect.cols)
-    hits = Counter()
-    for i in rect.rows:
-        hits.update(map(ground._table[i].__getitem__, cols))
-    return hits
+def _class_cells(ground: CutMatchingGround, rect: Rectangle) -> bytes:
+    """The crossing counts of the rectangle's cells, as one bytes."""
+    pick = _picker(tuple(rect.cols))
+    return b"".join(bytes(pick(ground._table[i])) for i in rect.rows)
 
 
 def mu(ground: CutMatchingGround, rect: Rectangle, ell: int) -> Fraction:
@@ -315,7 +312,7 @@ def mu(ground: CutMatchingGround, rect: Rectangle, ell: int) -> Fraction:
     size = q_class_size(ground.n, ground.t, ell)
     if size == 0:
         raise InputError(f"class Q_{ell} is empty for n={ground.n}, t={ground.t}")
-    return Fraction(_class_hits(ground, rect)[ell], size)
+    return Fraction(_class_cells(ground, rect).count(ell), size)
 
 
 def canonical_rectangle(ground: CutMatchingGround, e1, e2) -> Rectangle:
@@ -326,7 +323,7 @@ def canonical_rectangle(ground: CutMatchingGround, e1, e2) -> Rectangle:
     e1, e2 = ground.edges.nodes(k1), ground.edges.nodes(k2)
     if set(e1) & set(e2):
         raise InputError(f"edges {e1} and {e2} share a node")
-    return two_edge_rectangle(ground.cut_masks, ground.matching_masks, k1, k2)
+    return two_edge_rectangle(ground.cut_holders, ground.matching_holders, k1, k2)
 
 
 @record
@@ -344,11 +341,12 @@ class RectangleWReport:
 
 def rectangle_w_value(ground: CutMatchingGround, rect: Rectangle, k: int) -> RectangleWReport:
     weight_values(ground.n, ground.t, k)  # validates that Q_3 and Q_k are nonempty
-    hits = _class_hits(ground, rect)
-    if hits[1]:
-        return RectangleWReport(False, None, None, None, hits[1])
-    m3 = Fraction(hits[3], q_class_size(ground.n, ground.t, 3))
-    mk = Fraction(hits[k], q_class_size(ground.n, ground.t, k))
+    cells = _class_cells(ground, rect)
+    q1_hits = cells.count(1)
+    if q1_hits:
+        return RectangleWReport(False, None, None, None, q1_hits)
+    m3 = Fraction(cells.count(3), q_class_size(ground.n, ground.t, 3))
+    mk = Fraction(cells.count(k), q_class_size(ground.n, ground.t, k))
     return RectangleWReport(True, m3 - mk / (k - 1), m3, mk, 0)
 
 
@@ -387,17 +385,11 @@ def biased_indices(
             if v not in doms[i]:
                 raise InputError(f"value {v!r} outside the domain of coordinate {i}")
 
-    total = len(y)
-    one_plus = 1 + eps
     out = []
     for i, dom in enumerate(doms):
-        counts = {v: 0 for v in dom}
-        for row in y:
-            counts[row[i]] += 1
-        size = len(dom)
-        for v in dom:
-            p = Fraction(counts[v], total)
-            if p * one_plus * size < 1 or p * size > one_plus:
-                out.append(i)
-                break
+        counts = Counter(row[i] for row in y)
+        # Pr[y_i = v] |X_i| for each v, which must lie in [1/(1+eps), 1+eps]
+        scaled = (Fraction(counts[v] * len(dom), len(y)) for v in dom)
+        if any(q * (1 + eps) < 1 or q > 1 + eps for q in scaled):
+            out.append(i)
     return tuple(out)

@@ -515,6 +515,26 @@ def test_weight_grid_matches_fraction_reference(case, seed):
     assert heur.value <= exact.value
 
 
+@settings(max_examples=100, deadline=None)
+@given(weight_and_slack(), st.lists(st.integers(0, 4), min_size=16, max_size=16))
+def test_frobenius_reads_integer_rows_as_the_matrix_of_those_rows(case, ints):
+    """Rows of ints and the ExactMatrix of the same rows give the same
+    <W, S>, or the same FORBIDDEN refusal."""
+    w_cells = case[0]
+    w = WeightMatrix.from_rows(w_cells)
+    ncols = len(w_cells[0])
+    s_rows = [tuple(ints[4 * i : 4 * i + ncols]) for i in range(len(w_cells))]
+    want = ref_frobenius(w_cells, s_rows)
+    for s in (s_rows, ExactMatrix(s_rows)):
+        if want is None:
+            with pytest.raises(InputError, match="FORBIDDEN"):
+                w.frobenius_with(s)
+        else:
+            assert w.frobenius_with(s) == want
+    with pytest.raises(InputError, match="dimensions"):
+        w.frobenius_with(s_rows[:-1] + [s_rows[-1] + (0,)])
+
+
 def test_hyperplane_certificate_on_ppm4_all_ones():
     s = slack_matrix(perfect_matching_polytope(4))
     w = WeightMatrix.from_rows([[1] * s.ncols for _ in range(s.nrows)])

@@ -1,4 +1,9 @@
+import functools
 import hashlib
+import json
+import os
+import tempfile
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 
 from xclab.bounds import FORBIDDEN
 from xclab.errors import InputError
+from xclab.exactla import format_rational
 from xclab.matchgen import enumerate_perfect_matchings, perfect_matching_polytope
 from xclab.polytope import Rectangle, slack_matrix
 from xclab.sepmeasure import (
@@ -95,7 +101,8 @@ def test_q_class_sizes_sum_to_ground_total(n):
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_slack_max_norm_matches_the_ground(n):
     for t in range(1, n, 2):
-        assert slack_max_norm(n, t) == CutMatchingGround.build(n, t).slack_grid().max_norm(), t
+        grid = CutMatchingGround.build(n, t).slack_grid()
+        assert slack_max_norm(n, t) == max(abs(x) for row in grid for x in row), t
 
 
 def test_frozen_sizes_6_3():
@@ -199,6 +206,17 @@ def test_ground_cache_file_keeps_its_bytes_and_loads(tmp_path, monkeypatch):
     assert _load_cached_table(6, 3, 20, 15) == cold._table
 
 
+# sha256 of ground-n10-t5.txt as the version-1 writer has always written it
+_N10_T5_CACHE_SHA256 = "c3b1505ebbd648026693d49d2c1121884fcfd76797f9020cb8404dbdbc297684"
+
+
+def test_n10_t5_cache_file_keeps_its_bytes_and_loads(tmp_path, monkeypatch):
+    monkeypatch.setenv("XCLAB_CACHE_DIR", str(tmp_path))
+    cold = CutMatchingGround.build(10, 5)
+    assert _cache_sha(tmp_path / "ground-n10-t5.txt") == _N10_T5_CACHE_SHA256
+    assert _load_cached_table(10, 5, 252, 945) == cold._table
+
+
 def _two_digit_token(text):
     return text.replace("\n1 ", "\n01 ", 1)
 
@@ -217,8 +235,12 @@ def _ones_as_threes(text):
     return head + "\n" + rest.replace("1", "3")
 
 
+def _extra_row(text):
+    return text + "garbage row here\n"
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_two_digit_token, _non_digit, _crlf_row, _ones_as_threes]
+    "corrupt", [_two_digit_token, _non_digit, _crlf_row, _ones_as_threes, _extra_row]
 )
 def test_ground_cache_rejects_and_rebuilds_a_bad_row(tmp_path, monkeypatch, corrupt):
     monkeypatch.setenv("XCLAB_CACHE_DIR", str(tmp_path))
@@ -282,8 +304,30 @@ def test_ws_inner_product_counting():
 
 
 def test_ws_inner_product_materialized(ground105):
+    """The integer Frobenius sum equals the closed form at every
+    (n <= 10, t, k >= 5) whose Q_3 and Q_k are nonempty."""
     assert ws_inner_product_materialized(ground105, 5) == 1
-    assert ws_inner_product(10, 5, 5) == ws_inner_product_materialized(ground105, 5)
+    cases = [
+        (n, t, k)
+        for n in range(2, 11, 2)
+        for t in range(1, n, 2)
+        for k in range(5, n + 1, 2)
+        if q_class_size(n, t, 3) and q_class_size(n, t, k)
+    ]
+    assert (10, 5, 5) in cases
+    for n, t, k in cases:
+        ground = CutMatchingGround.build(n, t)
+        assert ws_inner_product_materialized(ground, k) == ws_inner_product(n, t, k)
+
+
+def test_forbidden_weight_on_nonzero_slack_is_an_input_error(ground105, monkeypatch):
+    """One Q_1 cell, whose weight is FORBIDDEN, given slack 2 in the grid."""
+    grid = [list(row) for row in CutMatchingGround.slack_grid(ground105)]
+    j = next(j for j in range(ground105.n_matchings) if ground105.ell(3, j) == 1)
+    grid[3][j] = 2
+    monkeypatch.setattr(CutMatchingGround, "slack_grid", lambda self: grid)
+    with pytest.raises(InputError, match="FORBIDDEN weight meets nonzero slack at row 3"):
+        ws_inner_product_materialized(ground105, 5)
 
 
 def test_weight_matrix_entries(ground63, ground105):
@@ -378,20 +422,42 @@ def ground_and_disjoint_edges(draw):
     return n, t, (a, b), (c, d)
 
 
+def _cold_and_cached_grounds(n, t):
+    """The ground built by byte-spread sums, and again from the cache file
+    that build wrote."""
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XCLAB_CACHE_DIR", root)
+        cold = CutMatchingGround.build(n, t)
+        assert os.listdir(root) == [f"ground-n{n}-t{t}.txt"]
+        return cold, CutMatchingGround.build(n, t)
+
+
+def _check_crossings(n, t, e1, e2):
+    cold, hit = _cold_and_cached_grounds(n, t)
+    want = _parity_table(cold)
+    for ground in (cold, hit):
+        assert ground._table == want
+        assert canonical_rectangle(ground, e1, e2) == _set_rectangle(ground, e1, e2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(ground_and_disjoint_edges())
 def test_mask_crossings_match_parity_and_set_references(case):
-    n, t, e1, e2 = case
-    ground = CutMatchingGround.build(n, t)
-    assert ground._table == _parity_table(ground)
-    assert canonical_rectangle(ground, e1, e2) == _set_rectangle(ground, e1, e2)
+    _check_crossings(*case)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(range(1, 10, 2)), st.permutations(range(10)))
+def test_mask_crossings_match_the_references_at_n10(t, nodes):
+    a, b, c, d = nodes[:4]
+    _check_crossings(10, t, (a, b), (c, d))
 
 
 def test_cache_hit_ground_holds_the_same_masks(tmp_path, monkeypatch):
     monkeypatch.setenv("XCLAB_CACHE_DIR", str(tmp_path))
     cold = CutMatchingGround.build(6, 3)
     hit = CutMatchingGround.build(6, 3)
-    assert (hit.cut_masks, hit.matching_masks) == (cold.cut_masks, cold.matching_masks)
+    assert (hit.cut_holders, hit.matching_holders) == (cold.cut_holders, cold.matching_holders)
     assert canonical_rectangle(hit, (0, 1), (2, 3)) == _set_rectangle(hit, (0, 1), (2, 3))
 
 
@@ -416,6 +482,65 @@ def test_rectangle_w_value_violation(ground105):
     assert report.q1_hits == 1
     w = weight_matrix(ground105, 5)
     assert w.rectangle_sum([i], [j]) is FORBIDDEN
+
+
+@functools.cache
+def _ground(n, t):
+    """A ground and its W(n, t, 5), or None where Q_5 is empty."""
+    ground = CutMatchingGround.build(n, t)
+    return ground, weight_matrix(ground, 5) if t >= 5 else None
+
+
+@st.composite
+def ground_rectangles(draw):
+    """A ground and a rectangle on it: random row and column sets (empty
+    ones included, most touching Q_1), or part of a canonical rectangle."""
+    n, t = draw(st.sampled_from([(6, 3), (8, 3), (10, 5)]))
+    ground, w = _ground(n, t)
+    if draw(st.booleans()):
+        rows = draw(st.sets(st.integers(0, ground.n_cuts - 1), max_size=30))
+        cols = draw(st.sets(st.integers(0, ground.n_matchings - 1), max_size=40))
+    else:
+        a, b, c, d = draw(st.permutations(range(n)))[:4]
+        rect = canonical_rectangle(ground, (a, b), (c, d))
+        rows = draw(st.sets(st.sampled_from(sorted(rect.rows))))
+        cols = draw(st.sets(st.sampled_from(sorted(rect.cols))))
+    return ground, w, Rectangle.of(rows, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ground_rectangles())
+def test_class_hits_match_a_cell_by_cell_count(case):
+    ground, w, rect = case
+    hits = Counter(ground.ell(i, j) for i in rect.rows for j in rect.cols)
+    for ell in range(1, ground.t + 1, 2):
+        assert mu(ground, rect, ell) == Fraction(hits[ell], q_class_size(ground.n, ground.t, ell))
+    if w is None:
+        return
+    report = rectangle_w_value(ground, rect, 5)
+    assert report.q1_hits == hits[1]
+    assert report.finite == (hits[1] == 0)
+    want = w.rectangle_sum(rect.rows, rect.cols)
+    assert report.value == (None if want is FORBIDDEN else want)
+
+
+# sha256 of the 630-rectangle sweep of W(10, 5, 5): per disjoint edge pair,
+# [finite, value, q1_hits] of rectangle_w_value on its canonical rectangle,
+# as perfbench's golden `rect-sweep-10-5-5` digests it
+_RECT_SWEEP_SHA256 = "f2d023deabfbb316868e9136577e98f2880d6ac2a20946645c1b37af318d0024"
+
+
+def test_canonical_rectangle_sweep_keeps_its_digest(ground105):
+    edges = list(combinations(range(10), 2))
+    sweep = []
+    for e1, e2 in combinations(edges, 2):
+        if set(e1) & set(e2):
+            continue
+        r = rectangle_w_value(ground105, canonical_rectangle(ground105, e1, e2), 5)
+        sweep.append([r.finite, None if r.value is None else format_rational(r.value), r.q1_hits])
+    assert len(sweep) == 630
+    text = json.dumps(sweep, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _RECT_SWEEP_SHA256
 
 
 # ---------------------------------------------------------------------------
