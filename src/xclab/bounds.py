@@ -7,9 +7,8 @@ where alpha maximizes <W,R> over binary rank-1 matrices R.  Upper bounds:
 trivial slack-variable factorizations and an alternating-LP heuristic whose
 candidates count only after an exact rational repair verifies.
 
-Weight matrices admit a FORBIDDEN marker modeling minus-infinity cells: a
-rectangle touching one is worthless, and FORBIDDEN against a nonzero slack
-is a hard input error.  FORBIDDEN times zero contributes zero.
+Weight matrices, with their FORBIDDEN minus-infinity cells, are
+`sepmeasure.WeightMatrix`: class codes over a short table of integers.
 """
 
 from __future__ import annotations
@@ -17,110 +16,20 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError
-from .exactla import (
-    ExactMatrix,
-    clear_denominators,
-    common_denominator,
-    conic_combination,
-    lp_solve,
-    matrix_to_json,
-    rank,
-    rat,
-)
+from .exactla import ExactMatrix, conic_combination, lp_solve, matrix_to_json, rank
 from .polytope import Rectangle, SlackMatrix, as_matrix, bits
 from .record import record
+from .sepmeasure import WeightMatrix
 from .yannakakis import Factorization, verify_factorization
-
-
-class _Forbidden:
-    """Singleton marker for minus-infinity weight cells."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "FORBIDDEN"
-
-
-FORBIDDEN = _Forbidden()
 
 
 def _require_nonnegative(**budgets: int) -> None:
     for name, value in budgets.items():
         if value < 0:
             raise InputError(f"{name} must be nonnegative, got {value}")
-
-
-@record
-class WeightMatrix:
-    """W held as integers over one positive denominator: cell (i, j) is
-    grid[i][j] / scale, and None in the grid marks FORBIDDEN."""
-
-    grid: tuple[tuple[int | None, ...], ...]
-    scale: int
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "WeightMatrix":
-        cooked = [[x if x is FORBIDDEN else rat(x) for x in row] for row in rows]
-        width = len(cooked[0]) if cooked else 0
-        if any(len(row) != width for row in cooked):
-            raise InputError("weight rows have unequal lengths")
-        if width == 0:
-            raise InputError("weight matrix needs at least one row and column")
-        scale = common_denominator(x for row in cooked for x in row if x is not FORBIDDEN)
-        grid = tuple(
-            tuple(None if x is FORBIDDEN else x.numerator * (scale // x.denominator) for x in row)
-            for row in cooked
-        )
-        return cls(grid, scale)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.grid)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.grid[0])
-
-    def entry(self, i: int, j: int):
-        x = self.grid[i][j]
-        return FORBIDDEN if x is None else Fraction(x, self.scale)
-
-    def frobenius_with(self, s: SlackMatrix | ExactMatrix | Sequence[Sequence[int]]) -> Fraction:
-        """<W, S> with FORBIDDEN * 0 = 0 and FORBIDDEN * nonzero an error, in
-        integers: S is rows of ints, or a matrix whose rows are each cleared."""
-        if isinstance(s, (SlackMatrix, ExactMatrix)):
-            rows = [clear_denominators(row) for row in as_matrix(s).rows()]
-        else:
-            rows = [(row, 1) for row in s]
-        if len(rows) != self.nrows or any(len(row) != self.ncols for row, _ in rows):
-            raise InputError("weight and slack dimensions differ")
-        total = Fraction(0)
-        for i, (wrow, (srow, den)) in enumerate(zip(self.grid, rows)):
-            acc = 0
-            for w, x in zip(wrow, srow):
-                if w is None:
-                    if x:
-                        raise InputError(f"FORBIDDEN weight meets nonzero slack at row {i}")
-                elif w and x:
-                    acc += w * x
-            total += Fraction(acc, den)
-        return total / self.scale
-
-    def rectangle_sum(self, rows: Iterable[int], cols: Iterable[int]):
-        """Sum of weights over a rectangle; FORBIDDEN if any cell is."""
-        cols = tuple(cols)
-        total = 0
-        for i in rows:
-            wrow = self.grid[i]
-            for j in cols:
-                w = wrow[j]
-                if w is None:
-                    return FORBIDDEN
-                total += w
-        return Fraction(total, self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +40,6 @@ class RectangleValue:
     value: Fraction
     rectangle: Rectangle
     certified: bool
-
-
-def _best_cols_for_rows(grid, ncols, rows: frozenset[int]):
-    cols = []
-    value = 0
-    for j in range(ncols):
-        partial = 0
-        blocked = False
-        for i in rows:
-            x = grid[i][j]
-            if x is None:
-                blocked = True
-                break
-            partial += x
-        if not blocked and partial > 0:
-            cols.append(j)
-            value += partial
-    return frozenset(cols), value
 
 
 # Largest min(rows, cols) that exact mode walks: 2**22 row subsets.
@@ -173,20 +64,15 @@ def max_rectangle_value(
         raise InputError(f"unknown mode {mode!r}: use 'exact' or 'heuristic'")
 
     transposed = w.nrows > w.ncols
-    grid = tuple(zip(*w.grid)) if transposed else w.grid
-    nrows, ncols = len(grid), len(grid[0])
+    lines = tuple(zip(*w.codes)) if transposed else w.codes
+    nrows, ncols = len(lines), len(lines[0])
     if nrows > _ALPHA_CAP:
         raise InputError(
             f"exact mode needs min(rows, cols) <= {_ALPHA_CAP}, got {nrows}; "
             "use heuristic mode"
         )
-    support = [
-        [(j, grid[i][j]) for j in range(ncols) if grid[i][j] not in (None, 0)]
-        for i in range(nrows)
-    ]
-    forb_cols = [
-        [j for j in range(ncols) if grid[i][j] is None] for i in range(nrows)
-    ]
+    support = [[(j, w.levels[c]) for j, c in enumerate(line) if w.levels[c]] for line in lines]
+    forb_cols = [[j for j, c in enumerate(line) if w.levels[c] is None] for line in lines]
 
     partial = [0] * ncols
     forb = [0] * ncols
@@ -214,35 +100,38 @@ def max_rectangle_value(
             best_value = value
             best_mask = mask
 
-    rows = frozenset(i for i in range(nrows) if (best_mask >> i) & 1)
-    cols, check = _best_cols_for_rows(grid, ncols, rows)
+    forbidden = w.forbidden_masks()
+    if transposed:
+        rows, check = w.best_rows(best_mask, forbidden)
+        cols = best_mask
+    else:
+        cols, check = w.best_columns(best_mask, forbidden)
+        rows = best_mask
     if check != best_value:
         raise AssertionError(f"Gray-code value {best_value}, its rectangle sums to {check}")
-    rect = Rectangle(cols, rows) if transposed else Rectangle(rows, cols)
-    return RectangleValue(Fraction(best_value, w.scale), rect, True)
+    return RectangleValue(Fraction(best_value, w.scale), Rectangle.of(bits(rows), bits(cols)), True)
 
 
 def _max_rectangle_heuristic(w: WeightMatrix, restarts: int, seed: int) -> RectangleValue:
     _require_nonnegative(restarts=restarts)
-    grid, nrows, ncols = w.grid, w.nrows, w.ncols
-    tgrid = tuple(zip(*grid))
+    forbidden = w.forbidden_masks()
     rng = random.Random(seed)
     best_value = 0
-    best = (frozenset(), frozenset())
+    best = (0, 0)
     for _ in range(max(1, restarts)):
-        rows = frozenset(i for i in range(nrows) if rng.random() < 0.5)
+        rows = sum(1 << i for i in range(w.nrows) if rng.random() < 0.5)
         value = -1
         while True:
-            cols = _best_cols_for_rows(grid, ncols, rows)[0]
-            new_rows, v2 = _best_cols_for_rows(tgrid, nrows, cols)
+            cols = w.best_columns(rows, forbidden)[0]
+            new_rows, v2 = w.best_rows(cols, forbidden)
             if v2 <= value:
                 break
             rows, value = new_rows, v2
         if value > best_value:
             best_value = value
-            best = (rows, _best_cols_for_rows(grid, ncols, rows)[0])
+            best = (rows, w.best_columns(rows, forbidden)[0])
     return RectangleValue(
-        Fraction(best_value, w.scale), Rectangle(best[0], best[1]), False
+        Fraction(best_value, w.scale), Rectangle.of(bits(best[0]), bits(best[1])), False
     )
 
 
@@ -680,9 +569,9 @@ def nonnegative_rank_bounds(
 ) -> BoundReport:
     """Certified interval for the nonnegative rank.
 
-    lower = max over re-verified certificates (rank, fooling set, exact
-    cover); upper = min(rows, cols, best verified heuristic
-    factorization)."""
+    lower = max over re-verified certificates (rank, fooling set, and an
+    exact cover unless the rank alone reaches min(rows, cols)); upper =
+    min(rows, cols, best verified heuristic factorization)."""
     m = as_matrix(s)
     if not m.is_nonnegative():
         raise InputError("nonnegative rank is defined for nonnegative matrices")
@@ -697,7 +586,8 @@ def nonnegative_rank_bounds(
         raise AssertionError("greedy fooling set failed re-verification")
     certs.append(Certificate("fooling", len(fooling), fooling))
 
-    if m.nrows <= config.cover_cap and m.ncols <= config.cover_cap:
+    # No cover can beat a rank that already equals min(rows, cols).
+    if certs[0].value < min(m.nrows, m.ncols) and max(m.nrows, m.ncols) <= config.cover_cap:
         cover = rectangle_cover_exact(m, config.cover_limit, config.cover_cap)
         if cover.status == "optimal":
             if not _check_cover(supports, cover.rectangles):

@@ -21,20 +21,19 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .bounds import FORBIDDEN, WeightMatrix
 from .errors import InputError
-from .exactla import rat
+from .exactla import ExactMatrix, clear_denominators, common_denominator, rat
 from .matchgen import (
     EdgeIndexing,
     double_factorial,
     enumerate_perfect_matchings,
     two_edge_rectangle,
 )
-from .polytope import Rectangle, bits, write_atomic
+from .polytope import Rectangle, SlackMatrix, as_matrix, bits, write_atomic
 from .record import record
 
 MATERIALIZE_CAP = 1_000_000
@@ -186,10 +185,11 @@ class CutMatchingGround:
         """Pair count per crossing number, tallied from the table."""
         return dict(Counter(b"".join(self._table)))
 
-    def slack_grid(self) -> tuple[tuple[int, ...], ...]:
-        """Slack of each pair, as rows of ints: crossing count minus one."""
-        values = tuple(range(-1, self.t))
-        return tuple(_picker(row)(values) for row in self._table)
+    def slack_grid(self) -> tuple[bytes, ...]:
+        """Slack of each pair, as bytes rows: crossing count minus one.  Every
+        count is odd, so no slack is negative."""
+        minus_one = b"\xff" + bytes(range(255))
+        return tuple(row.translate(minus_one) for row in self._table)
 
 
 def _cache_path(n: int, t: int) -> str | None:
@@ -259,7 +259,152 @@ def _store_cached_table(n, t, table) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The weight matrix and its exact inner product with the slack grid
+# The weight matrix as class codes, and its exact inner product with the slack
+
+class _Forbidden:
+    """Singleton marker for minus-infinity weight cells."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "FORBIDDEN"
+
+
+FORBIDDEN = _Forbidden()
+
+
+def _scaled(values: Sequence) -> tuple[tuple[int | None, ...], int]:
+    """Weights as integers over their least common denominator, with None
+    for FORBIDDEN, and that denominator."""
+    scale = common_denominator(x for x in values if x is not FORBIDDEN)
+    return tuple(None if x is FORBIDDEN else x.numerator * (scale // x.denominator)
+                 for x in values), scale
+
+
+def _code_table(codes: Iterable[int], hit: int, miss: int) -> bytes:
+    """A translate table that maps each of `codes` to `hit`, every other byte to `miss`."""
+    table = bytearray([miss]) * 256
+    for c in codes:
+        table[c] = hit
+    return bytes(table)
+
+
+@record
+class WeightMatrix:
+    """W held as class codes over a short table of integers and one positive
+    denominator: cell (i, j) is levels[codes[i][j]] / scale, and a None
+    level marks FORBIDDEN.  A rectangle touching a FORBIDDEN cell is
+    worthless, FORBIDDEN against a nonzero slack is an input error, and
+    FORBIDDEN times zero contributes zero."""
+
+    codes: tuple[bytes, ...]
+    levels: tuple[int | None, ...]
+    scale: int
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable]) -> "WeightMatrix":
+        """Codes number the distinct weights in order of first appearance,
+        so at most 256 of them fit."""
+        cooked = [[x if x is FORBIDDEN else rat(x) for x in row] for row in rows]
+        width = len(cooked[0]) if cooked else 0
+        if any(len(row) != width for row in cooked):
+            raise InputError("weight rows have unequal lengths")
+        if width == 0:
+            raise InputError("weight matrix needs at least one row and column")
+        values = list(dict.fromkeys(x for row in cooked for x in row))
+        if len(values) > 256:
+            raise InputError(f"weight matrix needs at most 256 distinct weights, got {len(values)}")
+        code = {x: c for c, x in enumerate(values)}.__getitem__
+        levels, scale = _scaled(values)
+        return cls(tuple(bytes(map(code, row)) for row in cooked), levels, scale)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.codes)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.codes[0])
+
+    def entry(self, i: int, j: int):
+        x = self.levels[self.codes[i][j]]
+        return FORBIDDEN if x is None else Fraction(x, self.scale)
+
+    def frobenius_with(self, s: SlackMatrix | ExactMatrix | Sequence[Sequence[int]]) -> Fraction:
+        """<W, S> with FORBIDDEN * 0 = 0 and FORBIDDEN * nonzero an error, in
+        integers: S is rows of ints (bytes rows included), or a matrix whose
+        rows are each cleared."""
+        if isinstance(s, (SlackMatrix, ExactMatrix)):
+            rows = [clear_denominators(row) for row in as_matrix(s).rows()]
+        else:
+            rows = [(row, 1) for row in s]
+        if len(rows) != self.nrows or any(len(row) != self.ncols for row, _ in rows):
+            raise InputError("weight and slack dimensions differ")
+        # per class, a table that keeps the slacks of that class's cells
+        forbidden = _code_table((c for c, x in enumerate(self.levels) if x is None), 1, 0)
+        weighted = [(x, _code_table([c], 1, 0)) for c, x in enumerate(self.levels) if x]
+        total = Fraction(0)
+        for i, (crow, (srow, den)) in enumerate(zip(self.codes, rows)):
+            if any(compress(srow, crow.translate(forbidden))):
+                raise InputError(f"FORBIDDEN weight meets nonzero slack at row {i}")
+            acc = sum(x * sum(compress(srow, crow.translate(keep))) for x, keep in weighted)
+            total += Fraction(acc, den)
+        return total / self.scale
+
+    def rectangle_sum(self, rows: Iterable[int], cols: Iterable[int]):
+        """Sum of weights over a rectangle; FORBIDDEN if any cell is."""
+        pick = _picker(tuple(cols))
+        total = 0
+        for i in rows:
+            for c in pick(self.codes[i]):
+                x = self.levels[c]
+                if x is None:
+                    return FORBIDDEN
+                total += x
+        return Fraction(total, self.scale)
+
+    # The class kernel of the rectangle searches.  Row and column sets are
+    # int masks, and `forbidden` is forbidden_masks()'s list.
+
+    def forbidden_masks(self) -> list[int]:
+        """Per row, the int whose bit j is set when cell (i, j) is FORBIDDEN:
+        the reversed codes translated to ASCII bits and read in base 2."""
+        table = _code_table((c for c, x in enumerate(self.levels) if x is None), 49, 48)
+        return [int(row[::-1].translate(table), 2) for row in self.codes]
+
+    def best_columns(self, rows: int, forbidden: list[int]) -> tuple[int, int]:
+        """The columns with no FORBIDDEN cell in `rows` and a positive weight
+        sum over them, and the total of those sums.  The blocked columns are
+        one OR of row masks, so only the others are summed."""
+        if not rows:
+            return 0, 0
+        lines, blocked = [], 0
+        for i in bits(rows):
+            lines.append(self.codes[i])
+            blocked |= forbidden[i]
+        cols = value = 0
+        for j in bits(~blocked & ((1 << self.ncols) - 1)):
+            partial = sum(map(self.levels.__getitem__, map(itemgetter(j), lines)))
+            if partial > 0:
+                cols |= 1 << j
+                value += partial
+        return cols, value
+
+    def best_rows(self, cols: int, forbidden: list[int]) -> tuple[int, int]:
+        """The rows with no FORBIDDEN cell in `cols` and a positive weight
+        sum over them, and the total of those sums."""
+        if not cols:
+            return 0, 0
+        pick = _picker(tuple(bits(cols)))
+        rows = value = 0
+        for i, (row, blocked) in enumerate(zip(self.codes, forbidden)):
+            if not blocked & cols:
+                partial = sum(map(self.levels.__getitem__, pick(row)))
+                if partial > 0:
+                    rows |= 1 << i
+                    value += partial
+        return rows, value
+
 
 def weight_values(n: int, t: int, k: int) -> dict:
     """Per-class weights: FORBIDDEN on one crossing, 1/|Q_3| on three,
@@ -276,12 +421,11 @@ def weight_values(n: int, t: int, k: int) -> dict:
 
 
 def weight_matrix(ground: CutMatchingGround, k: int) -> WeightMatrix:
-    """Materialized weight matrix over the ground universe: the per-class
-    weights go on the integer grid once, as one row indexed by crossing count."""
+    """W over the ground universe: its codes are the ground's crossing-table
+    rows themselves, and level ell is the weight of class Q_ell."""
     values = weight_values(ground.n, ground.t, k)
-    classes = WeightMatrix.from_rows([[values.get(ell, 0) for ell in range(ground.t + 1)]])
-    lookup = classes.grid[0]
-    return WeightMatrix(tuple(_picker(row)(lookup) for row in ground._table), classes.scale)
+    levels, scale = _scaled([values.get(ell, 0) for ell in range(ground.t + 1)])
+    return WeightMatrix(ground._table, levels, scale)
 
 
 def ws_inner_product(n: int, t: int, k: int) -> Fraction:
@@ -294,7 +438,7 @@ def ws_inner_product(n: int, t: int, k: int) -> Fraction:
 
 def ws_inner_product_materialized(ground: CutMatchingGround, k: int) -> Fraction:
     """Independent evaluation path: full Frobenius sum, cell by cell in
-    integers, over the materialized weight matrix and slack grid."""
+    integers, over the class-coded weight matrix and the slack grid."""
     return weight_matrix(ground, k).frobenius_with(ground.slack_grid())
 
 

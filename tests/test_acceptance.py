@@ -16,7 +16,6 @@ from itertools import combinations, product
 import pytest
 
 from xclab.bounds import (
-    WeightMatrix,
     hyperplane_bound,
     max_rectangle_value,
     nmf_heuristic,
@@ -45,6 +44,7 @@ from xclab.polytope import (
 from xclab.sepmeasure import (
     CutMatchingGround,
     MatchingCutInstance,
+    WeightMatrix,
     biased_indices,
     canonical_rectangle,
     mu,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -13,14 +14,12 @@ from hypothesis import strategies as st
 import xclab
 import xclab.bounds
 from xclab.bounds import (
-    FORBIDDEN,
     _check_cover,
     _check_fooling,
     _supports,
     Certificate,
     CoverResult,
     Factorization,
-    WeightMatrix,
     factorization_from_json,
     factorization_to_json,
     fooling_set_greedy,
@@ -42,6 +41,7 @@ from xclab.polytope import (
     simplex_polytope,
     slack_matrix,
 )
+from xclab.sepmeasure import FORBIDDEN, WeightMatrix
 from xclab.yannakakis import verify_factorization
 
 
@@ -350,12 +350,18 @@ def test_nmf_impossible_r():
     assert nmf_heuristic(square, 3, restarts=2, seed=0) is None
 
 
-def test_bounds_identity():
+def test_bounds_identity(monkeypatch):
+    """The rank of I_4 already equals min(rows, cols), so no cover runs."""
+
+    def no_cover(*args):
+        raise AssertionError("rectangle_cover_exact ran")
+
+    monkeypatch.setattr(xclab.bounds, "rectangle_cover_exact", no_cover)
     report = nonnegative_rank_bounds(ExactMatrix.identity(4))
-    assert report.lower == report.upper == 4
+    assert [report.lower, report.upper] == [4, 4]
     assert report.upper_witness is not None
-    methods = {c.method for c in report.certificates}
-    assert {"rank", "fooling", "cover"} <= methods
+    assert report.certificates[0] == Certificate("rank", 4)
+    assert {c.method for c in report.certificates} == {"rank", "fooling"}
 
 
 def test_bounds_simplex_and_square():
@@ -531,8 +537,148 @@ def test_frobenius_reads_integer_rows_as_the_matrix_of_those_rows(case, ints):
                 w.frobenius_with(s)
         else:
             assert w.frobenius_with(s) == want
+    bytes_rows = [bytes(row) for row in s_rows]
+    if want is None:
+        with pytest.raises(InputError, match="FORBIDDEN"):
+            w.frobenius_with(bytes_rows)
+    else:
+        assert w.frobenius_with(bytes_rows) == want
     with pytest.raises(InputError, match="dimensions"):
         w.frobenius_with(s_rows[:-1] + [s_rows[-1] + (0,)])
+
+
+# ---------------------------------------------------------------------------
+# Class codes against a tuple grid of the same rows
+
+
+class TupleGridW:
+    """W as one int (or None for FORBIDDEN) per cell over a common scale,
+    with the cell-by-cell searches that read it: the reference for the
+    class-coded WeightMatrix."""
+
+    def __init__(self, rows):
+        cooked = [[x if x is FORBIDDEN else rat(x) for x in row] for row in rows]
+        self.scale = 1
+        for row in cooked:
+            for x in row:
+                if x is not FORBIDDEN:
+                    self.scale = self.scale * x.denominator // gcd(self.scale, x.denominator)
+        self.grid = tuple(
+            tuple(None if x is FORBIDDEN else int(x * self.scale) for x in row) for row in cooked
+        )
+
+    def entry(self, i, j):
+        x = self.grid[i][j]
+        return FORBIDDEN if x is None else Fraction(x, self.scale)
+
+    def rectangle_sum(self, rows, cols):
+        total = 0
+        for i in rows:
+            for j in cols:
+                if self.grid[i][j] is None:
+                    return FORBIDDEN
+                total += self.grid[i][j]
+        return Fraction(total, self.scale)
+
+    def frobenius_with(self, s_rows):
+        total = 0
+        for i, (wrow, srow) in enumerate(zip(self.grid, s_rows)):
+            for w, x in zip(wrow, srow):
+                if w is None:
+                    if x:
+                        raise InputError(f"FORBIDDEN weight meets nonzero slack at row {i}")
+                else:
+                    total += w * x
+        return Fraction(total, self.scale)
+
+    @staticmethod
+    def best_cols(grid, rows):
+        cols, value = [], 0
+        for j in range(len(grid[0])):
+            cells = [grid[i][j] for i in rows]
+            if None not in cells and sum(cells) > 0:
+                cols.append(j)
+                value += sum(cells)
+        return frozenset(cols), value
+
+    def alpha_exact(self):
+        """The best rectangle of the first subset, in Gray-code order, of
+        the smaller side that reaches the maximum."""
+        transposed = len(self.grid) > len(self.grid[0])
+        grid = tuple(zip(*self.grid)) if transposed else self.grid
+        best_value, best_rows = 0, frozenset()
+        mask = 0
+        for step in range(1, 1 << len(grid)):
+            mask = step ^ (step >> 1)
+            rows = frozenset(i for i in range(len(grid)) if mask >> i & 1)
+            value = self.best_cols(grid, rows)[1]
+            if value > best_value:
+                best_value, best_rows = value, rows
+        cols = self.best_cols(grid, best_rows)[0]
+        rect = Rectangle(cols, best_rows) if transposed else Rectangle(best_rows, cols)
+        return Fraction(best_value, self.scale), rect
+
+    def alpha_heuristic(self, restarts, seed):
+        tgrid = tuple(zip(*self.grid))
+        rng = random.Random(seed)
+        best_value, best = 0, (frozenset(), frozenset())
+        for _ in range(max(1, restarts)):
+            rows = frozenset(i for i in range(len(self.grid)) if rng.random() < 0.5)
+            value = -1
+            while True:
+                cols = self.best_cols(self.grid, rows)[0]
+                new_rows, v2 = self.best_cols(tgrid, cols)
+                if v2 <= value:
+                    break
+                rows, value = new_rows, v2
+            if value > best_value:
+                best_value = value
+                best = (rows, self.best_cols(self.grid, rows)[0])
+        return Fraction(best_value, self.scale), Rectangle(*best)
+
+
+@st.composite
+def coded_weights(draw):
+    """Rows of up to 7 x 9 weights from a small pool with FORBIDDEN, so
+    classes repeat, a slack of the same shape, and a rectangle."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    pool = draw(st.lists(st.one_of(st.just(FORBIDDEN), rationals(-6, 6, 6)), min_size=1, max_size=6))
+    rows = [[draw(st.sampled_from(pool)) for _ in range(ncols)] for _ in range(nrows)]
+    slack = [[draw(st.integers(0, 3)) for _ in range(ncols)] for _ in range(nrows)]
+    rect = (draw(st.sets(st.integers(0, nrows - 1))), draw(st.sets(st.integers(0, ncols - 1))))
+    return rows, slack, rect
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded_weights(), st.integers(0, 5))
+def test_class_codes_match_the_tuple_grid_of_the_same_rows(case, seed):
+    rows, slack, (rect_rows, rect_cols) = case
+    w, ref = WeightMatrix.from_rows(rows), TupleGridW(rows)
+    assert w.scale == ref.scale
+    assert all(
+        w.entry(i, j) == ref.entry(i, j) or w.entry(i, j) is ref.entry(i, j) is FORBIDDEN
+        for i in range(len(rows))
+        for j in range(len(rows[0]))
+    )
+    assert w.rectangle_sum(rect_rows, rect_cols) == ref.rectangle_sum(rect_rows, rect_cols)
+    try:
+        want = ref.frobenius_with(slack)
+    except InputError as exc:
+        with pytest.raises(InputError, match=str(exc)):
+            w.frobenius_with(slack)
+    else:
+        assert w.frobenius_with(slack) == want
+        assert w.frobenius_with([bytes(row) for row in slack]) == want
+    exact = max_rectangle_value(w)
+    assert (exact.value, exact.rectangle) == ref.alpha_exact()
+    heur = max_rectangle_value(w, mode="heuristic", restarts=4, seed=seed)
+    assert (heur.value, heur.rectangle) == ref.alpha_heuristic(4, seed)
+
+
+def test_from_rows_refuses_more_than_256_distinct_weights():
+    assert WeightMatrix.from_rows([range(255), [FORBIDDEN] * 255]).levels[-1] is None
+    with pytest.raises(InputError, match="at most 256 distinct weights, got 257"):
+        WeightMatrix.from_rows([range(256), [FORBIDDEN] * 256])
 
 
 def test_hyperplane_certificate_on_ppm4_all_ones():

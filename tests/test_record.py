@@ -33,7 +33,7 @@ SAMPLES = {
     "MatchingCutInstance": [(1, 5), (3, 7)],
     "RectangleWReport": [(True, Fraction(1, 3), Fraction(1, 2), Fraction(1, 6), 0),
                          (False, None, None, None, 4)],
-    "WeightMatrix": [(((1, None), (0, 2)), 3), (((1,),), 1)],
+    "WeightMatrix": [((b"\x00\x01", b"\x02\x03"), (1, None, 0, 2), 3), ((b"\x00",), (1,), 1)],
     "RectangleValue": [(Fraction(2), _R, True), (Fraction(2), _R, False)],
     "CoverResult": [("optimal", 1, (_R,), 7), ("exceeded", None, (), 200_000)],
     "Certificate": [("rank", 2), ("fooling", 2, ((0, 1), (1, 0)))],
@@ -127,7 +127,7 @@ def test_record_matches_its_dataclass_twin(name):
 
 def test_records_of_different_classes_are_unequal():
     rect = polytope.Rectangle(frozenset(), frozenset())
-    assert rect != bounds.WeightMatrix((), 1)
+    assert rect != sepmeasure.WeightMatrix((), (), 1)
     assert simplex.LPResult("optimal") != bounds.Certificate("optimal", 0)
 
 

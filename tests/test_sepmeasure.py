@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import tempfile
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xclab.bounds import FORBIDDEN
+from xclab.bounds import max_rectangle_value
 from xclab.errors import InputError
 from xclab.exactla import format_rational
 from xclab.matchgen import enumerate_perfect_matchings, perfect_matching_polytope
 from xclab.polytope import Rectangle, slack_matrix
 from xclab.sepmeasure import (
+    FORBIDDEN,
     CutMatchingGround,
     _load_cached_table,
     MatchingCutInstance,
@@ -102,6 +104,7 @@ def test_q_class_sizes_sum_to_ground_total(n):
 def test_slack_max_norm_matches_the_ground(n):
     for t in range(1, n, 2):
         grid = CutMatchingGround.build(n, t).slack_grid()
+        assert all(type(row) is bytes for row in grid)
         assert slack_max_norm(n, t) == max(abs(x) for row in grid for x in row), t
 
 
@@ -346,6 +349,22 @@ def test_weight_matrix_entries(ground63, ground105):
     assert 1 in seen
     with pytest.raises(InputError, match="Q_5"):
         weight_matrix(ground63, 5)
+
+
+def test_weight_matrix_shares_the_ground_table_and_stays_small(ground105):
+    """W(10, 5, 5)'s codes are the ground's own crossing-table rows, and
+    building it plus one 20-restart heuristic alpha peaks under 512 KB of
+    traced memory; a 252 x 945 grid of ints alone would take about 1.9 MB."""
+    tracemalloc.start()
+    try:
+        w = weight_matrix(ground105, 5)
+        max_rectangle_value(w, mode="heuristic", restarts=20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w.codes) == len(ground105._table) == 252
+    assert all(row is table_row for row, table_row in zip(w.codes, ground105._table))
+    assert peak < 512 * 1024, peak
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,21 @@ def test_importing_the_cli_loads_neither_tempfile_nor_shutil():
     assert run.stdout.strip() == "[]"
 
 
+def test_importing_sepmeasure_loads_neither_bounds_nor_yannakakis():
+    """The weight matrix lives next to the ground, so the cut-matching layer
+    pulls in neither the bound searches nor the factorization layer."""
+    src = str(pathlib.Path(xclab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, xclab.sepmeasure; "
+        "print(sorted({'xclab.bounds', 'xclab.yannakakis'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """Records come from xclab.record, so a process that imports xclab pays
     for neither `dataclasses` nor the `inspect` it pulls in."""
