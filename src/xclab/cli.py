@@ -20,11 +20,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
+import os
+import stat
 import sys
 import time
+
+# CPython's built-in SHA-256 spares each process the OpenSSL that `hashlib`
+# loads through `_hashlib`; its module is `_sha256` before 3.12, `_sha2` from
+# 3.12 on, and a build without either still has `hashlib`.
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .bounds import (
     COVER_CAP,
@@ -78,9 +90,13 @@ from .yannakakis import (
 )
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
+def _sha256(path: str) -> str | None:
+    """The file's sha256, or None for a pipe or other stream, which hashing
+    would drain before the verb reads it."""
     with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return None
+        h = sha256()
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
@@ -484,13 +500,16 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     try:
+        # Hash the inputs before the verb runs: it may overwrite one of them.
+        as_json = getattr(args, "format", "json") == "json"
+        inputs = _inputs(args) if as_json else None
         result, code = args.handler(args)
-        if getattr(args, "format", "json") != "json":
+        if not as_json:
             text = result["text"]
         else:
             envelope = {
                 "command": args.verb,
-                "inputs": _inputs(args),
+                "inputs": inputs,
                 "seed": vars(args).get("seed"),
                 "result": result,
                 "timing": {"seconds": round(time.monotonic() - start, 6)},

@@ -5,11 +5,13 @@ import io
 import json
 import os
 import stat
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import xclab
 from xclab.bounds import (
     COVER_CAP,
     COVER_LIMIT,
@@ -21,7 +23,7 @@ from xclab.bounds import (
     rectangle_cover_exact,
     report_to_json,
 )
-from xclab.cli import _build_parser, main
+from xclab.cli import _build_parser, _sha256, main
 from xclab.exactla import rat
 from xclab.matchgen import (
     matching_polytope,
@@ -721,10 +723,68 @@ def test_deeply_nested_json_is_input_error(verb, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_missing_file_is_input_error(tmp_path):
+def test_missing_file_is_input_error(tmp_path, capsys):
     out = tmp_path / "o.json"
     assert main(["slack", "--input", "/nonexistent.json", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: [Errno 2] No such file or directory: '/nonexistent.json'\n"
+    )
     assert not out.exists()
+
+
+def test_inputs_hold_the_digest_of_the_file_before_the_run(square_file, tmp_path):
+    """A verb that overwrites its own input records the digest of the file
+    it read, not of the file it wrote."""
+    read = hashlib.sha256(square_file.read_bytes()).hexdigest()
+    rc, env = run(
+        ["bounds", "--input", square_file, "--witness-out", square_file], tmp_path / "b.json"
+    )
+    assert rc == 0
+    assert env["result"]["upper_witness_file"] == str(square_file)
+    assert hashlib.sha256(square_file.read_bytes()).hexdigest() != read
+    assert env["inputs"]["input"] == {"path": str(square_file), "sha256": read}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_piped_input_is_read_whole_and_not_hashed(square_file, tmp_path):
+    """Hashing a pipe would drain it before the verb reads it, so a stream
+    is recorded with sha256 null."""
+    rfd, wfd = os.pipe()
+    with os.fdopen(wfd, "wb") as fh:
+        fh.write(square_file.read_bytes())
+    try:
+        path = f"/dev/fd/{rfd}"
+        rc, env = run(["slack", "--input", path], tmp_path / "s.json")
+    finally:
+        os.close(rfd)
+    assert rc == 0
+    assert (env["result"]["nrows"], env["result"]["ncols"]) == (4, 4)
+    assert env["inputs"]["input"] == {"path": path, "sha256": None}
+
+
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 200_000])
+def test_file_digest_matches_hashlib_across_chunk_edges(size, tmp_path):
+    path = tmp_path / "data.bin"
+    data = bytes(i * 7 % 251 for i in range(size))
+    path.write_bytes(data)
+    assert _sha256(str(path)) == hashlib.sha256(data).hexdigest()
+
+
+def test_envelope_digest_is_the_same_through_the_hashlib_fallback(square_file, tmp_path):
+    """With neither built-in SHA-256 module importable, the CLI takes sha256
+    from hashlib and records the same digest."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xclab.__file__)))
+    out = tmp_path / "s.json"
+    code = (
+        "import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+        "import xclab.cli; assert 'hashlib' in sys.modules; "
+        f"sys.exit(xclab.cli.main(['slack', '--input', {str(square_file)!r}, "
+        f"'--output', {str(out)!r}]))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True)
+    digest = hashlib.sha256(square_file.read_bytes()).hexdigest()
+    assert json.loads(out.read_text())["inputs"]["input"]["sha256"] == digest
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,18 @@ def test_every_imported_name_is_used_in_its_module():
     assert not unused, "imported but never used: " + ", ".join(unused)
 
 
-def test_importing_the_cli_loads_neither_tempfile_nor_shutil():
-    """Output files are written without `tempfile`, so a process that
-    imports xclab pays for neither it nor the `shutil` it pulls in.  `-S`
-    keeps site hooks, which may import either, out of the check."""
+def test_importing_the_cli_loads_neither_tempfile_shutil_nor_hashlib():
+    """Output files are written without `tempfile`, and input files are
+    hashed by CPython's built-in SHA-256, so a process that imports xclab
+    pays neither for `tempfile` and the `shutil` it pulls in, nor for
+    `hashlib` and the OpenSSL its `_hashlib` links.  `-S` keeps site hooks,
+    which may import any of them, out of the check."""
     src = str(pathlib.Path(xclab.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, xclab.cli; print(sorted({'tempfile', 'shutil'} & set(sys.modules)))"
+    code = (
+        "import sys, xclab.cli; "
+        "print(sorted({'tempfile', 'shutil', 'hashlib', '_hashlib'} & set(sys.modules)))"
+    )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
