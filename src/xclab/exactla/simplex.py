@@ -89,15 +89,11 @@ class LPResult:
 def _coerce_system(
     system: tuple | None, nvars: int | None, what: str
 ) -> tuple[IntegerRows, int | None]:
-    """Normalize an (A, b) pair, None for no rows, to `IntegerRows`."""
+    """Normalize a (rows, rhs) pair, None for no rows, to `IntegerRows`."""
     if system is None:
         return IntegerRows.cleared([]), nvars
-    mat, rhs = system
-    if isinstance(mat, ExactMatrix):
-        rows = mat.rows()
-    else:
-        rows = [[rat(x) for x in row] for row in mat]
-    rhs = [rat(x) for x in rhs]
+    rows = [[rat(x) for x in row] for row in system[0]]
+    rhs = [rat(x) for x in system[1]]
     if len(rows) != len(rhs):
         raise InputError(
             f"{what}: {len(rows)} rows but {len(rhs)} right-hand sides"

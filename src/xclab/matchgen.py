@@ -418,7 +418,7 @@ def approximation_ratio(
     objectives += [
         tuple(rng.randint(0, 1000) for _ in range(poly.dim)) for _ in range(trials)
     ]
-    over_k = lp_solve_all(*relaxation.lp_system(), [list(c) for c in objectives], sense="max")
+    over_k = lp_solve_all(relaxation.ineqs, relaxation.eqs, objectives, sense="max")
     best = Fraction(1)
     worst = objectives[0] if objectives else ()
     for c, res in zip(objectives, over_k):

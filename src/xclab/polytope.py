@@ -33,12 +33,19 @@ from .exactla import (
 from .record import factory, record
 
 
+def _matrix_rows(coefs) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of an `ExactMatrix`, or the given rows checked as one."""
+    return (coefs if isinstance(coefs, ExactMatrix) else ExactMatrix(coefs)).rows()
+
+
 @record
 class Polytope:
-    ineq_coefs: ExactMatrix
-    ineq_rhs: tuple[Fraction, ...]
-    eq_coefs: ExactMatrix | None
-    eq_rhs: tuple[Fraction, ...]
+    """`ineqs` holds the rows of A x <= b and `eqs` those of E x = f, each a
+    (rows, rhs) pair of Fraction tuples as in `XYSystem`; without
+    equalities `eqs` is ((), ())."""
+
+    ineqs: tuple
+    eqs: tuple
     vertices: tuple[tuple[Fraction, ...], ...]
     row_labels: tuple[str, ...]
     eq_labels: tuple[str, ...]
@@ -47,11 +54,11 @@ class Polytope:
     @property
     def dim(self) -> int:
         """Ambient dimension."""
-        return self.ineq_coefs.ncols
+        return len(self.ineqs[0][0])
 
     @property
     def n_ineqs(self) -> int:
-        return self.ineq_coefs.nrows
+        return len(self.ineqs[1])
 
     @classmethod
     def build(
@@ -66,42 +73,40 @@ class Polytope:
         eq_labels: Sequence[str] | None = None,
         vertex_labels: Sequence[str] | None = None,
     ) -> "Polytope":
-        """Validating constructor.  Rejects systems any vertex violates and
-        zero-dimensional vertex sets (fewer than two distinct points)."""
-        a = ineq_coefs if isinstance(ineq_coefs, ExactMatrix) else ExactMatrix(ineq_coefs)
-        b = tuple(rat(x) for x in ineq_rhs)
-        if len(b) != a.nrows:
-            raise InputError(f"{a.nrows} inequality rows but {len(b)} right-hand sides")
-        if eq_coefs is None:
-            e, f = None, ()
-        else:
-            e = eq_coefs if isinstance(eq_coefs, ExactMatrix) else ExactMatrix(eq_coefs)
-            f = tuple(rat(x) for x in eq_rhs)
-            if len(f) != e.nrows:
-                raise InputError(f"{e.nrows} equality rows but {len(f)} right-hand sides")
-            if e.ncols != a.ncols:
-                raise InputError("equality and inequality systems disagree on dimension")
+        """Validating constructor.  Each side's coefficients are rows or an
+        `ExactMatrix`; `eq_coefs` None or without rows means no equalities.
+        Rejects systems any vertex violates and zero-dimensional vertex sets
+        (fewer than two distinct points)."""
+        a, b = _matrix_rows(ineq_coefs), tuple(rat(x) for x in ineq_rhs)
+        if len(b) != len(a):
+            raise InputError(f"{len(a)} inequality rows but {len(b)} right-hand sides")
+        e, f = _matrix_rows(eq_coefs) if eq_coefs else (), tuple(rat(x) for x in eq_rhs)
+        if len(f) != len(e):
+            raise InputError(f"{len(e)} equality rows but {len(f)} right-hand sides")
+        dim = len(a[0])
+        if e and len(e[0]) != dim:
+            raise InputError("equality and inequality systems disagree on dimension")
         verts = tuple(tuple(rat(x) for x in v) for v in vertices)
-        if any(len(v) != a.ncols for v in verts):
+        if any(len(v) != dim for v in verts):
             raise InputError("vertex dimension does not match the constraint system")
         if len(set(verts)) < 2:
             raise InputError("polytope must have dimension >= 1: need two distinct vertices")
 
         rl = tuple(row_labels) if row_labels is not None else tuple(
-            f"row:{i}" for i in range(a.nrows)
+            f"row:{i}" for i in range(len(a))
         )
         el = tuple(eq_labels) if eq_labels is not None else tuple(
-            f"eq:{i}" for i in range(e.nrows if e is not None else 0)
+            f"eq:{i}" for i in range(len(e))
         )
         vl = tuple(vertex_labels) if vertex_labels is not None else tuple(
             f"vertex:{j}" for j in range(len(verts))
         )
-        if len(rl) != a.nrows or len(vl) != len(verts):
+        if len(rl) != len(a) or len(vl) != len(verts):
             raise InputError("label count does not match row or vertex count")
-        if e is not None and len(el) != e.nrows:
+        if len(el) != len(e):
             raise InputError("equality label count mismatch")
 
-        poly = cls(a, b, e, f, verts, rl, el, vl)
+        poly = cls((a, b), (e, f), verts, rl, el, vl)
         bad = poly.first_violation(verts)
         if bad is not None:
             j, why = bad
@@ -110,9 +115,7 @@ class Polytope:
 
     def all_rows(self) -> tuple[tuple, tuple]:
         """(rows, rhs): the inequality rows, then the equality rows."""
-        if self.eq_coefs is None:
-            return self.ineq_coefs.rows(), self.ineq_rhs
-        return self.ineq_coefs.rows() + self.eq_coefs.rows(), self.ineq_rhs + self.eq_rhs
+        return self.ineqs[0] + self.eqs[0], self.ineqs[1] + self.eqs[1]
 
     def first_violation(self, points) -> tuple[int, str] | None:
         """The index of the first point outside the system, with the first
@@ -126,11 +129,6 @@ class Polytope:
                 if i >= m and s:
                     return j, f"equality {i - m} ({self.eq_labels[i - m]})"
         return None
-
-    def lp_system(self) -> tuple[tuple, tuple | None]:
-        """(ineqs, eqs) in the form lp_solve takes."""
-        eqs = None if self.eq_coefs is None else (self.eq_coefs, self.eq_rhs)
-        return (self.ineq_coefs, self.ineq_rhs), eqs
 
     def contains(self, point: Sequence) -> bool:
         p = [rat(x) for x in point]
@@ -220,7 +218,8 @@ def slack_matrix(
     ]
     if not idx:
         raise InputError("row filter keeps no rows")
-    system = IntegerRows([poly.ineq_coefs.row(i) for i in idx], [poly.ineq_rhs[i] for i in idx])
+    rows, rhs = poly.ineqs
+    system = IntegerRows([rows[i] for i in idx], [rhs[i] for i in idx])
     cols = [system.slacks(v) for v in poly.vertices]
     return SlackMatrix(
         ExactMatrix(zip(*cols)),
@@ -288,18 +287,10 @@ def face(poly: Polytope, tight_rows: Sequence[int]) -> Polytope:
     if not keep_rows:
         raise InputError("tightening every inequality leaves no inequality system")
 
-    moved = ExactMatrix([poly.ineq_coefs.row(i) for i in tight])
-    moved_rhs = [poly.ineq_rhs[i] for i in tight]
-    new_eq = (
-        moved
-        if poly.eq_coefs is None
-        else poly.eq_coefs.vstack(moved)
-    )
-    new_eq_rhs = tuple(poly.eq_rhs) + tuple(moved_rhs)
-    new_eq_labels = tuple(poly.eq_labels) + tuple(poly.row_labels[i] for i in tight)
-
-    moved_rows = IntegerRows(moved.rows(), moved_rhs)
-    vert_idx = [j for j, v in enumerate(poly.vertices) if not any(moved_rows.scaled_slacks(v))]
+    rows, rhs = poly.ineqs
+    moved_rows, moved_rhs = tuple(rows[i] for i in tight), tuple(rhs[i] for i in tight)
+    moved = IntegerRows(moved_rows, moved_rhs)
+    vert_idx = [j for j, v in enumerate(poly.vertices) if not any(moved.scaled_slacks(v))]
     if not vert_idx:
         raise InputError("face is empty: no vertex is tight on all chosen rows")
     kept = [poly.vertices[j] for j in vert_idx]
@@ -307,13 +298,13 @@ def face(poly: Polytope, tight_rows: Sequence[int]) -> Polytope:
         raise InputError("face is zero-dimensional")
 
     return Polytope.build(
-        ExactMatrix([poly.ineq_coefs.row(i) for i in keep_rows]),
-        [poly.ineq_rhs[i] for i in keep_rows],
+        [rows[i] for i in keep_rows],
+        [rhs[i] for i in keep_rows],
         kept,
-        eq_coefs=new_eq,
-        eq_rhs=new_eq_rhs,
+        eq_coefs=poly.eqs[0] + moved_rows,
+        eq_rhs=poly.eqs[1] + moved_rhs,
         row_labels=[poly.row_labels[i] for i in keep_rows],
-        eq_labels=new_eq_labels,
+        eq_labels=poly.eq_labels + tuple(poly.row_labels[i] for i in tight),
         vertex_labels=[poly.vertex_labels[j] for j in vert_idx],
     )
 
@@ -410,7 +401,7 @@ def lp_equal_under_projection(
     rng = random.Random(seed)
     objectives = [[rng.randint(-1000, 1000) for _ in range(poly.dim)] for _ in range(trials)]
     zeros_y = [0] * system.y_dim
-    p_results = lp_solve_all(*poly.lp_system(), objectives, sense="max")
+    p_results = lp_solve_all(poly.ineqs, poly.eqs, objectives, sense="max")
     q_results = lp_solve_all(
         system.ineqs, system.eqs, [c + zeros_y for c in objectives], sense="max"
     )
@@ -444,11 +435,10 @@ def system_to_json(rows: Iterable[Iterable[Fraction]], rhs: Sequence[Fraction]) 
 
 
 def polytope_to_json(poly: Polytope) -> dict:
-    eqs = None if poly.eq_coefs is None else system_to_json(poly.eq_coefs.rows(), poly.eq_rhs)
     return {
         "dim": poly.dim,
-        "ineqs": system_to_json(poly.ineq_coefs.rows(), poly.ineq_rhs),
-        "eqs": eqs,
+        "ineqs": system_to_json(*poly.ineqs),
+        "eqs": system_to_json(*poly.eqs) if poly.eqs[0] else None,
         "vertices": matrix_to_json(poly.vertices),
         "row_labels": list(poly.row_labels),
         "eq_labels": list(poly.eq_labels),
@@ -462,9 +452,10 @@ def _file_matrix(path: str, base_dir: str | None) -> ExactMatrix:
     return read_matrix(os.path.join(base_dir or "", path))
 
 
-def _system_from_json(obj: dict | None, base_dir: str | None, what: str):
-    if obj is None:
-        return None, ()
+def _system_from_json(obj: dict, base_dir: str | None, what: str) -> tuple:
+    """One side's (coefficients, rhs) for `Polytope.build`, from {"rows",
+    "rhs"} or a {"file": ...} reference to its augmented matrix [A | b];
+    a side without rows has coefficients ()."""
     if "file" in obj:
         aug = _file_matrix(obj["file"], base_dir).rows()
         return ExactMatrix(row[:-1] for row in aug), tuple(row[-1] for row in aug)
@@ -473,9 +464,10 @@ def _system_from_json(obj: dict | None, base_dir: str | None, what: str):
         rhs = obj["rhs"]
     except KeyError as exc:
         raise InputError(f"{what}: need 'rows'+'rhs' or 'file'") from exc
-    if not isinstance(rhs, list):
-        raise InputError(f"{what}: 'rhs' must be a list, got {rhs!r}")
-    return ExactMatrix(rows), tuple(rat(x) for x in rhs)
+    for key, value in (("rhs", rhs), ("rows", rows)):
+        if not isinstance(value, list):
+            raise InputError(f"{what}: {key!r} must be a list, got {value!r}")
+    return ExactMatrix(rows) if rows else (), rhs
 
 
 def _list_of(value, item_type: type) -> bool:
@@ -484,8 +476,9 @@ def _list_of(value, item_type: type) -> bool:
 
 def polytope_from_json(obj: dict, base_dir: str | None = None) -> Polytope:
     try:
-        ineq_m, ineq_rhs = _system_from_json(obj["ineqs"], base_dir, "ineqs")
-        eq_m, eq_rhs = _system_from_json(obj.get("eqs"), base_dir, "eqs")
+        ineqs = _system_from_json(obj["ineqs"], base_dir, "ineqs")
+        eqs_json = obj.get("eqs")  # null or absent: no equalities
+        eqs = ((), ()) if eqs_json is None else _system_from_json(eqs_json, base_dir, "eqs")
         vertices = obj["vertices"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed polytope JSON: {exc}") from exc
@@ -501,9 +494,7 @@ def polytope_from_json(obj: dict, base_dir: str | None = None) -> Polytope:
     for key, value in labels.items():
         if value is not None and not _list_of(value, str):
             raise InputError(f"{key}: need a list of strings")
-    poly = Polytope.build(
-        ineq_m, ineq_rhs, vertices, eq_coefs=eq_m, eq_rhs=eq_rhs, **labels
-    )
+    poly = Polytope.build(*ineqs, vertices, eq_coefs=eqs[0], eq_rhs=eqs[1], **labels)
     if "dim" in obj and obj["dim"] != poly.dim:
         raise InputError(f"declared dim {obj['dim']} but system has {poly.dim}")
     return poly

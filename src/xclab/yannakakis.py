@@ -174,8 +174,8 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
 
     zeros_y = (Fraction(0),) * system.y_dim
     left_rows = []
-    for i in range(poly.n_ineqs):
-        target = tuple(poly.ineq_coefs.row(i)) + zeros_y + (poly.ineq_rhs[i],)
+    for i, (row, b) in enumerate(zip(*poly.ineqs)):
+        target = row + zeros_y + (b,)
         u = conic_combination(big, target, free=len(eq_rows))
         if u is None:
             raise NotDerivableError(i)

@@ -144,8 +144,8 @@ def test_ac04_yannakakis_round_trip():
                 back = factorization_from_extension(poly, system)
                 assert back.product() == s.matrix
                 for i in range(s.nrows):
-                    a = poly.ineq_coefs.row(i)
-                    b = poly.ineq_rhs[i]
+                    a = poly.ineqs[0][i]
+                    b = poly.ineqs[1][i]
                     u = back.left.row(i)
                     for j, x in enumerate(poly.vertices):
                         cell = sum(

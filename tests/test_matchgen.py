@@ -101,7 +101,7 @@ def test_perfect_matching_polytope_shape():
     p = perfect_matching_polytope(6)
     assert p.dim == 15
     assert len(p.vertices) == 15
-    assert p.eq_coefs.nrows == 6
+    assert len(p.eqs[0]) == 6
     proper = [lab for lab in p.row_labels if odd_set_rows(lab)]
     degree_like = [lab for lab in p.row_labels if lab.startswith("oddset1:")]
     nonneg = [lab for lab in p.row_labels if lab.startswith("nonneg:")]
@@ -153,7 +153,7 @@ def test_truncated_relaxation_rows():
     full = matching_polytope(5)
     same = truncated_matching_relaxation(5, 5)
     assert same.row_labels == full.row_labels
-    assert same.ineq_coefs == full.ineq_coefs
+    assert same.ineqs[0] == full.ineqs[0]
     smaller = truncated_matching_relaxation(5, 3)
     assert sum(1 for lab in smaller.row_labels if lab.startswith("oddset:")) == 10
     degree_only = truncated_matching_relaxation(5, 1)

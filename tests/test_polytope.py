@@ -16,7 +16,12 @@ from xclab.exactla import (
     rat,
     write_matrix,
 )
-from xclab.matchgen import perfect_matching_polytope
+from xclab.matchgen import (
+    embed_matchings_as_face,
+    matching_polytope,
+    perfect_matching_polytope,
+    truncated_matching_relaxation,
+)
 from xclab.polytope import (
     LiftPlan,
     Polytope,
@@ -79,6 +84,7 @@ def test_build_rejects_label_mismatch():
         ({"eq_coefs": [[1, 1]], "eq_rhs": [1]}, "disagree on dimension"),
         ({"vertices": [(0, 0), (1, 0)]}, "vertex dimension"),
         ({"eq_coefs": [[0]], "eq_rhs": [0], "eq_labels": ["a", "b"]}, "equality label count"),
+        ({"eq_labels": ["a"]}, "equality label count"),
     ],
 )
 def test_build_rejects_inconsistent_shapes(kwargs, message):
@@ -207,8 +213,8 @@ def test_verify_vertices_clean_and_dirty():
     p = simplex_polytope(2)
     assert verify_vertices(p) == (True, None)
     dirty = Polytope.build(
-        [list(r) for r in p.ineq_coefs.rows()],
-        list(p.ineq_rhs),
+        [list(r) for r in p.ineqs[0]],
+        list(p.ineqs[1]),
         list(p.vertices) + [(Fraction(1, 2), Fraction(1, 2))],
     )
     assert verify_vertices(dirty) == (False, 3)
@@ -218,7 +224,7 @@ def test_verify_vertices_rejects_duplicates_first():
     p = hypercube_polytope(2)
     verts = list(p.vertices)
     dup = Polytope.build(
-        p.ineq_coefs, p.ineq_rhs, verts[:2] + [verts[3], verts[1]] + verts[2:]
+        *p.ineqs, verts[:2] + [verts[3], verts[1]] + verts[2:]
     )
     assert verify_vertices(dup) == (False, 1)
 
@@ -262,7 +268,7 @@ def test_verify_vertices_relaxation_falls_back_to_lp():
     # triangle but not of the square, so only the LP can accept it
     square = hypercube_polytope(2)
     tri = Polytope.build(
-        square.ineq_coefs, square.ineq_rhs, [(0, 0), (1, 0), (Fraction(1, 2), 1)]
+        *square.ineqs, [(0, 0), (1, 0), (Fraction(1, 2), 1)]
     )
     assert verify_vertices(tri) == (True, None)
 
@@ -304,7 +310,7 @@ def test_verify_vertices_matches_lp_reference(data):
         verts.insert(data.draw(st.integers(0, len(verts))), extra)
 
     cube = hypercube_polytope(d)
-    rows, rhs = [list(r) for r in cube.ineq_coefs.rows()], list(cube.ineq_rhs)
+    rows, rhs = [list(r) for r in cube.ineqs[0]], list(cube.ineqs[1])
     if data.draw(st.booleans()):
         cut = data.draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d))
         rows.append(cut)
@@ -391,7 +397,7 @@ def _projection_by_cold_solves(poly, system, trials, seed):
     rng = random.Random(seed)
     for t in range(trials):
         c = [rng.randint(-1000, 1000) for _ in range(poly.dim)]
-        over_p = lp_solve(*poly.lp_system(), c, sense="max")
+        over_p = lp_solve(poly.ineqs, poly.eqs, c, sense="max")
         over_q = lp_solve(system.ineqs, system.eqs, c + [0] * system.y_dim, sense="max")
         if over_p.status != "optimal" or over_q.status != "optimal":
             detail = {"trial": t, "objective": c, "p": over_p.status, "q": over_q.status}
@@ -538,8 +544,23 @@ def test_projection_dim_mismatch():
         lp_equal_under_projection(simplex_polytope(3), _simplex_lift(), 1, 0)
 
 
-def test_json_round_trip():
-    p = simplex_polytope(3)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: simplex_polytope(3),
+        lambda: hypercube_polytope(2),
+        lambda: perfect_matching_polytope(4),
+        lambda: perfect_matching_polytope(6),
+        lambda: matching_polytope(4),
+        lambda: truncated_matching_relaxation(5, 3),
+        lambda: embed_matchings_as_face(2).face,
+        lambda: face(hypercube_polytope(3), [0]),
+    ],
+    ids=["simplex3", "cube2", "ppm4", "ppm6", "matching4", "truncated5-3", "embedded-face",
+         "cube3-face"],
+)
+def test_json_round_trip(make):
+    p = make()
     q = polytope_from_json(polytope_to_json(p))
     assert q == p
 
@@ -553,7 +574,7 @@ def test_json_file_round_trip(tmp_path):
 
 def test_json_file_references(tmp_path):
     p = hypercube_polytope(2)
-    aug = p.ineq_coefs.hstack(ExactMatrix([[b] for b in p.ineq_rhs]))
+    aug = ExactMatrix(row + (b,) for row, b in zip(*p.ineqs))
     write_matrix(str(tmp_path / "rows.txt"), aug)
     write_matrix(str(tmp_path / "verts.txt"), ExactMatrix([list(v) for v in p.vertices]))
     obj = {
@@ -582,3 +603,29 @@ def test_json_malformed():
         obj[side] = {"rows": [[1], [2]], "rhs": "12"}
         with pytest.raises(InputError, match=f"{side}: 'rhs' must be a list"):
             polytope_from_json(obj)
+
+
+def test_json_empty_equality_side_reads_as_none():
+    """An equality side with no rows is the same polytope as `"eqs": null`,
+    and writes back as null."""
+    obj = polytope_to_json(hypercube_polytope(2))
+    assert obj["eqs"] is None
+    empty = dict(obj, eqs={"rows": [], "rhs": []})
+    assert polytope_from_json(empty) == polytope_from_json(obj)
+    assert polytope_to_json(polytope_from_json(empty)) == obj
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("eqs", {"rows": [], "rhs": ["1"]}, "0 equality rows but 1 right-hand sides"),
+        ("ineqs", {"rows": [], "rhs": []}, "at least one row"),
+        ("eqs", {"rows": {}, "rhs": []}, "eqs: 'rows' must be a list"),
+        ("eqs", {"rows": 0, "rhs": []}, "eqs: 'rows' must be a list"),
+        ("eq_labels", ["dangling"], "equality label count mismatch"),
+    ],
+)
+def test_json_inconsistent_input(key, value, message):
+    obj = dict(polytope_to_json(hypercube_polytope(2)), **{key: value})
+    with pytest.raises(InputError, match=message):
+        polytope_from_json(obj)

@@ -24,8 +24,9 @@ SAMPLES = {
     "FaceEmbedding": [(3, "host", "face", (0, 2), {((0, 1),): ((0, 1), (2, 5))}),
                       (3, "host", "face", (0,), {})],
     "RatioReport": [(Fraction(3, 2), (1, 0), 5), (Fraction(1), (1, 0), 5)],
-    "Polytope": [(_M, (1, 2), None, (), ((0, 0),), ("a", "b"), (), ("v",)),
-                 (_N, (1, 2), _M, (3, 4), ((0, 0),), ("a", "b"), ("e", "f"), ("v",))],
+    "Polytope": [((_M.rows(), (1, 2)), ((), ()), ((0, 0),), ("a", "b"), (), ("v",)),
+                 ((_N.rows(), (1, 2)), (_M.rows(), (3, 4)), ((0, 0),), ("a", "b"), ("e", "f"),
+                  ("v",))],
     "SlackMatrix": [(_M, ("a", "b"), ("u", "v")), (_N, ("a", "b"), ("u", "v"))],
     "Rectangle": [(frozenset({0}), frozenset({1, 2})), (frozenset(), frozenset())],
     "XYSystem": [(1, 1, (((1, 1),), (2,))), (1, 1, None, (((1, -1),), (0,)))],

@@ -105,9 +105,9 @@ def test_round_trip_simplex():
     # per-cell identity: product entries equal slacks b_i - a_i . x_j
     prod = back.product()
     for i in range(p.n_ineqs):
-        row = p.ineq_coefs.row(i)
+        row = p.ineqs[0][i]
         for j, v in enumerate(p.vertices):
-            slack = p.ineq_rhs[i] - sum(a * x for a, x in zip(row, v))
+            slack = p.ineqs[1][i] - sum(a * x for a, x in zip(row, v))
             assert prod.entry(i, j) == slack
 
 
@@ -124,7 +124,7 @@ def test_extension_without_lift_variables():
     # y_dim = 0: the system is an inequality description of the square
     # itself, and every vertex lifts to the empty y
     p = hypercube_polytope(2)
-    rows, rhs = [list(row) for row in p.ineq_coefs.rows()], tuple(p.ineq_rhs)
+    rows, rhs = [list(row) for row in p.ineqs[0]], p.ineqs[1]
     fac = factorization_from_extension(p, XYSystem(2, 0, (rows, rhs)))
     assert fac.r == 4
     assert verify_factorization(slack_matrix(p), fac)
@@ -249,7 +249,7 @@ def test_free_equality_multipliers_keep_the_pivots(n, monkeypatch):
     zeros_y = (Fraction(0),) * system.y_dim
     left = []
     for i in range(poly.n_ineqs):
-        target = tuple(poly.ineq_coefs.row(i)) + zeros_y + (poly.ineq_rhs[i],)
+        target = poly.ineqs[0][i] + zeros_y + (poly.ineqs[1][i],)
         calls.append([])
         left.append(conic_combination(big, target)[: system.n_ineqs])
     assert free_calls == calls
@@ -288,7 +288,7 @@ def _ppm6_with_all_and_with_5_vertices():
         poly, slack_variable_factorization(slack_matrix(poly))
     )
     few = Polytope.build(
-        poly.ineq_coefs, poly.ineq_rhs, poly.vertices[:5], eq_coefs=poly.eq_coefs, eq_rhs=poly.eq_rhs
+        *poly.ineqs, poly.vertices[:5], eq_coefs=poly.eqs[0], eq_rhs=poly.eqs[1]
     )
     return (poly, system), (few, system)
 
@@ -299,9 +299,9 @@ def _cubes_with_a_free_y():
     pairs = []
     for d in (2, 4):
         cube = hypercube_polytope(d)
-        rows = [row + (Fraction(0),) for row in cube.ineq_coefs.rows()]
+        rows = [row + (Fraction(0),) for row in cube.ineqs[0]]
         rows.append((Fraction(0),) * d + (Fraction(-1),))
-        pairs.append((cube, XYSystem(d, 1, (rows, cube.ineq_rhs + (Fraction(0),)))))
+        pairs.append((cube, XYSystem(d, 1, (rows, cube.ineqs[1] + (Fraction(0),)))))
     return pairs
 
 
