@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from .errors import InputError
 from .exactla import ExactMatrix, conic_combination, lp_solve, matrix_to_json, rank
-from .polytope import Rectangle, SlackMatrix, as_matrix, bits
+from .polytope import Rectangle, bits
 from .record import record
 from .sepmeasure import WeightMatrix
 from .yannakakis import Factorization, verify_factorization
@@ -135,14 +135,11 @@ def _max_rectangle_heuristic(w: WeightMatrix, restarts: int, seed: int) -> Recta
     )
 
 
-def hyperplane_bound(
-    w: WeightMatrix, s: SlackMatrix | ExactMatrix
-) -> tuple[Fraction, RectangleValue]:
+def hyperplane_bound(w: WeightMatrix, m: ExactMatrix) -> tuple[Fraction, RectangleValue]:
     """<W,S> / (max|S| * alpha), a lower bound on the nonnegative rank of the
     nonnegative S, with alpha from exact max_rectangle_value(w).  Returns the
     bound and alpha, whose rectangle is the witness.  Requires FORBIDDEN
     cells of W to sit on zero slack."""
-    m = as_matrix(s)
     if not m.is_nonnegative():
         raise InputError("the hyperplane bound needs a nonnegative slack matrix")
     inner = w.frobenius_with(m)
@@ -169,12 +166,10 @@ def _support_cells(supports: list[int]) -> list[tuple[int, int]]:
     return [(i, j) for i, supp in enumerate(supports) for j in bits(supp)]
 
 
-def fooling_set_greedy(
-    s: SlackMatrix | ExactMatrix, seed: int = 0
-) -> tuple[tuple[int, int], ...]:
+def fooling_set_greedy(m: ExactMatrix, seed: int = 0) -> tuple[tuple[int, int], ...]:
     """Greedy fooling set: support cells no two of which fit in one support
     rectangle.  Its size lower-bounds the rectangle cover number."""
-    supports = _supports(as_matrix(s))
+    supports = _supports(m)
     cells = _support_cells(supports)
     rng = random.Random(seed)
     rng.shuffle(cells)
@@ -257,7 +252,7 @@ COVER_CAP = 20
 
 
 def rectangle_cover_exact(
-    s: SlackMatrix | ExactMatrix, limit: int = COVER_LIMIT, cap: int = COVER_CAP
+    m: ExactMatrix, limit: int = COVER_LIMIT, cap: int = COVER_CAP
 ) -> CoverResult:
     """Exact minimum number of support rectangles covering the support of S,
     by branch and bound over maximal support rectangles.  Every closure and
@@ -269,7 +264,6 @@ def rectangle_cover_exact(
     order.  Cells are numbered by that key, so a state is one int of
     uncovered cell bits and the branching cell is its lowest set bit."""
     _require_nonnegative(limit=limit, cap=cap)
-    m = as_matrix(s)
     if m.nrows > cap or m.ncols > cap:
         raise InputError(
             f"exact cover needs dimensions <= {cap}, got {m.nrows}x{m.ncols}"
@@ -365,8 +359,9 @@ def _padded_trivial(m: ExactMatrix, r: int) -> Factorization | None:
         return None
     pad = r - left.ncols
     if pad:
-        left = left.hstack(ExactMatrix.zeros(m.nrows, pad))
-        right = right.vstack(ExactMatrix.zeros(pad, m.ncols))
+        zero = (Fraction(0),)
+        left = ExactMatrix(row + zero * pad for row in left.rows())
+        right = ExactMatrix(right.rows() + (zero * m.ncols,) * pad)
     return Factorization(left, right)
 
 
@@ -443,7 +438,7 @@ def _solve_side(m: ExactMatrix, basis: ExactMatrix) -> ExactMatrix:
             ineq_rows.append(row)
             ineq_rhs.append(0)
         obj = [0] * r + [1]
-        res = lp_solve((ineq_rows, ineq_rhs), None, obj, sense="min")
+        res = lp_solve((ineq_rows, ineq_rhs), ((), ()), obj, sense="min")
         if not res.is_optimal:
             raise AssertionError(f"bounded residual LP came back {res.status}")
         rows_out.append([x.limit_denominator(_SWEEP_DENOMINATOR) for x in res.point[:r]])
@@ -461,7 +456,7 @@ def _exact_repair(m: ExactMatrix, right: ExactMatrix) -> Factorization | None:
 
 
 def nmf_heuristic(
-    s: SlackMatrix | ExactMatrix, r: int, restarts: int = NMF_RESTARTS, seed: int = 0
+    m: ExactMatrix, r: int, restarts: int = NMF_RESTARTS, seed: int = 0
 ) -> Factorization | None:
     """Search for a verified rank-r nonnegative factorization.
 
@@ -477,7 +472,6 @@ def nmf_heuristic(
     factorization is rebuilt by exact conic_combination and checked by
     verify_factorization; it can only change which candidates are tried.
     """
-    m = as_matrix(s)
     if r < 1:
         raise InputError("inner dimension must be >= 1")
     _require_nonnegative(restarts=restarts)
@@ -564,15 +558,12 @@ class BoundReport:
     upper_witness: Factorization | None
 
 
-def nonnegative_rank_bounds(
-    s: SlackMatrix | ExactMatrix, config: BoundConfig = BoundConfig()
-) -> BoundReport:
+def nonnegative_rank_bounds(m: ExactMatrix, config: BoundConfig = BoundConfig()) -> BoundReport:
     """Certified interval for the nonnegative rank.
 
     lower = max over re-verified certificates (rank, fooling set, and an
     exact cover unless the rank alone reaches min(rows, cols)); upper =
     min(rows, cols, best verified heuristic factorization)."""
-    m = as_matrix(s)
     if not m.is_nonnegative():
         raise InputError("nonnegative rank is defined for nonnegative matrices")
     supports = _supports(m)

@@ -201,7 +201,7 @@ def _cmd_bounds(args):
         nmf_max_tries=args.nmf_tries,
         seed=args.seed,
     )
-    report = nonnegative_rank_bounds(_slack_input(args), config)
+    report = nonnegative_rank_bounds(_slack_input(args).matrix, config)
     witness_file = None
     if args.witness_out and report.upper_witness is not None:
         write_atomic(
@@ -213,7 +213,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_factorize(args):
-    fac = nmf_heuristic(_slack_input(args), args.r, restarts=args.restarts, seed=args.seed)
+    fac = nmf_heuristic(_slack_input(args).matrix, args.r, restarts=args.restarts, seed=args.seed)
     if fac is None:
         return {"found": False, "factorization": None}, 1
     return {"found": True, "factorization": factorization_to_json(fac)}, 0
@@ -224,7 +224,7 @@ def _cmd_extend(args):
     if args.factorization is not None:
         fac = factorization_from_json(load_payload(args.factorization, "factorization"))
     else:
-        fac = slack_variable_factorization(slack_matrix(poly))
+        fac = slack_variable_factorization(slack_matrix(poly).matrix)
     system = extension_from_factorization(poly, fac)
     return {"formulation": formulation_to_json(system), "n_facets": system.n_ineqs}, 0
 
@@ -237,7 +237,7 @@ def _cmd_contract(args):
 
 
 def _cmd_cover(args):
-    result = rectangle_cover_exact(_slack_input(args), limit=args.limit, cap=args.cap)
+    result = rectangle_cover_exact(_slack_input(args).matrix, limit=args.limit, cap=args.cap)
     out = {
         "status": result.status,
         "size": result.size,
@@ -342,7 +342,7 @@ def _cmd_verify(args):
     poly = read_polytope(args.input)
     if args.factorization is not None:
         fac = factorization_from_json(load_payload(args.factorization, "factorization"))
-        ok = verify_factorization(slack_matrix(poly, _row_filter(args.rows)), fac)
+        ok = verify_factorization(slack_matrix(poly, _row_filter(args.rows)).matrix, fac)
         result = {"check": "factorization", "ok": ok}
     elif args.system is not None:
         system = formulation_from_json(load_payload(args.system, "formulation"))

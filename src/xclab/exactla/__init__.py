@@ -12,7 +12,6 @@ from .matrix import (
     rank,
     rat,
     read_matrix,
-    write_matrix,
 )
 from .simplex import LPResult, conic_combination, lp_solve, lp_solve_all
 
@@ -31,5 +30,4 @@ __all__ = [
     "rank",
     "rat",
     "read_matrix",
-    "write_matrix",
 ]

@@ -271,16 +271,6 @@ class ExactMatrix:
         f = rat(factor)
         return ExactMatrix([[f * x for x in row] for row in self._rows])
 
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self._nrows != other._nrows:
-            raise InputError("hstack needs equal row counts")
-        return ExactMatrix([a + b for a, b in zip(self._rows, other._rows)])
-
-    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self._ncols != other._ncols:
-            raise InputError("vstack needs equal column counts")
-        return ExactMatrix(self._rows + other._rows)
-
     def max_norm(self) -> Fraction:
         """Entrywise infinity norm: max |entry|."""
         return max(abs(x) for row in self._rows for x in row)
@@ -353,11 +343,6 @@ def _reduce(
             red = {k: v // g for k, v in red.items()}
             d //= g
     return red, d
-
-
-def write_matrix(path: str, m: ExactMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(m.to_text())
 
 
 def read_matrix(path: str) -> ExactMatrix:

@@ -1,13 +1,15 @@
 """Exact linear programming over the rationals.
 
-Each call clears its rows of denominators once, as `IntegerRows`: row i
-and its right-hand side times the lcm of their denominators, one integer
-list with the right-hand side last.  The tableau is built from those rows,
-and `scaled_slacks` on them checks the answer in integers; the checks
-raise explicitly, so `python -O` keeps them.  `conic_combination` takes
-its columns cleared from the `ExactMatrix`, which clears them once,
-rescales only a column whose target entry has a denominator the column's
-scale lacks, and checks those rows as `IntegerRows.cleared`.
+`lp_solve` and `lp_solve_all` take each side of the system as a (rows, rhs)
+pair, `((), ())` when the side has no rows.  Each call clears its rows of
+denominators once, as `IntegerRows`: row i and its right-hand side times
+the lcm of their denominators, one integer list with the right-hand side
+last.  The tableau is built from those rows, and `scaled_slacks` on them
+checks the answer in integers; the checks raise explicitly, so `python -O`
+keeps them.  `conic_combination` takes an `ExactMatrix` and reads its
+columns cleared from it, which clears them once, rescales only a column
+whose target entry has a denominator the column's scale lacks, and checks
+those rows as `IntegerRows.cleared`.
 
 Two-phase primal simplex with integer-preserving pivots (Edmonds): the full
 tableau always equals det(basis) times the true rational one, so every entry
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..errors import InputError
 from ..record import record
@@ -87,11 +89,10 @@ class LPResult:
 
 
 def _coerce_system(
-    system: tuple | None, nvars: int | None, what: str
+    system: tuple, nvars: int | None, what: str
 ) -> tuple[IntegerRows, int | None]:
-    """Normalize a (rows, rhs) pair, None for no rows, to `IntegerRows`."""
-    if system is None:
-        return IntegerRows.cleared([]), nvars
+    """Check a (rows, rhs) pair, `((), ())` for no rows, and clear it to
+    `IntegerRows`."""
     rows = [[rat(x) for x in row] for row in system[0]]
     rhs = [rat(x) for x in system[1]]
     if len(rows) != len(rhs):
@@ -109,12 +110,13 @@ def _coerce_system(
 
 
 def lp_solve(
-    ineqs: tuple | None,
-    eqs: tuple | None,
+    ineqs: tuple,
+    eqs: tuple,
     objective: Sequence,
     sense: str = "max",
 ) -> LPResult:
-    """Solve max/min c.x subject to A x <= b and E x = f, x free.
+    """Solve max/min c.x subject to A x <= b and E x = f, x free.  Each side
+    is a (rows, rhs) pair, `((), ())` when it has no rows.
 
     Returns an exact optimum with a witness point, or the infeasible /
     unbounded verdict.  Deterministic: identical inputs give identical
@@ -124,8 +126,8 @@ def lp_solve(
 
 
 def lp_solve_all(
-    ineqs: tuple | None,
-    eqs: tuple | None,
+    ineqs: tuple,
+    eqs: tuple,
     objectives: Sequence[Sequence],
     sense: str = "max",
 ) -> list[LPResult]:
@@ -169,7 +171,7 @@ def lp_solve_all(
 
 
 def conic_combination(
-    rows: ExactMatrix | Iterable[Sequence], target: Sequence, free: int = 0
+    rows: ExactMatrix, target: Sequence, free: int = 0
 ) -> tuple[Fraction, ...] | None:
     """Find u with sum_l u_l * rows[l] == target, or None.  Every u_l is
     nonnegative except those of the last `free` rows, which are free.
@@ -177,8 +179,6 @@ def conic_combination(
     Pure feasibility: phase one of the simplex, one equality per coordinate
     of the target, stopped at its first feasible basis.
     """
-    if not isinstance(rows, ExactMatrix):
-        rows = ExactMatrix(rows)
     tgt = [rat(x) for x in target]
     if len(tgt) != rows.ncols:
         raise InputError(

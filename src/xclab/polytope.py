@@ -172,11 +172,6 @@ class SlackMatrix:
         return cls(matrix, tuple(lines[-2].split()), tuple(lines[-1].split()))
 
 
-def as_matrix(s: SlackMatrix | ExactMatrix) -> ExactMatrix:
-    """The bare matrix of a labelled slack matrix; plain matrices pass."""
-    return s.matrix if isinstance(s, SlackMatrix) else s
-
-
 @record
 class Rectangle:
     """An index rectangle: a set of rows times a set of columns."""

@@ -33,7 +33,7 @@ from .matchgen import (
     enumerate_perfect_matchings,
     two_edge_rectangle,
 )
-from .polytope import Rectangle, SlackMatrix, as_matrix, bits, write_atomic
+from .polytope import Rectangle, bits, write_atomic
 from .record import record
 
 MATERIALIZE_CAP = 1_000_000
@@ -330,12 +330,12 @@ class WeightMatrix:
         x = self.levels[self.codes[i][j]]
         return FORBIDDEN if x is None else Fraction(x, self.scale)
 
-    def frobenius_with(self, s: SlackMatrix | ExactMatrix | Sequence[Sequence[int]]) -> Fraction:
+    def frobenius_with(self, s: ExactMatrix | Sequence[Sequence[int]]) -> Fraction:
         """<W, S> with FORBIDDEN * 0 = 0 and FORBIDDEN * nonzero an error, in
         integers: S is rows of ints (bytes rows included), or a matrix whose
         rows are each cleared."""
-        if isinstance(s, (SlackMatrix, ExactMatrix)):
-            rows = [clear_denominators(row) for row in as_matrix(s).rows()]
+        if isinstance(s, ExactMatrix):
+            rows = [clear_denominators(row) for row in s.rows()]
         else:
             rows = [(row, 1) for row in s]
         if len(rows) != self.nrows or any(len(row) != self.ncols for row, _ in rows):

@@ -18,9 +18,7 @@ from .exactla import ExactMatrix, conic_combination, lp_solve, rat
 from .polytope import (
     LiftPlan,
     Polytope,
-    SlackMatrix,
     XYSystem,
-    as_matrix,
     slack_matrix,
     system_to_json,
 )
@@ -52,9 +50,8 @@ class Factorization:
         return self.left @ self.right
 
 
-def verify_factorization(s: SlackMatrix | ExactMatrix, fac: Factorization) -> bool:
+def verify_factorization(m: ExactMatrix, fac: Factorization) -> bool:
     """Exact entrywise check that the factors reproduce the matrix."""
-    m = as_matrix(s)
     if fac.left.nrows != m.nrows or fac.right.ncols != m.ncols:
         raise InputError(
             f"factorization shape ({fac.left.nrows}x{fac.right.ncols}) does not "
@@ -63,9 +60,8 @@ def verify_factorization(s: SlackMatrix | ExactMatrix, fac: Factorization) -> bo
     return fac.product() == m
 
 
-def slack_variable_factorization(s: SlackMatrix | ExactMatrix) -> Factorization:
+def slack_variable_factorization(m: ExactMatrix) -> Factorization:
     """The trivial factorization (I, S): one y-variable per row of S."""
-    m = as_matrix(s)
     return Factorization(ExactMatrix.identity(m.nrows), m)
 
 
@@ -103,8 +99,7 @@ def extension_from_factorization(poly: Polytope, fac: Factorization) -> XYSystem
             f"factorization has {fac.left.nrows} rows but the polytope has "
             f"{poly.n_ineqs} inequalities"
         )
-    s = slack_matrix(poly)
-    if not verify_factorization(s, fac):
+    if not verify_factorization(slack_matrix(poly).matrix, fac):
         raise InputError("factorization does not reproduce the slack matrix")
     rows, rhs = poly.all_rows()
     left = fac.left.rows() + ((Fraction(0),) * fac.r,) * (len(rows) - poly.n_ineqs)
@@ -181,7 +176,7 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
             raise NotDerivableError(i)
         left_rows.append(u[:r])
     fac = Factorization(ExactMatrix(left_rows), right)
-    if not verify_factorization(slack_matrix(poly), fac):
+    if not verify_factorization(slack_matrix(poly).matrix, fac):
         raise AssertionError("derived factorization does not reproduce the slack matrix")
     return fac
 

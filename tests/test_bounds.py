@@ -35,7 +35,6 @@ from xclab.exactla import ExactMatrix, conic_combination, lp_solve, rat
 from xclab.matchgen import canonical_matching_cover, perfect_matching_polytope
 from xclab.polytope import (
     Rectangle,
-    as_matrix,
     cross_polytope,
     hypercube_polytope,
     simplex_polytope,
@@ -365,16 +364,16 @@ def test_bounds_identity(monkeypatch):
 
 
 def test_bounds_simplex_and_square():
-    s = slack_matrix(simplex_polytope(2))
+    s = slack_matrix(simplex_polytope(2)).matrix
     report = nonnegative_rank_bounds(s)
     assert (report.lower, report.upper) == (3, 3)
-    sq = slack_matrix(hypercube_polytope(2))
+    sq = slack_matrix(hypercube_polytope(2)).matrix
     report = nonnegative_rank_bounds(sq)
     assert (report.lower, report.upper) == (4, 4)
 
 
 def test_bounds_cube_meets_cover():
-    report = nonnegative_rank_bounds(slack_matrix(hypercube_polytope(3)))
+    report = nonnegative_rank_bounds(slack_matrix(hypercube_polytope(3)).matrix)
     assert report.lower == report.upper == 6
 
 
@@ -682,7 +681,7 @@ def test_from_rows_refuses_more_than_256_distinct_weights():
 
 
 def test_hyperplane_certificate_on_ppm4_all_ones():
-    s = slack_matrix(perfect_matching_polytope(4))
+    s = slack_matrix(perfect_matching_polytope(4)).matrix
     w = WeightMatrix.from_rows([[1] * s.ncols for _ in range(s.nrows)])
     value, alpha = hyperplane_bound(w, s)
     assert 0 < value <= nonnegative_rank_bounds(s).upper
@@ -827,8 +826,7 @@ def _ref_maximal_rectangles(supports, ncols, spend):
     return rects
 
 
-def _ref_rectangle_cover_exact(s, limit=200_000, cap=20):
-    m = as_matrix(s)
+def _ref_rectangle_cover_exact(m, limit=200_000, cap=20):
     if m.nrows > cap or m.ncols > cap:
         raise InputError(
             f"exact cover needs dimensions <= {cap}, got {m.nrows}x{m.ncols}"
@@ -945,7 +943,7 @@ def _ref_solve_side(m: ExactMatrix, basis: ExactMatrix) -> ExactMatrix:
             ineq_rows.append(row)
             ineq_rhs.append(0)
         obj = [0] * r + [1]
-        res = lp_solve((ineq_rows, ineq_rhs), None, obj, sense="min")
+        res = lp_solve((ineq_rows, ineq_rhs), ((), ()), obj, sense="min")
         assert res.is_optimal
         rows_out.append(res.point[:r])
     return ExactMatrix(rows_out)
@@ -1068,6 +1066,6 @@ def test_sweep_lp_inputs_stay_small(monkeypatch):
         "conic_combination",
         recording(xclab.bounds.conic_combination, conic_values),
     )
-    cube3 = slack_matrix(hypercube_polytope(3))
+    cube3 = slack_matrix(hypercube_polytope(3)).matrix
     assert nmf_heuristic(cube3, 5, restarts=1, seed=0) is None
     assert 0 < seen[0] < 32

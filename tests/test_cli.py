@@ -173,7 +173,7 @@ def test_bounds_simplex3(tmp_path):
     assert env["result"]["upper"] == 4
     assert env["result"]["upper_witness_file"] == str(witness)
     fac = factorization_from_json(json.loads(witness.read_text()))
-    assert verify_factorization(slack_matrix(simplex_polytope(3)), fac)
+    assert verify_factorization(slack_matrix(simplex_polytope(3)).matrix, fac)
 
 
 def test_bounds_reproducible(square_file, tmp_path):
@@ -189,7 +189,7 @@ def test_bounds_and_cover_default_to_the_library_budgets(name, tmp_path):
     poly = hypercube_polytope(3) if name == "cube3" else perfect_matching_polytope(4)
     path = tmp_path / f"{name}.json"
     write_polytope(str(path), poly)
-    s = slack_matrix(poly)
+    s = slack_matrix(poly).matrix
     rc, env = run(["bounds", "--input", path], tmp_path / "b.json")
     assert rc == 0
     assert env["result"] == report_to_json(nonnegative_rank_bounds(s))
@@ -218,7 +218,7 @@ def test_factorize_found_and_not_found(square_file, tmp_path):
     assert rc == 0
     assert env["result"]["found"] is True
     fac = factorization_from_json(env["result"]["factorization"])
-    assert verify_factorization(slack_matrix(hypercube_polytope(2)), fac)
+    assert verify_factorization(slack_matrix(hypercube_polytope(2)).matrix, fac)
 
     rc, env = run(["factorize", "--input", square_file, "--r", 3], tmp_path / "g.json")
     assert rc == 1
@@ -268,7 +268,7 @@ def test_verify_rows_needs_a_factorization(check, square_file, tmp_path, capsys)
 
 
 def test_verify_factorization_and_system_exclude_each_other(square_file, tmp_path, capsys):
-    fac = slack_variable_factorization(slack_matrix(hypercube_polytope(2)))
+    fac = slack_variable_factorization(slack_matrix(hypercube_polytope(2)).matrix)
     fac_file = tmp_path / "fac.json"
     fac_file.write_text(json.dumps(factorization_to_json(fac)))
     out = tmp_path / "v.json"
@@ -804,7 +804,7 @@ def net_files(tmp_path_factory):
     }
     for name, poly in polys.items():
         write_polytope(str(d / f"{name}.json"), poly)
-    fac = slack_variable_factorization(slack_matrix(ppm4))
+    fac = slack_variable_factorization(slack_matrix(ppm4).matrix)
     (d / "fac4.json").write_text(json.dumps(factorization_to_json(fac)))
     ef = extension_from_factorization(ppm4, fac)
     (d / "ext4.json").write_text(json.dumps(formulation_to_json(ef)))

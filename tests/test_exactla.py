@@ -208,19 +208,19 @@ def test_matrix_text_errors():
 
 
 def test_lp_bounded_single_variable():
-    res = lp_solve(([[1]], [1]), None, [1], sense="max")
+    res = lp_solve(([[1]], [1]), ((), ()), [1], sense="max")
     assert res.status == "optimal"
     assert res.value == 1
     assert res.point == (F(1),)
 
 
 def test_lp_infeasible():
-    res = lp_solve(([[1], [-1]], [-1, 0]), None, [1], sense="max")
+    res = lp_solve(([[1], [-1]], [-1, 0]), ((), ()), [1], sense="max")
     assert res.status == "infeasible"
 
 
 def test_lp_unbounded():
-    res = lp_solve(([[-1]], [0]), None, [1], sense="max")
+    res = lp_solve(([[-1]], [0]), ((), ()), [1], sense="max")
     assert res.status == "unbounded"
 
 
@@ -241,7 +241,7 @@ def test_lp_fractional_optimum():
     # Degree-constrained triangle: max sum x_e with each pair summing to <= 1.
     rows = [[1, 1, 0], [1, 0, 1], [0, 1, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
     rhs = [1, 1, 1, 0, 0, 0]
-    res = lp_solve((rows, rhs), None, [1, 1, 1], sense="max")
+    res = lp_solve((rows, rhs), ((), ()), [1, 1, 1], sense="max")
     assert res.status == "optimal"
     assert res.value == F(3, 2)
     assert res.point == (F(1, 2), F(1, 2), F(1, 2))
@@ -249,39 +249,39 @@ def test_lp_fractional_optimum():
 
 def test_lp_zero_rows_and_empty_objective():
     # A zero row is a legal constraint; empty objective means the zero goal.
-    res = lp_solve(([[0, 0], [1, 1]], [5, 2]), None, [], sense="max")
+    res = lp_solve(([[0, 0], [1, 1]], [5, 2]), ((), ()), [], sense="max")
     assert res.status == "optimal"
     assert res.value == 0
-    res = lp_solve(([[0]], [-1]), None, [1], sense="max")
+    res = lp_solve(([[0]], [-1]), ((), ()), [1], sense="max")
     assert res.status == "infeasible"
 
 
 def test_lp_free_variables():
-    res = lp_solve(([[1, 1], [-1, 1]], [2, 2]), None, [0, 1], sense="max")
+    res = lp_solve(([[1, 1], [-1, 1]], [2, 2]), ((), ()), [0, 1], sense="max")
     assert res.status == "optimal"
     assert res.value == 2
     # x unconstrained below: minimize x with only upper bounds is unbounded
-    res = lp_solve(([[1, 1], [-1, 1]], [2, 2]), None, [1, 0], sense="min")
+    res = lp_solve(([[1, 1], [-1, 1]], [2, 2]), ((), ()), [1, 0], sense="min")
     assert res.status == "unbounded"
 
 
 def test_lp_dimension_mismatch():
     with pytest.raises(InputError):
-        lp_solve(([[1, 2]], [1]), None, [1], sense="max")
+        lp_solve(([[1, 2]], [1]), ((), ()), [1], sense="max")
     with pytest.raises(InputError):
-        lp_solve(([[1], [1, 2]], [1, 1]), None, [1], sense="max")
+        lp_solve(([[1], [1, 2]], [1, 1]), ((), ()), [1], sense="max")
     with pytest.raises(InputError):
-        lp_solve(([[1]], [1, 2]), None, [1], sense="max")
+        lp_solve(([[1]], [1, 2]), ((), ()), [1], sense="max")
     with pytest.raises(InputError):
-        lp_solve(([[1]], [1]), None, [1], sense="argmax")
+        lp_solve(([[1]], [1]), ((), ()), [1], sense="argmax")
 
 
 def test_lp_determinism():
     rows = [[3, -1, 2], [1, 1, 1], [-2, 5, -1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
     rhs = [7, 5, 3, 0, 0, 0]
-    first = lp_solve((rows, rhs), None, [2, 3, 1], sense="max")
+    first = lp_solve((rows, rhs), ((), ()), [2, 3, 1], sense="max")
     for _ in range(3):
-        again = lp_solve((rows, rhs), None, [2, 3, 1], sense="max")
+        again = lp_solve((rows, rhs), ((), ()), [2, 3, 1], sense="max")
         assert again == first
 
 
@@ -320,7 +320,7 @@ def test_lp_random_small_feasible(seed):
         rows.append(e2)
         rhs.append(10)
     c = [rng.randint(-5, 5) for _ in range(n)]
-    res = lp_solve((rows, rhs), None, c, sense="max")
+    res = lp_solve((rows, rhs), ((), ()), c, sense="max")
     assert res.status == "optimal"
     for row, b in zip(rows, rhs):
         assert sum(F(a) * x for a, x in zip(row, res.point)) <= b
@@ -420,6 +420,7 @@ def test_post_solve_checks_survive_python_O():
         from fractions import Fraction
         import xclab.exactla.simplex as simplex
         import xclab.yannakakis as yannakakis
+        from xclab.exactla import ExactMatrix
         from xclab.polytope import simplex_polytope, slack_matrix
 
         assert not __debug__, "asserts are on"
@@ -437,15 +438,15 @@ def test_post_solve_checks_survive_python_O():
 
         p = simplex_polytope(2)
         system = yannakakis.extension_from_factorization(
-            p, yannakakis.slack_variable_factorization(slack_matrix(p))
+            p, yannakakis.slack_variable_factorization(slack_matrix(p).matrix)
         )
         yannakakis.verify_factorization = lambda *args: False
         returning([2])
-        print(outcome(lambda: simplex.lp_solve(([[1]], [1]), None, [1])))
-        print(outcome(lambda: simplex.lp_solve(None, ([[1]], [1]), [1])))
-        print(outcome(lambda: simplex.conic_combination([[1]], [1])))
+        print(outcome(lambda: simplex.lp_solve(([[1]], [1]), ((), ()), [1])))
+        print(outcome(lambda: simplex.lp_solve(((), ()), ([[1]], [1]), [1])))
+        print(outcome(lambda: simplex.conic_combination(ExactMatrix([[1]]), [1])))
         returning([-1])
-        print(outcome(lambda: simplex.conic_combination([[1]], [-1])))
+        print(outcome(lambda: simplex.conic_combination(ExactMatrix([[1]]), [-1])))
         simplex._simplex_all = solve
         print(outcome(lambda: yannakakis.factorization_from_extension(p, system)))
         """
@@ -473,6 +474,7 @@ def test_post_solve_checks_catch_the_smallest_violation():
         """
         from fractions import Fraction as F
         import xclab.exactla.simplex as simplex
+        from xclab.exactla import ExactMatrix
 
         assert not __debug__, "asserts are on"
 
@@ -489,14 +491,14 @@ def test_post_solve_checks_catch_the_smallest_violation():
             (1, (1, F(3, 2)), (1, 2), (1, 1)),
             (-1, (-1, F(-3, 2)), (-1, -1), (-1, -2)),
         ):
-            print(outcome(on, lambda: simplex.lp_solve(([row], [b]), None, [1, 1])))
-            print(outcome(over, lambda: simplex.lp_solve(([row], [b]), None, [1, 1])))
-            print(outcome(on, lambda: simplex.lp_solve(None, ([row], [b]), [1, 1])))
-            print(outcome(over, lambda: simplex.lp_solve(None, ([row], [b]), [1, 1])))
-            print(outcome(under, lambda: simplex.lp_solve(None, ([row], [b]), [1, 1])))
-            print(outcome(on, lambda: simplex.conic_combination([[r] for r in row], [b], 2)))
-            print(outcome(over, lambda: simplex.conic_combination([[r] for r in row], [b], 2)))
-            print(outcome(under, lambda: simplex.conic_combination([[r] for r in row], [b], 2)))
+            print(outcome(on, lambda: simplex.lp_solve(([row], [b]), ((), ()), [1, 1])))
+            print(outcome(over, lambda: simplex.lp_solve(([row], [b]), ((), ()), [1, 1])))
+            print(outcome(on, lambda: simplex.lp_solve(((), ()), ([row], [b]), [1, 1])))
+            print(outcome(over, lambda: simplex.lp_solve(((), ()), ([row], [b]), [1, 1])))
+            print(outcome(under, lambda: simplex.lp_solve(((), ()), ([row], [b]), [1, 1])))
+            print(outcome(on, lambda: simplex.conic_combination(ExactMatrix([[r] for r in row]), [b], 2)))
+            print(outcome(over, lambda: simplex.conic_combination(ExactMatrix([[r] for r in row]), [b], 2)))
+            print(outcome(under, lambda: simplex.conic_combination(ExactMatrix([[r] for r in row]), [b], 2)))
         """
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xclab.__file__)))
@@ -987,8 +989,8 @@ def _check_against_reference(system, rng):
     bounds = [[F(-(i == j)) for j in range(n)] for i in range(n) if nonneg[i]]
     sense = rng.choice(["max", "min"])
     ineqs = (le_rows + bounds, le_rhs + [F(0)] * len(bounds))
-    eqs = (eq_rows, eq_rhs) if eq_rows else None
-    ref = _ref_simplex(*ineqs, *(eqs or ([], [])), [False] * n,
+    eqs = (eq_rows, eq_rhs)
+    ref = _ref_simplex(*ineqs, *eqs, [False] * n,
                        goal if sense == "max" else [-c for c in goal])
     got = lp_solve(ineqs, eqs, goal, sense=sense)
     if isinstance(ref, str):
@@ -1061,12 +1063,13 @@ def test_drive_out_flips_a_slot_holding_a_minus_column():
 
 def test_conic_combination_free_multipliers():
     # u0 >= 0, u1 free: u0 * 1 + u1 * 1 == -1 needs u1 < 0
-    assert conic_combination([[1], [1]], [-1], free=1) == (F(0), F(-1))
-    assert conic_combination([[1], [1]], [-1]) is None
-    assert conic_combination([[1, 0], [0, 1]], [2, -3], free=2) == (F(2), F(-3))
+    ones = ExactMatrix([[1], [1]])
+    assert conic_combination(ones, [-1], free=1) == (F(0), F(-1))
+    assert conic_combination(ones, [-1]) is None
+    assert conic_combination(ExactMatrix.identity(2), [2, -3], free=2) == (F(2), F(-3))
     for free in (-1, 3):
         with pytest.raises(InputError, match="free must be between 0 and 2"):
-            conic_combination([[1], [1]], [1], free=free)
+            conic_combination(ones, [1], free=free)
 
 
 def _check_many_objectives(rng):
@@ -1076,7 +1079,7 @@ def _check_many_objectives(rng):
     n = len(nonneg)
     bounds = [[F(-(i == j)) for j in range(n)] for i in range(n) if nonneg[i]]
     ineqs = (le_rows + bounds, le_rhs + [F(0)] * len(bounds))
-    eqs = (eq_rows, eq_rhs) if eq_rows else None
+    eqs = (eq_rows, eq_rhs)
     objectives = [goal]
     for _ in range(rng.randint(0, 4)):
         if rng.random() < 0.2:
@@ -1111,11 +1114,11 @@ def test_many_objective_sweep_reaches_every_mix():
 
 def test_lp_solve_all_validation():
     with pytest.raises(InputError, match="objective widths differ"):
-        lp_solve_all(([[1, 0]], [1]), None, [[1, 0], [1]])
+        lp_solve_all(([[1, 0]], [1]), ((), ()), [[1, 0], [1]])
     with pytest.raises(InputError, match="sense"):
-        lp_solve_all(([[1]], [1]), None, [[1]], sense="up")
-    assert lp_solve_all(([[1]], [1]), None, []) == []
-    assert lp_solve_all(([[1]], [1]), None, [[], [2]]) == [
+        lp_solve_all(([[1]], [1]), ((), ()), [[1]], sense="up")
+    assert lp_solve_all(([[1]], [1]), ((), ()), []) == []
+    assert lp_solve_all(([[1]], [1]), ((), ()), [[], [2]]) == [
         LPResult("optimal", F(0), (F(0),)),
         LPResult("optimal", F(2), (F(1),)),
     ]

@@ -14,7 +14,6 @@ from xclab.exactla import (
     format_rational,
     lp_solve,
     rat,
-    write_matrix,
 )
 from xclab.matchgen import (
     embed_matchings_as_face,
@@ -575,8 +574,8 @@ def test_json_file_round_trip(tmp_path):
 def test_json_file_references(tmp_path):
     p = hypercube_polytope(2)
     aug = ExactMatrix(row + (b,) for row, b in zip(*p.ineqs))
-    write_matrix(str(tmp_path / "rows.txt"), aug)
-    write_matrix(str(tmp_path / "verts.txt"), ExactMatrix([list(v) for v in p.vertices]))
+    (tmp_path / "rows.txt").write_text(aug.to_text(), encoding="utf-8")
+    (tmp_path / "verts.txt").write_text(ExactMatrix(p.vertices).to_text(), encoding="utf-8")
     obj = {
         "ineqs": {"file": "rows.txt"},
         "vertices": {"file": "verts.txt"},

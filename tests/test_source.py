@@ -265,3 +265,29 @@ def test_readme_module_table_names_only_what_exists():
             ):
                 missing.append(f"{row.group(1)}: {name}")
     assert not missing, "README names what does not exist: " + ", ".join(missing)
+
+
+def test_no_parameter_takes_two_package_types():
+    """A parameter takes one of the package's types: no annotation is a `|`
+    union naming two or more classes defined in the package, so a callee
+    never branches on which of them it was given."""
+    root = pathlib.Path(xclab.__file__).parent
+    classes = {
+        node.name
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def members(node) -> set[str]:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            return members(node.left) | members(node.right)
+        return {ast.unparse(node).strip("'\"")}
+
+    sites = [
+        f"{site} {a.arg}"
+        for site, fn in _functions()
+        for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if a.annotation is not None and len(members(a.annotation) & classes) > 1
+    ]
+    assert not sites, "parameters taking two package types: " + ", ".join(sites)
