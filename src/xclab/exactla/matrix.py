@@ -167,10 +167,12 @@ class PinnedSolve:
 
 
 def _exact_row(row: Sequence[int | str | Fraction]) -> tuple[Fraction, ...]:
-    """One matrix row as rationals; a string is refused, not read one
-    character per entry."""
+    """One matrix row as rationals; a row that is not a list or tuple is
+    refused, and a string is not read one character per entry."""
     if isinstance(row, str):
         raise InputError(f"a matrix row is a list of entries, not the string {row!r}")
+    if not isinstance(row, (list, tuple)):
+        raise InputError(f"a matrix row is a list of entries, not {row!r}")
     return tuple(rat(x) for x in row)
 
 
@@ -199,11 +201,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         one, zero = Fraction(1), Fraction(0)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        zero = Fraction(0)
-        return cls([[zero] * ncols for _ in range(nrows)])
 
     @property
     def nrows(self) -> int:
@@ -266,10 +263,6 @@ class ExactMatrix:
                 ]
             )
         return ExactMatrix(out)
-
-    def scaled(self, factor: int | str | Fraction) -> "ExactMatrix":
-        f = rat(factor)
-        return ExactMatrix([[f * x for x in row] for row in self._rows])
 
     def max_norm(self) -> Fraction:
         """Entrywise infinity norm: max |entry|."""

@@ -30,12 +30,7 @@ from .exactla import (
     rat,
     read_matrix,
 )
-from .record import factory, record
-
-
-def _matrix_rows(coefs) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows of an `ExactMatrix`, or the given rows checked as one."""
-    return (coefs if isinstance(coefs, ExactMatrix) else ExactMatrix(coefs)).rows()
+from .record import record
 
 
 @record
@@ -67,20 +62,21 @@ class Polytope:
         ineq_rhs,
         vertices,
         *,
-        eq_coefs=None,
+        eq_coefs=(),
         eq_rhs=(),
         row_labels: Sequence[str] | None = None,
         eq_labels: Sequence[str] | None = None,
         vertex_labels: Sequence[str] | None = None,
     ) -> "Polytope":
-        """Validating constructor.  Each side's coefficients are rows or an
-        `ExactMatrix`; `eq_coefs` None or without rows means no equalities.
+        """Validating constructor.  Each side's coefficients are rows, checked
+        as `ExactMatrix` checks its rows; `eq_coefs` without rows means no
+        equalities.
         Rejects systems any vertex violates and zero-dimensional vertex sets
         (fewer than two distinct points)."""
-        a, b = _matrix_rows(ineq_coefs), tuple(rat(x) for x in ineq_rhs)
+        a, b = ExactMatrix(ineq_coefs).rows(), tuple(rat(x) for x in ineq_rhs)
         if len(b) != len(a):
             raise InputError(f"{len(a)} inequality rows but {len(b)} right-hand sides")
-        e, f = _matrix_rows(eq_coefs) if eq_coefs else (), tuple(rat(x) for x in eq_rhs)
+        e, f = ExactMatrix(eq_coefs).rows() if eq_coefs else (), tuple(rat(x) for x in eq_rhs)
         if len(f) != len(e):
             raise InputError(f"{len(e)} equality rows but {len(f)} right-hand sides")
         dim = len(a[0])
@@ -362,8 +358,8 @@ class LiftPlan:
 @record
 class ProjectionReport:
     passed: bool
-    reason: str | None = None
-    detail: dict = factory(dict)
+    reason: str | None
+    detail: dict
 
 
 def lp_equal_under_projection(
@@ -418,7 +414,7 @@ def lp_equal_under_projection(
                     "q": format_rational(over_q.value),
                 },
             )
-    return ProjectionReport(True)
+    return ProjectionReport(True, None, {})
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +444,11 @@ def _file_matrix(path: str, base_dir: str | None) -> ExactMatrix:
 
 
 def _system_from_json(obj: dict, base_dir: str | None, what: str) -> tuple:
-    """One side's (coefficients, rhs) for `Polytope.build`, from {"rows",
-    "rhs"} or a {"file": ...} reference to its augmented matrix [A | b];
-    a side without rows has coefficients ()."""
+    """One side's (rows, rhs) for `Polytope.build`, from {"rows", "rhs"} or
+    a {"file": ...} reference to its augmented matrix [A | b]."""
     if "file" in obj:
         aug = _file_matrix(obj["file"], base_dir).rows()
-        return ExactMatrix(row[:-1] for row in aug), tuple(row[-1] for row in aug)
+        return tuple(row[:-1] for row in aug), tuple(row[-1] for row in aug)
     try:
         rows = obj["rows"]
         rhs = obj["rhs"]
@@ -462,7 +457,7 @@ def _system_from_json(obj: dict, base_dir: str | None, what: str) -> tuple:
     for key, value in (("rhs", rhs), ("rows", rows)):
         if not isinstance(value, list):
             raise InputError(f"{what}: {key!r} must be a list, got {value!r}")
-    return ExactMatrix(rows) if rows else (), rhs
+    return rows, rhs
 
 
 def _list_of(value, item_type: type) -> bool:

@@ -8,9 +8,9 @@ faster.  The decorated class gets:
 
 - `__init__` taking the fields in annotation order, by position or by
   keyword; a field assigned in the class body defaults to that value, which
-  stays readable as a class attribute, and a `factory(f)` default is `f()`
-  made anew for each instance.  `__post_init__`, when the class defines
-  one, runs once the fields are set.
+  stays readable as a class attribute and is shared by every instance that
+  takes it.  `__post_init__`, when the class defines one, runs once the
+  fields are set.
 - `==` between instances of the same class with equal field tuples, `hash`
   of the field tuple, and `repr` as `Name(field=value, ...)`.
 - `FrozenInstanceError` on assigning or deleting any attribute.
@@ -25,15 +25,6 @@ from operator import attrgetter
 
 class FrozenInstanceError(AttributeError):
     """An attribute of a record was assigned or deleted."""
-
-
-class factory:
-    """A field default made anew for each instance by calling `make`."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
 
 
 # Fields are set through object's own __setattr__, past the record's refusal.
@@ -65,8 +56,7 @@ def record(cls):
             if name in kwargs:
                 _set(self, name, kwargs.pop(name))
             elif name in defaults:
-                value = defaults[name]
-                _set(self, name, value.make() if isinstance(value, factory) else value)
+                _set(self, name, defaults[name])
             else:
                 raise TypeError(f"{cls.__name__}() missing argument {name!r}")
         if kwargs:

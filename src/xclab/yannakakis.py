@@ -65,28 +65,27 @@ def slack_variable_factorization(m: ExactMatrix) -> Factorization:
     return Factorization(ExactMatrix.identity(m.nrows), m)
 
 
-def formulation(
-    x_dim: int, y_dim: int, eq_rows: ExactMatrix, eq_rhs: tuple[Fraction, ...]
-) -> XYSystem:
+def formulation(x_dim: int, y_dim: int, eq_rows, eq_rhs) -> XYSystem:
     """Q = {(x, y) : eq_rows (x, y) = eq_rhs, y >= 0}, x columns first: the
     y >= 0 rows are its inequality side, so it has y_dim facets, and the
-    given rows its equality side."""
+    given rows, checked as `ExactMatrix` checks its rows, its equality side."""
     if x_dim < 1:
         raise InputError("an extension needs at least one x variable")
     if y_dim < 1:
         raise InputError("an extension needs at least one lift variable")
-    if eq_rows.ncols != x_dim + y_dim:
+    rows, rhs = ExactMatrix(eq_rows).rows(), tuple(map(rat, eq_rhs))
+    if len(rows[0]) != x_dim + y_dim:
         raise InputError(
             f"equality row widths disagree with the dimensions: "
-            f"{eq_rows.ncols} columns, expected {x_dim + y_dim}"
+            f"{len(rows[0])} columns, expected {x_dim + y_dim}"
         )
-    if len(eq_rhs) != eq_rows.nrows:
-        raise InputError(f"{eq_rows.nrows} equality rows but {len(eq_rhs)} right-hand sides")
-    zeros_x = (Fraction(0),) * x_dim
-    nonneg_y = tuple(zeros_x + row for row in ExactMatrix.identity(y_dim).scaled(-1).rows())
-    return XYSystem(
-        x_dim, y_dim, (nonneg_y, (Fraction(0),) * y_dim), (eq_rows.rows(), eq_rhs)
+    if len(rhs) != len(rows):
+        raise InputError(f"{len(rows)} equality rows but {len(rhs)} right-hand sides")
+    zero = Fraction(0)
+    nonneg_y = tuple(
+        (zero,) * (x_dim + i) + (Fraction(-1),) + (zero,) * (y_dim - 1 - i) for i in range(y_dim)
     )
+    return XYSystem(x_dim, y_dim, (nonneg_y, (zero,) * y_dim), (rows, rhs))
 
 
 def extension_from_factorization(poly: Polytope, fac: Factorization) -> XYSystem:
@@ -103,7 +102,7 @@ def extension_from_factorization(poly: Polytope, fac: Factorization) -> XYSystem
         raise InputError("factorization does not reproduce the slack matrix")
     rows, rhs = poly.all_rows()
     left = fac.left.rows() + ((Fraction(0),) * fac.r,) * (len(rows) - poly.n_ineqs)
-    return formulation(poly.dim, fac.r, ExactMatrix(a + y for a, y in zip(rows, left)), rhs)
+    return formulation(poly.dim, fac.r, [a + y for a, y in zip(rows, left)], rhs)
 
 
 def _lex_min_lift(plan: LiftPlan, x, vertex_index: int):
@@ -186,7 +185,10 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
 
 def formulation_to_json(system: XYSystem) -> dict:
     """The extension's dimensions and its equality side; the y >= 0 rows
-    are left out, and `formulation_from_json` adds them back."""
+    are left out, and `formulation_from_json` adds them back, so a system
+    that `formulation` does not rebuild from those is refused."""
+    if formulation(system.x_dim, system.y_dim, *system.eqs) != system:
+        raise InputError("only an extension whose inequality side is y >= 0 is written as JSON")
     return {
         "x_dim": system.x_dim,
         "y_dim": system.y_dim,
@@ -199,13 +201,12 @@ def formulation_to_json(system: XYSystem) -> dict:
 def formulation_from_json(obj: dict) -> XYSystem:
     try:
         x_dim, y_dim = obj["x_dim"], obj["y_dim"]
-        rows = ExactMatrix(obj["eqs"]["rows"])
-        rhs = obj["eqs"]["rhs"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, rhs = obj["eqs"]["rows"], obj["eqs"]["rhs"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed extension JSON: {exc}") from exc
-    if not isinstance(rhs, list):
-        raise InputError(f"malformed extension JSON: eqs.rhs must be a list, got {rhs!r}")
-    rhs = tuple(rat(v) for v in rhs)
+    for key, value in (("eqs.rows", rows), ("eqs.rhs", rhs)):
+        if not isinstance(value, list):
+            raise InputError(f"malformed extension JSON: {key} must be a list, got {value!r}")
     for key, value in (("x_dim", x_dim), ("y_dim", y_dim)):
         if type(value) is not int:
             raise InputError(f"malformed extension JSON: {key} must be an integer, got {value!r}")

@@ -17,6 +17,7 @@ from xclab.bounds import (
     _check_cover,
     _check_fooling,
     _supports,
+    BoundConfig,
     Certificate,
     CoverResult,
     Factorization,
@@ -269,7 +270,7 @@ def test_cover_budget_and_cap():
 
 
 def test_cover_zero_matrix():
-    res = rectangle_cover_exact(ExactMatrix.zeros(2, 2))
+    res = rectangle_cover_exact(ExactMatrix([[0, 0], [0, 0]]))
     assert res.status == "optimal" and res.size == 0
 
 
@@ -396,8 +397,19 @@ def test_bounds_lowers_the_upper_bound_through_nmf(monkeypatch):
     assert report.upper_witness.r == 2 and verify_factorization(m, report.upper_witness)
 
 
+@pytest.mark.parametrize("tries, ranks", [(0, []), (1, [5]), (3, [5, 6, 7])])
+def test_nmf_max_tries_caps_the_ranks_tried(tries, ranks, monkeypatch):
+    """cube4's interval is [5, 8] and NMF finds nothing in it, so the ranks
+    5, 6 and 7 are tried in turn until `nmf_max_tries` calls were made."""
+    tried = []
+    monkeypatch.setattr(xclab.bounds, "nmf_heuristic", lambda m, r, *rest: tried.append(r))
+    cube = slack_matrix(hypercube_polytope(4)).matrix
+    report = nonnegative_rank_bounds(cube, BoundConfig(nmf_max_tries=tries))
+    assert (report.lower, report.upper, tried) == (5, 8, ranks)
+
+
 def test_bounds_zero_matrix():
-    report = nonnegative_rank_bounds(ExactMatrix.zeros(2, 3))
+    report = nonnegative_rank_bounds(ExactMatrix([[0, 0, 0], [0, 0, 0]]))
     assert (report.lower, report.upper) == (0, 0)
     assert report.upper_witness is None
 

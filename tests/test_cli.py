@@ -977,6 +977,14 @@ def error_files(tmp_path_factory):
         "ext-no-y": {"x_dim": 2, "y_dim": 0, "eqs": {"rows": [["1", "1"]], "rhs": ["1"]}},
         "ext-x-dim": {"x_dim": 1, "y_dim": 1, "eqs": {"rows": [["1", "1"]], "rhs": ["1"]}},
         "fac-string-left": {"left": "12", "right": [["1", "0", "0", "0"]]},
+        "bool-entry": {**square, "ineqs": {**square["ineqs"],
+                                           "rows": [[True, "0"]] + square["ineqs"]["rows"][1:]}},
+        "ext-bool-entry": {"x_dim": 2, "y_dim": 1, "eqs": {"rows": [["1", True, "1"]],
+                                                           "rhs": ["1"]}},
+        "fac-bool-entry": {"left": [[True]], "right": [["1", "0", "0", "0"]]},
+        "empty-row": {**square, "ineqs": {"rows": [[]], "rhs": ["0"]}},
+        "int-rows": {**square, "ineqs": {**square["ineqs"], "rows": [1, 2, 3, 4]}},
+        "empty-domain": {"domains": [[]], "tuples": [[0]]},
     }
     for name, doc in docs.items():
         (d / f"{name}.json").write_text(json.dumps(doc))
@@ -1021,6 +1029,17 @@ def error_files(tmp_path_factory):
          "system x-dimension does not match the polytope"),
         (["verify", "--input", "{square}", "--factorization", "{fac-string-left}"],
          "a matrix is a list of rows, not the string '12'"),
+        (["verify", "--input", "{bool-entry}"], "not a rational scalar: True"),
+        (["contract", "--input", "{square}", "--system", "{ext-bool-entry}"],
+         "not a rational scalar: True"),
+        (["verify", "--input", "{square}", "--factorization", "{fac-bool-entry}"],
+         "not a rational scalar: True"),
+        (["verify", "--input", "{empty-row}"], "matrix needs at least one column"),
+        (["verify", "--input", "{int-rows}"], "a matrix row is a list of entries, not 1"),
+        (["bias", "--input", "{empty-domain}", "--eps", "1/2"],
+         "every coordinate domain needs at least one value"),
+        (["sep", "--n", 4, "--t", 1, "--k", 5], "class Q_3 is empty for n=4, t=1"),
+        (["wdot", "--n", 4, "--t", 1, "--k", 5], "class Q_3 is empty for n=4, t=1"),
     ],
     ids=["edge-three-parts", "edge-not-integers", "objective-not-integers",
          "matrix-file-header", "ineqs-without-rhs", "vertices-dict-without-file",
@@ -1028,7 +1047,10 @@ def error_files(tmp_path_factory):
          "string-for-a-row", "short-ineq-rhs", "short-eq-rhs", "eqs-of-another-dimension",
          "vertex-of-another-dimension", "eq-label-count", "formulation-string-row",
          "formulation-without-lift-variables", "formulation-x-dim-mismatch",
-         "factorization-string-left"],
+         "factorization-string-left", "bool-entry-in-a-polytope-row",
+         "bool-entry-in-a-formulation-row", "bool-entry-in-a-factor", "row-without-entries",
+         "rows-that-are-not-lists", "empty-bias-domain", "sep-with-empty-q3",
+         "wdot-with-empty-q3"],
 )
 def test_input_errors_exit_2(argv, message, error_files, ground_cache, tmp_path, capsys):
     out = tmp_path / "o.json"

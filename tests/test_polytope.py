@@ -405,7 +405,7 @@ def _projection_by_cold_solves(poly, system, trials, seed):
             detail = {"trial": t, "objective": c, "p": format_rational(over_p.value),
                       "q": format_rational(over_q.value)}
             return ProjectionReport(False, "objective-value", detail)
-    return ProjectionReport(True)
+    return ProjectionReport(True, None, {})
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -535,7 +535,7 @@ def test_projection_reports_the_first_vertex_without_a_lift(data):
             )
             break
     report = lp_equal_under_projection(poly, system, 0, 0)
-    assert report == (expected or ProjectionReport(True))
+    assert report == (expected or ProjectionReport(True, None, {}))
 
 
 def test_projection_dim_mismatch():

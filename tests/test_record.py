@@ -10,7 +10,6 @@ import pytest
 from xclab import bounds, matchgen, polytope, sepmeasure, yannakakis
 from xclab.errors import InputError
 from xclab.exactla import ExactMatrix, simplex
-from xclab.record import factory
 
 MODULES = (bounds, matchgen, polytope, sepmeasure, yannakakis, simplex)
 
@@ -30,7 +29,7 @@ SAMPLES = {
     "SlackMatrix": [(_M, ("a", "b"), ("u", "v")), (_N, ("a", "b"), ("u", "v"))],
     "Rectangle": [(frozenset({0}), frozenset({1, 2})), (frozenset(), frozenset())],
     "XYSystem": [(1, 1, (((1, 1),), (2,))), (1, 1, None, (((1, -1),), (0,)))],
-    "ProjectionReport": [(True,), (False, "objective-value", {"trial": 3})],
+    "ProjectionReport": [(True, None, {}), (False, "objective-value", {"trial": 3})],
     "MatchingCutInstance": [(1, 5), (3, 7)],
     "RectangleWReport": [(True, Fraction(1, 3), Fraction(1, 2), Fraction(1, 6), 0),
                          (False, None, None, None, 4)],
@@ -62,11 +61,7 @@ def _twin(cls):
         if name not in vars(cls):
             specs.append((name, object))
             continue
-        default = vars(cls)[name]
-        if isinstance(default, factory):
-            specs.append((name, object, dataclasses.field(default_factory=default.make)))
-        else:
-            specs.append((name, object, dataclasses.field(default=default)))
+        specs.append((name, object, dataclasses.field(default=vars(cls)[name])))
     namespace = {"__post_init__": cls.__post_init__} if "__post_init__" in vars(cls) else {}
     return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, namespace=namespace)
 
@@ -130,12 +125,6 @@ def test_records_of_different_classes_are_unequal():
     rect = polytope.Rectangle(frozenset(), frozenset())
     assert rect != sepmeasure.WeightMatrix((), (), 1)
     assert simplex.LPResult("optimal") != bounds.Certificate("optimal", 0)
-
-
-def test_factory_default_is_fresh_per_instance():
-    first, second = polytope.ProjectionReport(True), polytope.ProjectionReport(True)
-    assert first.detail == {} and second.detail == {}
-    assert first.detail is not second.detail
 
 
 def test_post_init_checks_still_raise_input_error():

@@ -291,3 +291,41 @@ def test_no_parameter_takes_two_package_types():
         if a.annotation is not None and len(members(a.annotation) & classes) > 1
     ]
     assert not sites, "parameters taking two package types: " + ", ".join(sites)
+
+
+def _scoped_calls(node, scope: str = ""):
+    """(qualified scope, call) for every call under node; the scope names
+    the enclosing classes and functions, dot-separated."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped_calls(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from _scoped_calls(child, scope)
+
+
+def test_no_function_branches_on_a_package_type():
+    """A package function takes one form of each value, so outside `__eq__`
+    no `isinstance` test names a class defined in the package.  The one
+    allowed site is `WeightMatrix.frobenius_with`, whose integer rows are
+    the ground's fast path; a test checks them against the matrix path."""
+    allowed = {"sepmeasure.WeightMatrix.frobenius_with"}
+    root = pathlib.Path(xclab.__file__).parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in root.rglob("*.py")}
+    classes = {
+        node.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    sites = {}
+    for path, tree in sorted(trees.items()):
+        for scope, call in _scoped_calls(tree):
+            if not (isinstance(call.func, ast.Name) and call.func.id == "isinstance"):
+                continue
+            kinds = call.args[1].elts if isinstance(call.args[1], ast.Tuple) else [call.args[1]]
+            named = {ast.unparse(kind).rsplit(".", 1)[-1] for kind in kinds} & classes
+            if named and not scope.endswith("__eq__"):
+                sites[f"{path.stem}.{scope}"] = sorted(named)
+    assert set(sites) >= allowed, "allowed sites that no longer test a package type"
+    extra = [f"{site} {named}" for site, named in sites.items() if site not in allowed]
+    assert not extra, "isinstance on a package type: " + ", ".join(extra)

@@ -43,7 +43,7 @@ def test_factorization_validation():
 def test_verify_factorization():
     eye = ExactMatrix.identity(2)
     good = Factorization(eye, eye)
-    bad = Factorization(eye, eye.scaled(2))
+    bad = Factorization(eye, ExactMatrix([[2, 0], [0, 2]]))
     assert verify_factorization(eye, good)
     assert not verify_factorization(eye, bad)
     with pytest.raises(InputError, match="shape"):
@@ -85,7 +85,10 @@ def test_extension_from_factorization_with_equalities():
 
 def test_extension_rejects_bad_factorization():
     p = simplex_polytope(2)
-    doubled = Factorization(ExactMatrix.identity(3), slack_matrix(p).matrix.scaled(2))
+    doubled = Factorization(
+        ExactMatrix.identity(3),
+        ExactMatrix([[2 * x for x in row] for row in slack_matrix(p).matrix.rows()]),
+    )
     with pytest.raises(InputError, match="reproduce"):
         extension_from_factorization(p, doubled)
     short = Factorization(ExactMatrix.identity(2), ExactMatrix([[1, 1, 1], [0, 1, 0]]))
@@ -432,15 +435,32 @@ def test_formulation_json_round_trip():
     assert formulation_from_json(obj) == ef
 
 
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        (XYSystem(1, 1, (((1, 0),), (1,)), (((1, 1),), (1,))), "inequality side is y >= 0"),
+        (XYSystem(1, 1, (((0, -1),), (0,))), "at least one row"),
+        (XYSystem(1, 0, (((1,),), (1,)), (((1,),), (1,))), "lift variable"),
+    ],
+    ids=["x-le-1-for-y-ge-0", "no-equality-rows", "no-y"],
+)
+def test_formulation_json_refuses_a_system_it_would_not_read_back(system, message):
+    """The JSON holds only the equality side; `formulation_from_json` adds
+    y >= 0 back, so x <= 1 with x + y = 1 would come back with -y <= 0 in
+    place of x <= 1, a different system, and is refused instead."""
+    with pytest.raises(InputError, match=message):
+        formulation_to_json(system)
+
+
 def test_formulation_validation():
     with pytest.raises(InputError, match="lift variable"):
-        formulation(1, 0, ExactMatrix([[1]]), (rat(1),))
+        formulation(1, 0, [[1]], [1])
     with pytest.raises(InputError, match="widths"):
-        formulation(2, 1, ExactMatrix([[1, 1]]), (rat(1),))
+        formulation(2, 1, [[1, 1]], [1])
     with pytest.raises(InputError, match="x variable"):
-        formulation(0, 1, ExactMatrix([[1]]), (rat(1),))
+        formulation(0, 1, [[1]], [1])
     with pytest.raises(InputError, match="right-hand sides"):
-        formulation(1, 1, ExactMatrix([[1, 1]]), (rat(1), rat(2)))
+        formulation(1, 1, [[1, 1]], [1, 2])
 
 
 @pytest.mark.parametrize(
