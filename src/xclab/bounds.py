@@ -19,7 +19,14 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InputError
-from .exactla import ExactMatrix, conic_combination, lp_solve, matrix_to_json, rank
+from .exactla import (
+    ExactMatrix,
+    common_denominator,
+    conic_combination,
+    lp_solve,
+    matrix_to_json,
+    rank,
+)
 from .polytope import Rectangle, bits
 from .record import record
 from .sepmeasure import WeightMatrix
@@ -142,7 +149,9 @@ def hyperplane_bound(w: WeightMatrix, m: ExactMatrix) -> tuple[Fraction, Rectang
     cells of W to sit on zero slack."""
     if not m.is_nonnegative():
         raise InputError("the hyperplane bound needs a nonnegative slack matrix")
-    inner = w.frobenius_with(m)
+    den = common_denominator(x for row in m.rows() for x in row)
+    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in m.rows()]
+    inner = w.frobenius_with(scaled) / den
     alpha = max_rectangle_value(w)
     norm = m.max_norm()
     # Every single cell is a rectangle, so alpha = 0 leaves <W,S> <= 0.

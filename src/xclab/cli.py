@@ -1,7 +1,9 @@
 """Command-line front end.
 
 One binary with subcommands, one result envelope.  Every run emits JSON of
-the shape {command, inputs, seed, result, timing}; file inputs are recorded
+the shape {command, inputs, seed, result, timing}, and JSON is the only
+encoding of a matrix: `slack` writes its entries as that envelope's result,
+and a polytope file holds its rows inline.  File inputs are recorded
 with their sha256 so pipelines can be chained and audited.  `inputs` holds
 every parsed argument of the verb except --seed and --output, so results are
 deterministic given the recorded inputs and seed.  Only the four verbs that
@@ -19,8 +21,6 @@ verification), 2 input error or bad usage.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import stat
@@ -119,13 +119,12 @@ def _inputs(args) -> dict:
 
 
 def _row_filter(spec: str):
-    """'all' keeps every row, 'oddset' the proper odd-set rows, anything
-    else is a label prefix."""
-    if spec == "all":
-        return None
+    """'oddset' keeps the proper odd-set rows, 'all' every row (the empty
+    label prefix), anything else is a label prefix."""
     if spec == "oddset":
         return odd_set_rows
-    return lambda lab: lab.startswith(spec)
+    prefix = "" if spec == "all" else spec
+    return lambda lab: lab.startswith(prefix)
 
 
 def _slack_input(args):
@@ -172,23 +171,14 @@ def _cmd_gen(args):
 
 
 def _cmd_slack(args):
-    s = _slack_input(args)
-    if args.format == "matrix-text":
-        return {"text": s.to_text()}, 0
-    entries = matrix_to_json(s.matrix.rows())
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([""] + list(s.col_labels))
-        for lab, row in zip(s.row_labels, entries):
-            writer.writerow([lab] + row)
-        return {"text": buf.getvalue()}, 0
+    poly, keep = read_polytope(args.input), _row_filter(args.rows)
+    s = slack_matrix(poly, keep)
     return {
         "nrows": s.nrows,
         "ncols": s.ncols,
-        "row_labels": list(s.row_labels),
-        "col_labels": list(s.col_labels),
-        "entries": entries,
+        "row_labels": [lab for lab in poly.row_labels if keep(lab)],
+        "col_labels": list(poly.vertex_labels),
+        "entries": matrix_to_json(s.rows()),
     }, 0
 
 
@@ -201,7 +191,7 @@ def _cmd_bounds(args):
         nmf_max_tries=args.nmf_tries,
         seed=args.seed,
     )
-    report = nonnegative_rank_bounds(_slack_input(args).matrix, config)
+    report = nonnegative_rank_bounds(_slack_input(args), config)
     witness_file = None
     if args.witness_out and report.upper_witness is not None:
         write_atomic(
@@ -213,7 +203,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_factorize(args):
-    fac = nmf_heuristic(_slack_input(args).matrix, args.r, restarts=args.restarts, seed=args.seed)
+    fac = nmf_heuristic(_slack_input(args), args.r, restarts=args.restarts, seed=args.seed)
     if fac is None:
         return {"found": False, "factorization": None}, 1
     return {"found": True, "factorization": factorization_to_json(fac)}, 0
@@ -224,7 +214,7 @@ def _cmd_extend(args):
     if args.factorization is not None:
         fac = factorization_from_json(load_payload(args.factorization, "factorization"))
     else:
-        fac = slack_variable_factorization(slack_matrix(poly).matrix)
+        fac = slack_variable_factorization(slack_matrix(poly))
     system = extension_from_factorization(poly, fac)
     return {"formulation": formulation_to_json(system), "n_facets": system.n_ineqs}, 0
 
@@ -237,7 +227,7 @@ def _cmd_contract(args):
 
 
 def _cmd_cover(args):
-    result = rectangle_cover_exact(_slack_input(args).matrix, limit=args.limit, cap=args.cap)
+    result = rectangle_cover_exact(_slack_input(args), limit=args.limit, cap=args.cap)
     out = {
         "status": result.status,
         "size": result.size,
@@ -342,7 +332,7 @@ def _cmd_verify(args):
     poly = read_polytope(args.input)
     if args.factorization is not None:
         fac = factorization_from_json(load_payload(args.factorization, "factorization"))
-        ok = verify_factorization(slack_matrix(poly, _row_filter(args.rows)).matrix, fac)
+        ok = verify_factorization(slack_matrix(poly, _row_filter(args.rows)), fac)
         result = {"check": "factorization", "ok": ok}
     elif args.system is not None:
         system = formulation_from_json(load_payload(args.system, "formulation"))
@@ -412,8 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=None, help="odd-set size cutoff for pm-truncated")
 
-    p = verb("slack", _cmd_slack, [source], "slack matrix of a polytope")
-    p.add_argument("--format", choices=["json", "csv", "matrix-text"], default="json")
+    verb("slack", _cmd_slack, [source], "slack matrix of a polytope")
 
     p = verb("bounds", _cmd_bounds, [seeded, source], "certified nonnegative-rank interval")
     p.add_argument("--cover-limit", type=int, default=BoundConfig.cover_limit)
@@ -501,21 +490,16 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         # Hash the inputs before the verb runs: it may overwrite one of them.
-        as_json = getattr(args, "format", "json") == "json"
-        inputs = _inputs(args) if as_json else None
+        inputs = _inputs(args)
         result, code = args.handler(args)
-        if not as_json:
-            text = result["text"]
-        else:
-            envelope = {
-                "command": args.verb,
-                "inputs": inputs,
-                "seed": vars(args).get("seed"),
-                "result": result,
-                "timing": {"seconds": round(time.monotonic() - start, 6)},
-            }
-            text = _dumps(envelope)
-        _emit(args.output, text)
+        envelope = {
+            "command": args.verb,
+            "inputs": inputs,
+            "seed": vars(args).get("seed"),
+            "result": result,
+            "timing": {"seconds": round(time.monotonic() - start, 6)},
+        }
+        _emit(args.output, _dumps(envelope))
     except (XclabError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

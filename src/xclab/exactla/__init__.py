@@ -11,7 +11,6 @@ from .matrix import (
     matrix_to_json,
     rank,
     rat,
-    read_matrix,
 )
 from .simplex import LPResult, conic_combination, lp_solve, lp_solve_all
 
@@ -29,5 +28,4 @@ __all__ = [
     "matrix_to_json",
     "rank",
     "rat",
-    "read_matrix",
 ]

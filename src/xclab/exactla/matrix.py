@@ -271,38 +271,6 @@ class ExactMatrix:
     def is_nonnegative(self) -> bool:
         return all(x.numerator >= 0 for row in self._rows for x in row)
 
-    def to_text(self) -> str:
-        lines = [f"{self._nrows} {self._ncols}"]
-        for row in self._rows:
-            lines.append(" ".join(format_rational(x) for x in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExactMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise InputError("empty matrix text")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise InputError(f"bad matrix header {lines[0]!r}, want 'rows cols'")
-        try:
-            nrows, ncols = int(head[0]), int(head[1])
-        except ValueError as exc:
-            raise InputError(f"bad matrix header {lines[0]!r}") from exc
-        if len(lines) != nrows + 1:
-            raise InputError(
-                f"matrix text declares {nrows} rows but has {len(lines) - 1}"
-            )
-        rows = []
-        for ln in lines[1:]:
-            toks = ln.split()
-            if len(toks) != ncols:
-                raise InputError(
-                    f"matrix row has {len(toks)} entries, header says {ncols}"
-                )
-            rows.append([rat(t) for t in toks])
-        return cls(rows)
-
 
 def rank(m: ExactMatrix) -> int:
     """Exact rank: the rows cleared of denominators, then the sparse
@@ -337,11 +305,3 @@ def _reduce(
             d //= g
     return red, d
 
-
-def read_matrix(path: str) -> ExactMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
-    return ExactMatrix.from_text(text)

@@ -28,11 +28,11 @@ from operator import xor
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .exactla import lp_solve_all, rat
+from .exactla import ExactMatrix, lp_solve_all, rat
 # Nothing here calls `lp_solve`; it stays a name of this module because
 # perfbench's span table wraps `xclab.matchgen.lp_solve`.
 from .exactla import lp_solve  # noqa: F401
-from .polytope import Polytope, Rectangle, SlackMatrix, bits, face, slack_matrix
+from .polytope import Polytope, Rectangle, bits, face, slack_matrix
 from .record import record
 
 
@@ -303,7 +303,7 @@ class MatchingCover:
     containing both."""
 
     n: int
-    slack: SlackMatrix
+    slack: ExactMatrix
     rectangles: tuple[Rectangle, ...]
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 

@@ -28,7 +28,6 @@ from .exactla import (
     lp_solve_all,
     matrix_to_json,
     rat,
-    read_matrix,
 )
 from .record import record
 
@@ -134,41 +133,6 @@ class Polytope:
 
 
 @record
-class SlackMatrix:
-    matrix: ExactMatrix
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.matrix.nrows != len(self.row_labels):
-            raise InputError("slack matrix row label count mismatch")
-        if self.matrix.ncols != len(self.col_labels):
-            raise InputError("slack matrix column label count mismatch")
-        if not self.matrix.is_nonnegative():
-            raise InputError("slack matrix has a negative entry")
-
-    @property
-    def nrows(self) -> int:
-        return self.matrix.nrows
-
-    @property
-    def ncols(self) -> int:
-        return self.matrix.ncols
-
-    def to_text(self) -> str:
-        body = self.matrix.to_text()
-        return body + " ".join(self.row_labels) + "\n" + " ".join(self.col_labels) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SlackMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 3:
-            raise InputError("slack matrix text needs matrix plus two label lines")
-        matrix = ExactMatrix.from_text("\n".join(lines[:-2]))
-        return cls(matrix, tuple(lines[-2].split()), tuple(lines[-1].split()))
-
-
-@record
 class Rectangle:
     """An index rectangle: a set of rows times a set of columns."""
 
@@ -199,9 +163,10 @@ def bits(mask: int) -> Iterator[int]:
 
 def slack_matrix(
     poly: Polytope, row_filter: Callable[[str], bool] | None = None
-) -> SlackMatrix:
+) -> ExactMatrix:
     """Slack of each (inequality row, vertex) pair, optionally restricted to
-    rows whose label passes the filter."""
+    rows whose label passes the filter; None keeps every row.  Row i of the
+    result is the i-th kept row, column j is vertex j."""
     idx = [
         i
         for i, lab in enumerate(poly.row_labels)
@@ -211,12 +176,7 @@ def slack_matrix(
         raise InputError("row filter keeps no rows")
     rows, rhs = poly.ineqs
     system = IntegerRows([rows[i] for i in idx], [rhs[i] for i in idx])
-    cols = [system.slacks(v) for v in poly.vertices]
-    return SlackMatrix(
-        ExactMatrix(zip(*cols)),
-        tuple(poly.row_labels[i] for i in idx),
-        poly.vertex_labels,
-    )
+    return ExactMatrix(zip(*(system.slacks(v) for v in poly.vertices)))
 
 
 def verify_vertices(poly: Polytope) -> tuple[bool, int | None]:
@@ -437,23 +397,13 @@ def polytope_to_json(poly: Polytope) -> dict:
     }
 
 
-def _file_matrix(path: str, base_dir: str | None) -> ExactMatrix:
-    """A matrix-text file named by a `{"file": ...}` reference; relative
-    paths resolve against the referring document's directory."""
-    return read_matrix(os.path.join(base_dir or "", path))
-
-
-def _system_from_json(obj: dict, base_dir: str | None, what: str) -> tuple:
-    """One side's (rows, rhs) for `Polytope.build`, from {"rows", "rhs"} or
-    a {"file": ...} reference to its augmented matrix [A | b]."""
-    if "file" in obj:
-        aug = _file_matrix(obj["file"], base_dir).rows()
-        return tuple(row[:-1] for row in aug), tuple(row[-1] for row in aug)
+def _system_from_json(obj: dict, what: str) -> tuple:
+    """One side's (rows, rhs) for `Polytope.build`, from {"rows", "rhs"}."""
     try:
         rows = obj["rows"]
         rhs = obj["rhs"]
     except KeyError as exc:
-        raise InputError(f"{what}: need 'rows'+'rhs' or 'file'") from exc
+        raise InputError(f"{what}: need 'rows' and 'rhs'") from exc
     for key, value in (("rhs", rhs), ("rows", rows)):
         if not isinstance(value, list):
             raise InputError(f"{what}: {key!r} must be a list, got {value!r}")
@@ -464,22 +414,16 @@ def _list_of(value, item_type: type) -> bool:
     return isinstance(value, list) and all(isinstance(x, item_type) for x in value)
 
 
-def polytope_from_json(obj: dict, base_dir: str | None = None) -> Polytope:
+def polytope_from_json(obj: dict) -> Polytope:
     try:
-        ineqs = _system_from_json(obj["ineqs"], base_dir, "ineqs")
+        ineqs = _system_from_json(obj["ineqs"], "ineqs")
         eqs_json = obj.get("eqs")  # null or absent: no equalities
-        eqs = ((), ()) if eqs_json is None else _system_from_json(eqs_json, base_dir, "eqs")
+        eqs = ((), ()) if eqs_json is None else _system_from_json(eqs_json, "eqs")
         vertices = obj["vertices"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed polytope JSON: {exc}") from exc
-    if isinstance(vertices, dict):
-        # File reference: a bare matrix whose rows are the vertices.
-        path = vertices.get("file")
-        if path is None:
-            raise InputError("vertices: need inline rows or a 'file' reference")
-        vertices = _file_matrix(path, base_dir).rows()
-    elif not _list_of(vertices, list):
-        raise InputError("vertices: need a list of coordinate rows or a 'file' reference")
+    if not _list_of(vertices, list):
+        raise InputError("vertices: need a list of coordinate rows")
     labels = {key: obj.get(key) for key in ("row_labels", "eq_labels", "vertex_labels")}
     for key, value in labels.items():
         if value is not None and not _list_of(value, str):
@@ -540,8 +484,7 @@ def load_payload(path: str, key: str):
 
 
 def read_polytope(path: str) -> Polytope:
-    obj = load_payload(path, "polytope")
-    return polytope_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    return polytope_from_json(load_payload(path, "polytope"))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .exactla import ExactMatrix, clear_denominators, common_denominator, rat
+from .exactla import common_denominator, rat
 from .matchgen import (
     EdgeIndexing,
     double_factorial,
@@ -64,11 +64,12 @@ def _validate_ground_params(n: int, t: int) -> None:
 
 def q_class_size(n: int, t: int, ell: int) -> int:
     """|Q_ell|: pairs (t-cut, perfect matching) with exactly ell crossing
-    edges, by closed-form counting.  Even ell gives 0 by parity."""
+    edges, by closed-form counting.  Even ell gives 0 by parity, and ell
+    over min(t, n - t) gives 0 because no pair crosses that often."""
     _validate_ground_params(n, t)
     if ell < 0:
         raise InputError(f"class index must be nonnegative, got {ell}")
-    if ell % 2 == 0:
+    if ell % 2 == 0 or ell > min(t, n - t):
         return 0
     return (
         math.comb(n, t)
@@ -330,26 +331,20 @@ class WeightMatrix:
         x = self.levels[self.codes[i][j]]
         return FORBIDDEN if x is None else Fraction(x, self.scale)
 
-    def frobenius_with(self, s: ExactMatrix | Sequence[Sequence[int]]) -> Fraction:
+    def frobenius_with(self, s: Sequence[Sequence[int]]) -> Fraction:
         """<W, S> with FORBIDDEN * 0 = 0 and FORBIDDEN * nonzero an error, in
-        integers: S is rows of ints (bytes rows included), or a matrix whose
-        rows are each cleared."""
-        if isinstance(s, ExactMatrix):
-            rows = [clear_denominators(row) for row in s.rows()]
-        else:
-            rows = [(row, 1) for row in s]
-        if len(rows) != self.nrows or any(len(row) != self.ncols for row, _ in rows):
+        integers: S is rows of ints (bytes rows included)."""
+        if len(s) != self.nrows or any(len(row) != self.ncols for row in s):
             raise InputError("weight and slack dimensions differ")
         # per class, a table that keeps the slacks of that class's cells
         forbidden = _code_table((c for c, x in enumerate(self.levels) if x is None), 1, 0)
         weighted = [(x, _code_table([c], 1, 0)) for c, x in enumerate(self.levels) if x]
-        total = Fraction(0)
-        for i, (crow, (srow, den)) in enumerate(zip(self.codes, rows)):
+        total = 0
+        for i, (crow, srow) in enumerate(zip(self.codes, s)):
             if any(compress(srow, crow.translate(forbidden))):
                 raise InputError(f"FORBIDDEN weight meets nonzero slack at row {i}")
-            acc = sum(x * sum(compress(srow, crow.translate(keep))) for x, keep in weighted)
-            total += Fraction(acc, den)
-        return total / self.scale
+            total += sum(x * sum(compress(srow, crow.translate(keep))) for x, keep in weighted)
+        return Fraction(total, self.scale)
 
     def rectangle_sum(self, rows: Iterable[int], cols: Iterable[int]):
         """Sum of weights over a rectangle; FORBIDDEN if any cell is."""

@@ -98,7 +98,7 @@ def extension_from_factorization(poly: Polytope, fac: Factorization) -> XYSystem
             f"factorization has {fac.left.nrows} rows but the polytope has "
             f"{poly.n_ineqs} inequalities"
         )
-    if not verify_factorization(slack_matrix(poly).matrix, fac):
+    if not verify_factorization(slack_matrix(poly), fac):
         raise InputError("factorization does not reproduce the slack matrix")
     rows, rhs = poly.all_rows()
     left = fac.left.rows() + ((Fraction(0),) * fac.r,) * (len(rows) - poly.n_ineqs)
@@ -175,7 +175,7 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
             raise NotDerivableError(i)
         left_rows.append(u[:r])
     fac = Factorization(ExactMatrix(left_rows), right)
-    if not verify_factorization(slack_matrix(poly).matrix, fac):
+    if not verify_factorization(slack_matrix(poly), fac):
         raise AssertionError("derived factorization does not reproduce the slack matrix")
     return fac
 

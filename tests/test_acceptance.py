@@ -96,7 +96,7 @@ def test_ac02_parity_suite():
             poly = perfect_matching_polytope(n)
             s = slack_matrix(poly, row_filter=lambda lab: lab.startswith("oddset"))
             for i in range(s.nrows):
-                for x in s.matrix.row(i):
+                for x in s.row(i):
                     assert x.denominator == 1
                     assert x.numerator % 2 == 0
 
@@ -114,7 +114,7 @@ def test_ac03_canonical_cover_counts():
                         row[j] += 1
             for i in range(s.nrows):
                 for j in range(s.ncols):
-                    slack = s.matrix.entry(i, j)
+                    slack = s.entry(i, j)
                     assert slack.denominator == 1
                     expected = math.comb(int(slack) + 1, 2)
                     assert counts[i][j] == expected
@@ -133,7 +133,7 @@ def test_ac04_yannakakis_round_trip():
             matching_polytope(3),
         ]
         for poly in suite:
-            s = slack_matrix(poly).matrix
+            s = slack_matrix(poly)
             heuristic = nmf_heuristic(s, min(s.nrows, s.ncols))
             assert heuristic is not None
             assert verify_factorization(s, heuristic)
@@ -251,7 +251,7 @@ def test_ac06_bound_sandwich():
         expected = [(d + 1, d + 1) for d in range(1, 6)]
         expected += [(6, 6), (6, 6), (4, 4), (3, 3), (14, 15), (10, 10)]
         for poly, frozen in zip(suite, expected):
-            s = slack_matrix(poly).matrix
+            s = slack_matrix(poly)
             report = nonnegative_rank_bounds(s)
             assert report.lower <= report.upper
             for cert in report.certificates:
@@ -366,7 +366,7 @@ def test_ac10_bias_checker():
 
 def test_ac11_cube4_bound_interval():
     with criterion("AC11 certified interval for the 4-cube", 30):
-        s = slack_matrix(hypercube_polytope(4)).matrix
+        s = slack_matrix(hypercube_polytope(4))
         report = nonnegative_rank_bounds(s)
         assert report.lower <= report.upper <= min(s.nrows, s.ncols)
         for cert in report.certificates:

@@ -32,7 +32,7 @@ from xclab.bounds import (
     report_to_json,
 )
 from xclab.errors import InputError
-from xclab.exactla import ExactMatrix, conic_combination, lp_solve, rat
+from xclab.exactla import ExactMatrix, common_denominator, conic_combination, lp_solve, rat
 from xclab.matchgen import canonical_matching_cover, perfect_matching_polytope
 from xclab.polytope import (
     Rectangle,
@@ -95,13 +95,11 @@ def test_weight_matrix_validation():
 
 def test_frobenius_with_forbidden_rules():
     w = WeightMatrix.from_rows([[1, FORBIDDEN], [2, 3]])
-    s_ok = ExactMatrix([[5, 0], [1, 1]])
-    assert w.frobenius_with(s_ok) == 5 + 2 + 3
-    s_bad = ExactMatrix([[5, 1], [1, 1]])
+    assert w.frobenius_with([[5, 0], [1, 1]]) == 5 + 2 + 3
     with pytest.raises(InputError, match="FORBIDDEN"):
-        w.frobenius_with(s_bad)
+        w.frobenius_with([[5, 1], [1, 1]])
     with pytest.raises(InputError, match="dimensions"):
-        w.frobenius_with(ExactMatrix([[1]]))
+        w.frobenius_with([[1]])
 
 
 def test_rectangle_sum():
@@ -242,7 +240,7 @@ def test_cover_identity_and_ones():
 
 
 def test_cover_matches_naive_on_squares():
-    square = slack_matrix(hypercube_polytope(2)).matrix
+    square = slack_matrix(hypercube_polytope(2))
     res = rectangle_cover_exact(square)
     assert res.status == "optimal"
     assert res.size == naive_min_cover(square) == 4
@@ -275,17 +273,17 @@ def test_cover_zero_matrix():
 
 
 def test_cube_and_cross_cover_is_six():
-    cube = slack_matrix(hypercube_polytope(3)).matrix
+    cube = slack_matrix(hypercube_polytope(3))
     res = rectangle_cover_exact(cube)
     assert (res.status, res.size, res.explored) == ("optimal", 6, 1439)
-    cross = slack_matrix(cross_polytope(3)).matrix
+    cross = slack_matrix(cross_polytope(3))
     res = rectangle_cover_exact(cross)
     assert (res.status, res.size, res.explored) == ("optimal", 6, 1405)
 
 
 def test_cube4_cover_is_eight():
     # xc of the 4-cube is 2d = 8; the search proves it after 2 397 197 steps
-    cube = slack_matrix(hypercube_polytope(4)).matrix
+    cube = slack_matrix(hypercube_polytope(4))
     res = rectangle_cover_exact(cube, limit=3_000_000)
     assert (res.status, res.size, res.explored) == ("optimal", 8, 2_397_197)
     assert _check_cover(_supports(cube), res.rectangles)
@@ -293,7 +291,7 @@ def test_cube4_cover_is_eight():
 
 def test_fooling_le_cover_sandwich():
     for poly in (hypercube_polytope(2), hypercube_polytope(3), simplex_polytope(3)):
-        m = slack_matrix(poly).matrix
+        m = slack_matrix(poly)
         fool = len(fooling_set_greedy(m, seed=2))
         cover = rectangle_cover_exact(m)
         assert cover.status == "optimal"
@@ -310,7 +308,7 @@ def test_canonical_matching_cover_small():
             counts[i][j] += 1
     for i in range(s.nrows):
         for j in range(s.ncols):
-            slack = s.matrix.entry(i, j)
+            slack = s.entry(i, j)
             expected = (slack + 1) * slack // 2  # C(slack+1, 2)
             assert counts[i][j] == expected
     with pytest.raises(InputError):
@@ -346,7 +344,7 @@ def test_nmf_nontrivial_rank_two():
 
 def test_nmf_impossible_r():
     # the 4-gon slack needs 4: rank 3 passes the gate but no repair verifies
-    square = slack_matrix(hypercube_polytope(2)).matrix
+    square = slack_matrix(hypercube_polytope(2))
     assert nmf_heuristic(square, 3, restarts=2, seed=0) is None
 
 
@@ -365,16 +363,16 @@ def test_bounds_identity(monkeypatch):
 
 
 def test_bounds_simplex_and_square():
-    s = slack_matrix(simplex_polytope(2)).matrix
+    s = slack_matrix(simplex_polytope(2))
     report = nonnegative_rank_bounds(s)
     assert (report.lower, report.upper) == (3, 3)
-    sq = slack_matrix(hypercube_polytope(2)).matrix
+    sq = slack_matrix(hypercube_polytope(2))
     report = nonnegative_rank_bounds(sq)
     assert (report.lower, report.upper) == (4, 4)
 
 
 def test_bounds_cube_meets_cover():
-    report = nonnegative_rank_bounds(slack_matrix(hypercube_polytope(3)).matrix)
+    report = nonnegative_rank_bounds(slack_matrix(hypercube_polytope(3)))
     assert report.lower == report.upper == 6
 
 
@@ -403,7 +401,7 @@ def test_nmf_max_tries_caps_the_ranks_tried(tries, ranks, monkeypatch):
     5, 6 and 7 are tried in turn until `nmf_max_tries` calls were made."""
     tried = []
     monkeypatch.setattr(xclab.bounds, "nmf_heuristic", lambda m, r, *rest: tried.append(r))
-    cube = slack_matrix(hypercube_polytope(4)).matrix
+    cube = slack_matrix(hypercube_polytope(4))
     report = nonnegative_rank_bounds(cube, BoundConfig(nmf_max_tries=tries))
     assert (report.lower, report.upper, tried) == (5, 8, ranks)
 
@@ -513,16 +511,22 @@ def test_weight_grid_matches_fraction_reference(case, seed):
     assert [[w.entry(i, j) for j in range(ncols)] for i in range(nrows)] == w_cells
 
     want = ref_frobenius(w_cells, s_cells)
+    den = common_denominator(x for row in s_cells for x in row)
+    scaled = [[int(x * den) for x in row] for row in s_cells]
     if want is None:
         with pytest.raises(InputError, match="FORBIDDEN"):
-            w.frobenius_with(ExactMatrix(s_cells))
+            w.frobenius_with(scaled)
     else:
-        assert w.frobenius_with(ExactMatrix(s_cells)) == want
+        assert w.frobenius_with(scaled) / den == want
 
     assert w.rectangle_sum(rows, cols) == ref_rectangle_sum(w_cells, rows, cols)
 
     exact = max_rectangle_value(w)
     assert exact.value == ref_alpha(w_cells)
+    # the hyperplane bound scales the rational S once and divides <W, S> back
+    norm = max(map(max, s_cells))
+    if want is not None and exact.value and norm:
+        assert hyperplane_bound(w, ExactMatrix(s_cells))[0] == want / (norm * exact.value)
     assert exact.rectangle.rows <= set(range(nrows))
     assert exact.rectangle.cols <= set(range(ncols))
     assert ref_rectangle_sum(w_cells, exact.rectangle.rows, exact.rectangle.cols) == exact.value
@@ -535,25 +539,19 @@ def test_weight_grid_matches_fraction_reference(case, seed):
 @settings(max_examples=100, deadline=None)
 @given(weight_and_slack(), st.lists(st.integers(0, 4), min_size=16, max_size=16))
 def test_frobenius_reads_integer_rows_as_the_matrix_of_those_rows(case, ints):
-    """Rows of ints and the ExactMatrix of the same rows give the same
-    <W, S>, or the same FORBIDDEN refusal."""
+    """Rows of ints and the bytes rows of the same ints give the reference's
+    <W, S>, or its FORBIDDEN refusal."""
     w_cells = case[0]
     w = WeightMatrix.from_rows(w_cells)
     ncols = len(w_cells[0])
     s_rows = [tuple(ints[4 * i : 4 * i + ncols]) for i in range(len(w_cells))]
     want = ref_frobenius(w_cells, s_rows)
-    for s in (s_rows, ExactMatrix(s_rows)):
+    for s in (s_rows, [bytes(row) for row in s_rows]):
         if want is None:
             with pytest.raises(InputError, match="FORBIDDEN"):
                 w.frobenius_with(s)
         else:
             assert w.frobenius_with(s) == want
-    bytes_rows = [bytes(row) for row in s_rows]
-    if want is None:
-        with pytest.raises(InputError, match="FORBIDDEN"):
-            w.frobenius_with(bytes_rows)
-    else:
-        assert w.frobenius_with(bytes_rows) == want
     with pytest.raises(InputError, match="dimensions"):
         w.frobenius_with(s_rows[:-1] + [s_rows[-1] + (0,)])
 
@@ -693,7 +691,7 @@ def test_from_rows_refuses_more_than_256_distinct_weights():
 
 
 def test_hyperplane_certificate_on_ppm4_all_ones():
-    s = slack_matrix(perfect_matching_polytope(4)).matrix
+    s = slack_matrix(perfect_matching_polytope(4))
     w = WeightMatrix.from_rows([[1] * s.ncols for _ in range(s.nrows)])
     value, alpha = hyperplane_bound(w, s)
     assert 0 < value <= nonnegative_rank_bounds(s).upper
@@ -1078,6 +1076,6 @@ def test_sweep_lp_inputs_stay_small(monkeypatch):
         "conic_combination",
         recording(xclab.bounds.conic_combination, conic_values),
     )
-    cube3 = slack_matrix(hypercube_polytope(3)).matrix
+    cube3 = slack_matrix(hypercube_polytope(3))
     assert nmf_heuristic(cube3, 5, restarts=1, seed=0) is None
     assert 0 < seen[0] < 32

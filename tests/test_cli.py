@@ -1,7 +1,5 @@
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import stat
@@ -32,7 +30,6 @@ from xclab.matchgen import (
 )
 from xclab.polytope import (
     Polytope,
-    SlackMatrix,
     face,
     hypercube_polytope,
     polytope_to_json,
@@ -140,25 +137,38 @@ def test_slack_rows_filter_and_formats(tmp_path):
     assert rc == 0
     assert env["result"]["nrows"] == 10
     assert all(lab.startswith("oddset:") for lab in env["result"]["row_labels"])
+    assert env["inputs"] == {
+        "input": {"path": str(tmp_path / "p.json"), "sha256": _sha256(str(tmp_path / "p.json"))},
+        "rows": "oddset",
+    }
 
-    out = tmp_path / "s.csv"
-    rc = main(
-        ["slack", "--input", str(tmp_path / "p.json"), "--rows", "oddset",
-         "--format", "csv", "--output", str(out)]
-    )
-    assert rc == 0
-    rows = list(csv.reader(io.StringIO(out.read_text())))
-    assert len(rows) == 11
-    assert rows[1][0].startswith("oddset:")
+    # JSON is the one encoding: any --format is bad usage
+    for fmt in ("csv", "matrix-text", "json"):
+        out = tmp_path / f"as-{fmt}.out"
+        rc = main(["slack", "--input", str(tmp_path / "p.json"), "--format", fmt,
+                   "--output", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
-    out = tmp_path / "s.txt"
-    rc = main(
-        ["slack", "--input", str(tmp_path / "p.json"), "--rows", "oddset",
-         "--format", "matrix-text", "--output", str(out)]
-    )
+
+def test_slack_labels_simplex2(tmp_path):
+    """Rows are labelled by the kept inequality rows, columns by the
+    vertices, in the polytope's order."""
+    path = tmp_path / "simplex2.json"
+    write_polytope(str(path), simplex_polytope(2))
+    rc, env = run(["slack", "--input", path], tmp_path / "s.json")
     assert rc == 0
-    parsed = SlackMatrix.from_text(out.read_text())
-    assert parsed.nrows == 10 and parsed.ncols == 15
+    assert env["result"] == {
+        "nrows": 3,
+        "ncols": 3,
+        "row_labels": ["nonneg:0", "nonneg:1", "sum"],
+        "col_labels": ["origin", "unit:0", "unit:1"],
+        "entries": [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]],
+    }
+    rc, env = run(["slack", "--input", path, "--rows", "nonneg"], tmp_path / "n.json")
+    assert rc == 0
+    assert env["result"]["row_labels"] == ["nonneg:0", "nonneg:1"]
+    assert env["result"]["col_labels"] == ["origin", "unit:0", "unit:1"]
 
 
 def test_bounds_simplex3(tmp_path):
@@ -173,7 +183,7 @@ def test_bounds_simplex3(tmp_path):
     assert env["result"]["upper"] == 4
     assert env["result"]["upper_witness_file"] == str(witness)
     fac = factorization_from_json(json.loads(witness.read_text()))
-    assert verify_factorization(slack_matrix(simplex_polytope(3)).matrix, fac)
+    assert verify_factorization(slack_matrix(simplex_polytope(3)), fac)
 
 
 def test_bounds_reproducible(square_file, tmp_path):
@@ -189,7 +199,7 @@ def test_bounds_and_cover_default_to_the_library_budgets(name, tmp_path):
     poly = hypercube_polytope(3) if name == "cube3" else perfect_matching_polytope(4)
     path = tmp_path / f"{name}.json"
     write_polytope(str(path), poly)
-    s = slack_matrix(poly).matrix
+    s = slack_matrix(poly)
     rc, env = run(["bounds", "--input", path], tmp_path / "b.json")
     assert rc == 0
     assert env["result"] == report_to_json(nonnegative_rank_bounds(s))
@@ -218,7 +228,7 @@ def test_factorize_found_and_not_found(square_file, tmp_path):
     assert rc == 0
     assert env["result"]["found"] is True
     fac = factorization_from_json(env["result"]["factorization"])
-    assert verify_factorization(slack_matrix(hypercube_polytope(2)).matrix, fac)
+    assert verify_factorization(slack_matrix(hypercube_polytope(2)), fac)
 
     rc, env = run(["factorize", "--input", square_file, "--r", 3], tmp_path / "g.json")
     assert rc == 1
@@ -268,7 +278,7 @@ def test_verify_rows_needs_a_factorization(check, square_file, tmp_path, capsys)
 
 
 def test_verify_factorization_and_system_exclude_each_other(square_file, tmp_path, capsys):
-    fac = slack_variable_factorization(slack_matrix(hypercube_polytope(2)).matrix)
+    fac = slack_variable_factorization(slack_matrix(hypercube_polytope(2)))
     fac_file = tmp_path / "fac.json"
     fac_file.write_text(json.dumps(factorization_to_json(fac)))
     out = tmp_path / "v.json"
@@ -691,21 +701,14 @@ def test_malformed_json_is_input_error(verb, payload, square_file, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["utf16-bom", "matrix-reference"])
+@pytest.mark.parametrize("case", ["utf16-bom"])
 def test_non_utf8_input_is_input_error(case, tmp_path, capsys):
     doc = tmp_path / "poly.json"
-    if case == "utf16-bom":
-        bad = doc
-        doc.write_bytes(b"\xff\xfe" + json.dumps(polytope_to_json(hypercube_polytope(2))).encode())
-    else:
-        bad = tmp_path / "rows.txt"
-        bad.write_bytes(b"4 3\n\xff 0 1\n")
-        obj = {**polytope_to_json(hypercube_polytope(2)), "ineqs": {"file": "rows.txt"}}
-        doc.write_text(json.dumps(obj), encoding="utf-8")
+    doc.write_bytes(b"\xff\xfe" + json.dumps(polytope_to_json(hypercube_polytope(2))).encode())
     out = tmp_path / "o.json"
     assert main(["verify", "--input", str(doc), "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: ") and f"{bad}: not UTF-8 text" in err
+    assert err.startswith("input error: ") and f"{doc}: not UTF-8 text" in err
     assert not out.exists()
 
 
@@ -804,7 +807,7 @@ def net_files(tmp_path_factory):
     }
     for name, poly in polys.items():
         write_polytope(str(d / f"{name}.json"), poly)
-    fac = slack_variable_factorization(slack_matrix(ppm4).matrix)
+    fac = slack_variable_factorization(slack_matrix(ppm4))
     (d / "fac4.json").write_text(json.dumps(factorization_to_json(fac)))
     ef = extension_from_factorization(ppm4, fac)
     (d / "ext4.json").write_text(json.dumps(formulation_to_json(ef)))
@@ -855,6 +858,8 @@ def _run_net_case(verb, net_files, tmp_path):
     argv = [str(a).format(**files) for a in NET_CASES[verb][0]]
     rc, env = run(argv, tmp_path / "o.json")
     assert rc == NET_CASES[verb][1]
+    assert set(env) == {"command", "inputs", "seed", "result", "timing"}
+    assert env["command"] == verb
     return argv, env
 
 
@@ -1001,10 +1006,9 @@ def error_files(tmp_path_factory):
          "edge must be two integers, got 'a-b'"),
         (["ratio", "--relaxation", "{pm3-s1}", "--polytope", "{pm3}", "--objective", "1,x,1"],
          "objective must be comma-separated integers, got '1,x,1'"),
-        (["slack", "--input", "{header}"], "bad matrix header '2 x'"),
-        (["slack", "--input", "{no-rhs}"], "ineqs: need 'rows'+'rhs' or 'file'"),
-        (["slack", "--input", "{vertex-dict}"],
-         "vertices: need inline rows or a 'file' reference"),
+        (["slack", "--input", "{header}"], "ineqs: need 'rows' and 'rhs'"),
+        (["slack", "--input", "{no-rhs}"], "ineqs: need 'rows' and 'rhs'"),
+        (["slack", "--input", "{vertex-dict}"], "vertices: need a list of coordinate rows"),
         (["ratio", "--relaxation", "{square}", "--polytope", "{segment}",
           "--objective", "0,1", "--trials", 0],
          "polytope optimum is 0 but relaxation reaches 1"),

@@ -191,20 +191,9 @@ def test_rank_invariant_under_positive_row_scaling(data):
         max_size=4,
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
-def test_matrix_text_round_trip(rows):
+def test_matrix_json_round_trip(rows):
     m = ExactMatrix(rows)
-    again = ExactMatrix.from_text(m.to_text())
-    assert again == m
     assert ExactMatrix(matrix_to_json(m.rows())) == m
-
-
-def test_matrix_text_errors():
-    with pytest.raises(InputError):
-        ExactMatrix.from_text("")
-    with pytest.raises(InputError):
-        ExactMatrix.from_text("2 2\n1 2\n")
-    with pytest.raises(InputError):
-        ExactMatrix.from_text("1 2\n1 2 3\n")
 
 
 def test_lp_bounded_single_variable():
@@ -438,7 +427,7 @@ def test_post_solve_checks_survive_python_O():
 
         p = simplex_polytope(2)
         system = yannakakis.extension_from_factorization(
-            p, yannakakis.slack_variable_factorization(slack_matrix(p).matrix)
+            p, yannakakis.slack_variable_factorization(slack_matrix(p))
         )
         yannakakis.verify_factorization = lambda *args: False
         returning([2])

@@ -121,7 +121,7 @@ def test_perfect_matching_polytope_slack_values():
     s = odd_set_slack(perfect_matching_polytope(6))
     assert s.nrows == 10 and s.ncols == 15
     for i in range(s.nrows):
-        row = s.matrix.row(i)
+        row = s.row(i)
         assert sorted(set(row)) == [0, 2]
         assert sum(1 for x in row if x == 0) == 9
         assert sum(1 for x in row if x == 2) == 6
@@ -218,7 +218,7 @@ def test_face_embedding_slack_matches_matching_polytope_supports():
             tuple(int(x) for x in token.split("-"))
             for token in lab.split(":", 1)[1].split(",")
         )
-        by_matching[emb.restrict(pairs)] = s_face.matrix.entry(0, j)
+        by_matching[emb.restrict(pairs)] = s_face.entry(0, j)
     for j, lab in enumerate(inner.vertex_labels):
         key = ()
         if lab != "m:":
@@ -228,7 +228,7 @@ def test_face_embedding_slack_matches_matching_polytope_supports():
             )
         # inner slack counts interior capacity, face slack counts cut excess
         face_slack = by_matching[key]
-        inner_slack = s_inner.matrix.entry(0, j)
+        inner_slack = s_inner.entry(0, j)
         assert face_slack == 2 * inner_slack
 
 

@@ -25,7 +25,6 @@ from xclab.polytope import (
     LiftPlan,
     Polytope,
     ProjectionReport,
-    SlackMatrix,
     XYSystem,
     cross_polytope,
     face,
@@ -100,30 +99,15 @@ def test_contains_rejects_a_point_of_another_dimension():
 def test_slack_matrix_simplex_is_permutation():
     s = slack_matrix(simplex_polytope(2))
     # nonneg rows give the coordinates, the sum row gives 1 - x1 - x2
-    assert s.matrix == ExactMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    assert s.row_labels == ("nonneg:0", "nonneg:1", "sum")
-    assert s.col_labels == ("origin", "unit:0", "unit:1")
+    assert s == ExactMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 def test_slack_matrix_row_filter():
     s = slack_matrix(simplex_polytope(2), lambda lab: lab == "sum")
     assert s.nrows == 1
-    assert s.matrix.row(0) == (1, 0, 0)
+    assert s.row(0) == (1, 0, 0)
     with pytest.raises(InputError, match="no rows"):
         slack_matrix(simplex_polytope(2), lambda lab: False)
-
-
-def test_slack_matrix_text_round_trip():
-    s = slack_matrix(hypercube_polytope(2))
-    back = SlackMatrix.from_text(s.to_text())
-    assert back.matrix == s.matrix
-    assert back.row_labels == s.row_labels
-    assert back.col_labels == s.col_labels
-
-
-def test_slack_matrix_rejects_negative():
-    with pytest.raises(InputError, match="negative"):
-        SlackMatrix(ExactMatrix([[1, -1]]), ("r",), ("a", "b"))
 
 
 def _ref_slack(row, b, x):
@@ -180,7 +164,7 @@ def test_slack_evaluation_matches_fraction_reference(data):
     poly = Polytope.build(rows, rhs, points, **eqs)
     keep = data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))
     s = slack_matrix(poly, lambda lab: int(lab.split(":")[1]) in keep)
-    assert s.matrix.rows() == tuple(
+    assert s.rows() == tuple(
         tuple(_ref_slack(rows[i], rhs[i], x) for x in points) for i in sorted(keep)
     )
 
@@ -569,22 +553,6 @@ def test_json_file_round_trip(tmp_path):
     path = tmp_path / "cross.json"
     write_polytope(str(path), p)
     assert read_polytope(str(path)) == p
-
-
-def test_json_file_references(tmp_path):
-    p = hypercube_polytope(2)
-    aug = ExactMatrix(row + (b,) for row, b in zip(*p.ineqs))
-    (tmp_path / "rows.txt").write_text(aug.to_text(), encoding="utf-8")
-    (tmp_path / "verts.txt").write_text(ExactMatrix(p.vertices).to_text(), encoding="utf-8")
-    obj = {
-        "ineqs": {"file": "rows.txt"},
-        "vertices": {"file": "verts.txt"},
-        "row_labels": list(p.row_labels),
-        "vertex_labels": list(p.vertex_labels),
-    }
-    doc = tmp_path / "cube.json"
-    doc.write_text(json.dumps(obj), encoding="utf-8")
-    assert read_polytope(str(doc)) == p
 
 
 def test_json_declared_dim_checked():

@@ -26,7 +26,6 @@ SAMPLES = {
     "Polytope": [((_M.rows(), (1, 2)), ((), ()), ((0, 0),), ("a", "b"), (), ("v",)),
                  ((_N.rows(), (1, 2)), (_M.rows(), (3, 4)), ((0, 0),), ("a", "b"), ("e", "f"),
                   ("v",))],
-    "SlackMatrix": [(_M, ("a", "b"), ("u", "v")), (_N, ("a", "b"), ("u", "v"))],
     "Rectangle": [(frozenset({0}), frozenset({1, 2})), (frozenset(), frozenset())],
     "XYSystem": [(1, 1, (((1, 1),), (2,))), (1, 1, None, (((1, -1),), (0,)))],
     "ProjectionReport": [(True, None, {}), (False, "objective-value", {"trial": 3})],
@@ -79,7 +78,7 @@ def _hash_or_error(obj):
 
 def test_every_record_class_has_samples():
     assert set(_record_classes()) == set(SAMPLES)
-    assert len(SAMPLES) == 18
+    assert len(SAMPLES) == 17
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
@@ -130,7 +129,5 @@ def test_records_of_different_classes_are_unequal():
 def test_post_init_checks_still_raise_input_error():
     with pytest.raises(InputError, match="cover_limit"):
         bounds.BoundConfig(cover_limit=-1)
-    with pytest.raises(InputError, match="row label count"):
-        polytope.SlackMatrix(_M, ("a",), ("u", "v"))
     with pytest.raises(InputError, match="nonnegative"):
         yannakakis.Factorization(ExactMatrix([[-1]]), ExactMatrix([[1]]))

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import tempfile
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from xclab.bounds import max_rectangle_value
 from xclab.errors import InputError
 from xclab.exactla import format_rational
-from xclab.matchgen import enumerate_perfect_matchings, perfect_matching_polytope
+from xclab.matchgen import enumerate_perfect_matchings, odd_set_rows, perfect_matching_polytope
 from xclab.polytope import Rectangle, slack_matrix
 from xclab.sepmeasure import (
     FORBIDDEN,
@@ -83,6 +84,24 @@ def test_q_class_size_validation():
 def test_q_class_size_even_is_zero():
     for ell in (0, 2, 4, 6):
         assert q_class_size(10, 5, ell) == 0
+
+
+def test_q_class_size_past_the_largest_crossing_is_zero_at_once(monkeypatch):
+    """No pair crosses more than min(t, n - t) times, so a larger class is
+    empty: its size is 0 without the factorial of ell, which for ell in
+    the millions takes minutes."""
+    factorial = math.factorial
+
+    def small_factorial(k):
+        if k > 5:
+            raise AssertionError(f"factorial({k}) for a class past t = 5")
+        return factorial(k)
+
+    monkeypatch.setattr(math, "factorial", small_factorial)
+    for ell in (7, 11, 2_000_001, 6_000_001):
+        assert q_class_size(10, 5, ell) == 0
+    assert q_class_size(10, 3, 5) == q_class_size(10, 7, 5) == 0
+    assert q_class_size(10, 5, 5) > 0
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -264,16 +283,16 @@ def test_ground_slack_matches_polytope_rows(ground63):
     """A proper odd-set row of the polytope and the two complementary
     ground cuts all carry slack = crossing count minus one."""
     poly = perfect_matching_polytope(6)
-    s = slack_matrix(poly, row_filter=lambda lab: lab.startswith("oddset:"))
+    s = slack_matrix(poly, row_filter=odd_set_rows)
     cut_index = {cut: i for i, cut in enumerate(ground63.cuts)}
     checked = 0
-    for r, label in enumerate(s.row_labels):
+    for r, label in enumerate(filter(odd_set_rows, poly.row_labels)):
         body = label.split(":", 1)[1]
         cut = tuple(int(x) for x in body.split(","))
         comp = tuple(v for v in range(6) if v not in cut)
         for g_row in (cut_index[cut], cut_index[comp]):
             for j in range(ground63.n_matchings):
-                assert s.matrix.entry(r, j) == ground63.ell(g_row, j) - 1
+                assert s.entry(r, j) == ground63.ell(g_row, j) - 1
         checked += 1
     assert checked == 10
 

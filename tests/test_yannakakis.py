@@ -51,7 +51,7 @@ def test_verify_factorization():
 
 
 def test_slack_variable_factorization():
-    s = slack_matrix(simplex_polytope(2)).matrix
+    s = slack_matrix(simplex_polytope(2))
     fac = slack_variable_factorization(s)
     assert fac.r == 3
     assert verify_factorization(s, fac)
@@ -59,7 +59,7 @@ def test_slack_variable_factorization():
 
 def test_extension_from_factorization_simplex():
     p = simplex_polytope(2)
-    fac = slack_variable_factorization(slack_matrix(p).matrix)
+    fac = slack_variable_factorization(slack_matrix(p))
     ef = extension_from_factorization(p, fac)
     assert ef.n_ineqs == 3
     assert ef.x_dim == 2 and ef.y_dim == 3
@@ -76,7 +76,7 @@ def test_extension_from_factorization_with_equalities():
         eq_coefs=[[1, 1]],
         eq_rhs=[1],
     )
-    fac = slack_variable_factorization(slack_matrix(p).matrix)
+    fac = slack_variable_factorization(slack_matrix(p))
     ef = extension_from_factorization(p, fac)
     assert len(ef.eqs[0]) == 3  # two wrapped rows plus the original equality
     report = lp_equal_under_projection(p, ef, 8, 2)
@@ -87,7 +87,7 @@ def test_extension_rejects_bad_factorization():
     p = simplex_polytope(2)
     doubled = Factorization(
         ExactMatrix.identity(3),
-        ExactMatrix([[2 * x for x in row] for row in slack_matrix(p).matrix.rows()]),
+        ExactMatrix([[2 * x for x in row] for row in slack_matrix(p).rows()]),
     )
     with pytest.raises(InputError, match="reproduce"):
         extension_from_factorization(p, doubled)
@@ -98,7 +98,7 @@ def test_extension_rejects_bad_factorization():
 
 def test_round_trip_simplex():
     p = simplex_polytope(2)
-    s = slack_matrix(p).matrix
+    s = slack_matrix(p)
     fac = slack_variable_factorization(s)
     ef = extension_from_factorization(p, fac)
     back = factorization_from_extension(p, ef)
@@ -115,7 +115,7 @@ def test_round_trip_simplex():
 
 def test_round_trip_cube():
     p = hypercube_polytope(2)
-    s = slack_matrix(p).matrix
+    s = slack_matrix(p)
     ef = extension_from_factorization(p, slack_variable_factorization(s))
     back = factorization_from_extension(p, ef)
     assert back.r == 4
@@ -129,7 +129,7 @@ def test_extension_without_lift_variables():
     rows, rhs = [list(row) for row in p.ineqs[0]], p.ineqs[1]
     fac = factorization_from_extension(p, XYSystem(2, 0, (rows, rhs)))
     assert fac.r == 4
-    assert verify_factorization(slack_matrix(p).matrix, fac)
+    assert verify_factorization(slack_matrix(p), fac)
     with pytest.raises(NotDerivableError) as err:
         factorization_from_extension(p, XYSystem(2, 0, (rows[1:], rhs[1:])))
     assert err.value.row_index == 0
@@ -154,7 +154,7 @@ def test_factorization_from_product_with_box():
     )
     fac = factorization_from_extension(p, sys)
     assert fac.r == 5
-    assert verify_factorization(slack_matrix(p).matrix, fac)
+    assert verify_factorization(slack_matrix(p), fac)
 
 
 def test_missing_lift_raises():
@@ -205,7 +205,7 @@ def test_unique_lifts_take_no_lp(monkeypatch):
 
     monkeypatch.setattr("xclab.yannakakis.lp_solve", no_lp)
     p = hypercube_polytope(3)
-    s = slack_matrix(p).matrix
+    s = slack_matrix(p)
     ef = extension_from_factorization(p, slack_variable_factorization(s))
     assert verify_factorization(s, factorization_from_extension(p, ef))
 
@@ -229,7 +229,7 @@ def test_free_equality_multipliers_keep_the_pivots(n, monkeypatch):
     factor is the same."""
     poly = perfect_matching_polytope(n)
     system = extension_from_factorization(
-        poly, slack_variable_factorization(slack_matrix(poly).matrix)
+        poly, slack_variable_factorization(slack_matrix(poly))
     )
     calls = []
     pivot, conic = simplex._pivot, xclab.yannakakis.conic_combination
@@ -268,7 +268,7 @@ def test_contract_pivot_count_on_ppm6(monkeypatch):
     phase-one, drive-out and phase-two pivot ran."""
     poly = perfect_matching_polytope(6)
     system = extension_from_factorization(
-        poly, slack_variable_factorization(slack_matrix(poly).matrix)
+        poly, slack_variable_factorization(slack_matrix(poly))
     )
     pivots = []
     pivot = simplex._pivot
@@ -287,7 +287,7 @@ def _ppm6_with_all_and_with_5_vertices():
     equalities decide every lift."""
     poly = perfect_matching_polytope(6)
     system = extension_from_factorization(
-        poly, slack_variable_factorization(slack_matrix(poly).matrix)
+        poly, slack_variable_factorization(slack_matrix(poly))
     )
     few = Polytope.build(
         *poly.ineqs, poly.vertices[:5], eq_coefs=poly.eqs[0], eq_rhs=poly.eqs[1]
@@ -339,7 +339,7 @@ def test_integer_rows_builds_do_not_grow_with_the_vertex_count(
         if check == "projection":
             assert lp_equal_under_projection(p, system, trials, 0).passed
         else:
-            assert verify_factorization(slack_matrix(p).matrix, factorization_from_extension(p, system))
+            assert verify_factorization(slack_matrix(p), factorization_from_extension(p, system))
         return len(builds)
 
     monkeypatch.setattr(built, "__init__", counting)
@@ -427,7 +427,7 @@ def test_direct_lift_matches_lex_lp_sequence(data):
 def test_formulation_json_round_trip():
     p = simplex_polytope(2)
     ef = extension_from_factorization(
-        p, slack_variable_factorization(slack_matrix(p).matrix)
+        p, slack_variable_factorization(slack_matrix(p))
     )
     obj = formulation_to_json(ef)
     assert obj["variables"][:2] == ["x:0", "x:1"]
