@@ -16,12 +16,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import InputError
 from .exactla import (
     ExactMatrix,
-    common_denominator,
     conic_combination,
     lp_solve,
     matrix_to_json,
@@ -149,8 +149,8 @@ def hyperplane_bound(w: WeightMatrix, m: ExactMatrix) -> tuple[Fraction, Rectang
     cells of W to sit on zero slack."""
     if not m.is_nonnegative():
         raise InputError("the hyperplane bound needs a nonnegative slack matrix")
-    den = common_denominator(x for row in m.rows() for x in row)
-    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in m.rows()]
+    den = lcm(*m.scales)
+    scaled = [[a * (den // scale) for a in row] for row, scale in zip(m.ints, m.scales)]
     inner = w.frobenius_with(scaled) / den
     alpha = max_rectangle_value(w)
     norm = m.max_norm()
@@ -167,7 +167,7 @@ def _supports(m: ExactMatrix) -> list[int]:
     """The support of m: per row, one int whose bit j is set when column j
     holds a nonzero.  The fooling-set and cover bounds and their re-checks
     all read this."""
-    return [sum(1 << j for j, x in enumerate(m.row(i)) if x) for i in range(m.nrows)]
+    return [sum(1 << j for j, x in enumerate(row) if x) for row in m.ints]
 
 
 def _support_cells(supports: list[int]) -> list[tuple[int, int]]:
@@ -386,16 +386,12 @@ def _extreme_row_indices(m: ExactMatrix) -> list[int]:
 
 
 def _distinct_rows(m: ExactMatrix, r: int) -> list[int]:
-    seen = set()
-    out = []
-    for i in range(m.nrows):
-        row = m.row(i)
-        if any(row) and row not in seen:
-            seen.add(row)
-            out.append(i)
-        if len(out) == r:
-            break
-    return out
+    """The indices of the first r distinct nonzero rows."""
+    first: dict[tuple, int] = {}
+    for i, row in enumerate(zip(m.ints, m.scales)):
+        if any(row[0]):
+            first.setdefault(row, i)
+    return list(first.values())[:r]
 
 
 # Largest denominator of a residual-LP point kept as a sweep iterate.
@@ -502,16 +498,8 @@ def nmf_heuristic(
     if len(row_pick) == r:
         starts.append(ExactMatrix([m.row(i) for i in row_pick]))
     for _ in range(restarts):
-        mix = []
-        for _ in range(r):
-            weights = [rng.randint(0, 3) for _ in range(m.nrows)]
-            mix.append(
-                [
-                    sum(w * m.entry(i, j) for i, w in enumerate(weights) if w)
-                    for j in range(m.ncols)
-                ]
-            )
-        starts.append(ExactMatrix(mix))
+        weights = [[rng.randint(0, 3) for _ in range(m.nrows)] for _ in range(r)]
+        starts.append(ExactMatrix(weights) @ m)
 
     # The most sweeps each tried iterate had left.  The run is deterministic,
     # so meeting an iterate again with no more sweeps left than that would

@@ -178,7 +178,7 @@ def _cmd_slack(args):
         "ncols": s.ncols,
         "row_labels": [lab for lab in poly.row_labels if keep(lab)],
         "col_labels": list(poly.vertex_labels),
-        "entries": matrix_to_json(s.rows()),
+        "entries": matrix_to_json(map(s.row, range(s.nrows))),
     }, 0
 
 

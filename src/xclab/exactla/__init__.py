@@ -3,7 +3,6 @@ some columns pinned, LP, conic combinations."""
 
 from .matrix import (
     ExactMatrix,
-    IntegerRows,
     PinnedSolve,
     clear_denominators,
     common_denominator,
@@ -16,7 +15,6 @@ from .simplex import LPResult, conic_combination, lp_solve, lp_solve_all
 
 __all__ = [
     "ExactMatrix",
-    "IntegerRows",
     "LPResult",
     "PinnedSolve",
     "clear_denominators",

@@ -1,8 +1,6 @@
-"""Exact rational matrices.
-
-Scalars are fractions.Fraction throughout: the stdlib type already keeps
-numerator and denominator coprime with a positive denominator, which is
-exactly the canonical form we need.  No floating point anywhere.
+"""Exact rational matrices, held as integer rows over per-row scales; a
+Fraction is made only where a caller asks for an entry, a row or a column.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +12,8 @@ from typing import Iterable, Sequence
 from ..errors import InputError
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, `p/q` string, or Fraction to an exact rational."""
+    """Coerce an int, `p/q` string, or Fraction to an exact rational; a
+    string that `int` refuses, such as "1/2" or "1e3", reads as Fraction's."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -23,7 +22,10 @@ def rat(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            try:
+                return Fraction(int(value))
+            except ValueError:
+                return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational token {value!r}") from exc
     raise InputError(f"not a rational scalar: {value!r}")
@@ -47,10 +49,10 @@ def common_denominator(values: Iterable[Fraction]) -> int:
     return lcm(*(x.denominator for x in values))
 
 
-def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def clear_denominators(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """The values times their common denominator, and that denominator."""
     den = common_denominator(values)
-    return [x.numerator * (den // x.denominator) for x in values], den
+    return tuple([x.numerator * (den // x.denominator) for x in values]), den
 
 
 def scaled_support(point: Sequence[Fraction]) -> tuple[list[tuple[int, int]], int]:
@@ -60,57 +62,11 @@ def scaled_support(point: Sequence[Fraction]) -> tuple[list[tuple[int, int]], in
     return [(k, x.numerator * (den // x.denominator)) for k, x in enumerate(point) if x], den
 
 
-class IntegerRows:
-    """A row system a_i . x against b_i, cleared of denominators: rows[i]
-    holds a_i and then b_i, all times their least common denominator
-    scales[i], as one list of ints.  It is the form the simplex takes, and
-    `cleared` wraps rows already in it at scale 1.
-
-    The slacks b_i - a_i . x of a rational point come out exact: the point
-    is scaled by the common denominator of its coordinates, and only its
-    support is read.
-    """
-
-    __slots__ = ("rows", "scales")
-
-    def __init__(self, rows: Iterable[Sequence[Fraction]], rhs: Iterable[Fraction]):
-        pairs = [clear_denominators((*row, b)) for row, b in zip(rows, rhs)]
-        self.rows = [ints for ints, _ in pairs]
-        self.scales = [scale for _, scale in pairs]
-
-    @classmethod
-    def cleared(cls, rows: list[list[int]]) -> IntegerRows:
-        """The integer rows, right-hand side last, each taken at scale 1."""
-        system = cls.__new__(cls)
-        system.rows, system.scales = rows, [1] * len(rows)
-        return system
-
-    def _scaled(self, x: Sequence[Fraction]) -> tuple[list[int], int]:
-        supp, den = scaled_support(x)
-        return [row[-1] * den - sum(row[k] * v for k, v in supp) for row in self.rows], den
-
-    def scaled_slacks(self, x: Sequence[Fraction]) -> list[int]:
-        """Per row, (b_i - a_i . x) times scales[i] times the common
-        denominator of x: integers with the exact sign and zero pattern of
-        the slacks."""
-        return self._scaled(x)[0]
-
-    def slacks(self, x: Sequence[Fraction]) -> list[Fraction]:
-        """Per row, the exact slack b_i - a_i . x."""
-        values, den = self._scaled(x)
-        return [Fraction(s, c * den) for s, c in zip(values, self.scales)]
-
-    def rank(self, idx: Iterable[int], limit: int) -> int:
-        """The rank of the rows idx (right-hand sides left out), counted no
-        further than limit."""
-        pivots: list[tuple[int, dict[int, int], int]] = []
-        for i in idx:
-            red, _ = _reduce(pivots, {k: a for k, a in enumerate(self.rows[i][:-1]) if a}, 0)
-            if red:
-                pivots.append((min(red), red, 0))
-                if len(pivots) == limit:
-                    break
-        return len(pivots)
+def _least_terms(pair: tuple[Sequence[int], int]) -> tuple[tuple[int, ...], int]:
+    """Integers over a positive scale, divided by their common factor."""
+    ints, scale = pair
+    g = gcd(scale, *ints)
+    return (tuple(ints) if g == 1 else tuple([a // g for a in ints])), scale // g
 
 
 class PinnedSolve:
@@ -134,8 +90,8 @@ class PinnedSolve:
         self.free = free
         self.pivots: list[tuple[int, dict[int, int], int]] = []
         self.conditions: list[tuple[dict[int, int], int]] = []
-        self.system = IntegerRows(rows, rhs)
-        for row in self.system.rows:
+        self.system = ExactMatrix.system(rows, rhs)
+        for row in self.system.ints:
             keyed = {k - fixed if k >= fixed else k + free: v for k, v in enumerate(row[:-1]) if v}
             red, d = _reduce(self.pivots, keyed, row[-1])
             lead = min(red, default=free)
@@ -177,9 +133,15 @@ def _exact_row(row: Sequence[int | str | Fraction]) -> tuple[Fraction, ...]:
 
 
 class ExactMatrix:
-    """Immutable dense matrix over Fraction, row-major."""
+    """Immutable dense rational matrix: row i is `ints[i]` over `scales[i]`,
+    the lcm of that row's denominators, so equal matrices hold equal ints.
 
-    __slots__ = ("_rows", "_nrows", "_ncols", "_cleared_columns")
+    A row system a_i . x against b_i is the matrix of the rows (a_i, b_i)
+    (`system`).  Its slacks at a rational point come out exact in integers:
+    the point is scaled by its common denominator, and only its support is
+    read."""
+
+    __slots__ = ("ints", "scales", "_cleared_columns")
 
     def __init__(self, rows: Iterable[Sequence[int | str | Fraction]]):
         if isinstance(rows, str):
@@ -192,90 +154,141 @@ class ExactMatrix:
             raise InputError("matrix needs at least one column")
         if any(len(row) != width for row in data):
             raise InputError("ragged rows: all matrix rows must have equal length")
-        self._rows = data
-        self._nrows = len(data)
-        self._ncols = width
+        self._hold(map(clear_denominators, data))
+
+    def _hold(self, pairs: Iterable[tuple[tuple[int, ...], int]]) -> None:
+        """Keep (ints, scale) pairs already in least terms as the rows."""
+        self.ints, self.scales = tuple(zip(*pairs)) or ((), ())
         self._cleared_columns = None
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def system(cls, rows: Iterable[Sequence[Fraction]], rhs: Iterable[Fraction]) -> ExactMatrix:
+        """The rows (a_i, b_i) of a system a_i . x against b_i, right-hand
+        side last; without rows the matrix has none."""
+        m = cls.__new__(cls)
+        m._hold([clear_denominators((*row, b)) for row, b in zip(rows, rhs)])
+        return m
+
+    @classmethod
+    def from_ints(cls, pairs: Iterable[tuple[Sequence[int], int]]) -> ExactMatrix:
+        """The matrix whose row i is the integers over the positive scale of
+        the i-th (ints, scale) pair, reduced to least terms."""
+        m = cls.__new__(cls)
+        m._hold(map(_least_terms, pairs))
+        return m
+
+    @classmethod
+    def identity(cls, n: int) -> ExactMatrix:
+        return cls.from_ints(([int(i == j) for j in range(n)], 1) for i in range(n))
 
     @property
     def nrows(self) -> int:
-        return self._nrows
+        return len(self.ints)
 
     @property
     def ncols(self) -> int:
-        return self._ncols
+        return len(self.ints[0]) if self.ints else 0
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._nrows, self._ncols
+        return len(self.ints), self.ncols
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+        return Fraction(self.ints[i][j], self.scales[i])
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
+        return tuple([Fraction(a, self.scales[i]) for a in self.ints[i]])
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self._rows)
+        return tuple([Fraction(row[j], scale) for row, scale in zip(self.ints, self.scales)])
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        return tuple(map(self.row, range(len(self.ints))))
 
     def cleared_columns(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """`clear_denominators` of each column, its entries as a tuple;
+        """Each column in least terms, as its integers and their scale;
         computed on the first call and kept."""
         if self._cleared_columns is None:
-            self._cleared_columns = tuple(
-                (tuple(ints), den) for ints, den in map(clear_denominators, zip(*self._rows))
-            )
+            den = lcm(*self.scales)
+            lifted = [[a * (den // s) for a in row] for row, s in zip(self.ints, self.scales)]
+            self._cleared_columns = tuple([_least_terms((col, den)) for col in zip(*lifted)])
         return self._cleared_columns
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(zip(*self._rows))
+    def transpose(self) -> ExactMatrix:
+        return ExactMatrix.from_ints(self.cleared_columns())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExactMatrix) and self._rows == other._rows
+        same = isinstance(other, ExactMatrix)
+        return same and self.ints == other.ints and self.scales == other.scales
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash((self.ints, self.scales))
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self._nrows}x{self._ncols})"
+        return f"ExactMatrix({self.nrows}x{self.ncols})"
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self._ncols != other._nrows:
+    def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
+        if self.ncols != other.nrows:
             raise InputError(
                 f"matmul shape mismatch: {self.shape} @ {other.shape}"
             )
-        cols = other.transpose()._rows
-        zero = Fraction(0)
-        out = []
-        for arow in self._rows:
-            out.append(
-                [
-                    sum((a * b for a, b in zip(arow, bcol) if a and b), zero)
-                    for bcol in cols
-                ]
-            )
-        return ExactMatrix(out)
+        cols = other.cleared_columns()
+        den = lcm(*(scale for _, scale in cols))
+        lifts = [(col, den // scale) for col, scale in cols]
+        return ExactMatrix.from_ints(
+            ([sum(a * b for a, b in zip(arow, col) if a) * k for col, k in lifts], scale * den)
+            for arow, scale in zip(self.ints, self.scales)
+        )
 
     def max_norm(self) -> Fraction:
         """Entrywise infinity norm: max |entry|."""
-        return max(abs(x) for row in self._rows for x in row)
+        return max(Fraction(max(map(abs, row)), s) for row, s in zip(self.ints, self.scales))
 
     def is_nonnegative(self) -> bool:
-        return all(x.numerator >= 0 for row in self._rows for x in row)
+        return all(min(row) >= 0 for row in self.ints)
+
+    def _scaled(self, x: Sequence[Fraction]) -> tuple[list[int], int]:
+        supp, den = scaled_support(x)
+        return [row[-1] * den - sum(row[k] * v for k, v in supp) for row in self.ints], den
+
+    def scaled_slacks(self, x: Sequence[Fraction]) -> list[int]:
+        """Per row of a system, (b_i - a_i . x) times scales[i] times the
+        common denominator of x: integers with the exact sign and zero
+        pattern of the slacks."""
+        return self._scaled(x)[0]
+
+    def slacks(self, x: Sequence[Fraction]) -> list[Fraction]:
+        """Per row of a system, the exact slack b_i - a_i . x."""
+        values, den = self._scaled(x)
+        return [Fraction(s, c * den) for s, c in zip(values, self.scales)]
+
+    def slack_matrix(self, points: Sequence[Sequence[Fraction]]) -> ExactMatrix:
+        """The slacks of a system at the points, a column per point: each
+        point's scaled slacks lifted to the points' common denominator den,
+        so row i is integers over scales[i] * den, with no Fraction made."""
+        scaled = [self._scaled(x) for x in points]
+        den = lcm(*(d for _, d in scaled))
+        cols = [col if d == den else [s * (den // d) for s in col] for col, d in scaled]
+        return ExactMatrix.from_ints(zip(zip(*cols), (scale * den for scale in self.scales)))
+
+    def rank_of_rows(self, idx: Iterable[int], limit: int) -> int:
+        """The rank of the rows idx over every column, counted no further
+        than limit.  On the rows of a system that are tight at a point x,
+        b_i = a_i . x, so the right-hand-side column adds no rank."""
+        pivots: list[tuple[int, dict[int, int], int]] = []
+        for i in idx:
+            red, _ = _reduce(pivots, {k: a for k, a in enumerate(self.ints[i]) if a}, 0)
+            if red:
+                pivots.append((min(red), red, 0))
+                if len(pivots) == limit:
+                    break
+        return len(pivots)
 
 
 def rank(m: ExactMatrix) -> int:
-    """Exact rank: the rows cleared of denominators, then the sparse
-    fraction-free elimination of `IntegerRows.rank`."""
-    return IntegerRows(m.rows(), [Fraction(0)] * m.nrows).rank(range(m.nrows), min(m.shape))
+    """Exact rank: the sparse fraction-free elimination of
+    `ExactMatrix.rank_of_rows` over every row."""
+    return m.rank_of_rows(range(m.nrows), min(m.shape))
 
 
 def _reduce(

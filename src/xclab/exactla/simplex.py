@@ -1,15 +1,15 @@
 """Exact linear programming over the rationals.
 
 `lp_solve` and `lp_solve_all` take each side of the system as a (rows, rhs)
-pair, `((), ())` when the side has no rows.  Each call clears its rows of
-denominators once, as `IntegerRows`: row i and its right-hand side times
-the lcm of their denominators, one integer list with the right-hand side
-last.  The tableau is built from those rows, and `scaled_slacks` on them
-checks the answer in integers; the checks raise explicitly, so `python -O`
-keeps them.  `conic_combination` takes an `ExactMatrix` and reads its
-columns cleared from it, which clears them once, rescales only a column
-whose target entry has a denominator the column's scale lacks, and checks
-those rows as `IntegerRows.cleared`.
+pair, `((), ())` when the side has no rows.  Each call holds each side once
+as the `ExactMatrix.system` of its rows: row i and its right-hand side as
+integers over the lcm of their denominators, right-hand side last.  The
+tableau is built from those integers, and `scaled_slacks` on the same
+matrix checks the answer in integers; the checks raise explicitly, so
+`python -O` keeps them.  `conic_combination` takes an `ExactMatrix` and
+reads its columns cleared from it, which clears them once, rescales only a
+column whose target entry has a denominator the column's scale lacks, and
+checks those rows as `ExactMatrix.from_ints` at scale 1.
 
 Two-phase primal simplex with integer-preserving pivots (Edmonds): the full
 tableau always equals det(basis) times the true rational one, so every entry
@@ -71,7 +71,7 @@ from typing import Sequence
 
 from ..errors import InputError
 from ..record import record
-from .matrix import ExactMatrix, IntegerRows, clear_denominators, rat
+from .matrix import ExactMatrix, clear_denominators, rat
 
 _DEGENERATE_SWITCH = 8
 _PIVOT_CAP = 500_000
@@ -90,9 +90,9 @@ class LPResult:
 
 def _coerce_system(
     system: tuple, nvars: int | None, what: str
-) -> tuple[IntegerRows, int | None]:
-    """Check a (rows, rhs) pair, `((), ())` for no rows, and clear it to
-    `IntegerRows`."""
+) -> tuple[ExactMatrix, int | None]:
+    """Check a (rows, rhs) pair, `((), ())` for no rows, and hold it as
+    `ExactMatrix.system`."""
     rows = [[rat(x) for x in row] for row in system[0]]
     rhs = [rat(x) for x in system[1]]
     if len(rows) != len(rhs):
@@ -106,7 +106,7 @@ def _coerce_system(
             raise InputError(
                 f"{what}: row width {len(row)} does not match variable count {nvars}"
             )
-    return IntegerRows(rows, rhs), nvars
+    return ExactMatrix.system(rows, rhs), nvars
 
 
 def lp_solve(
@@ -153,7 +153,7 @@ def lp_solve_all(
 
     sign = 1 if sense == "max" else -1
     goals = [[sign * a for a in clear_denominators(c)[0]] for c in cs]
-    points = _simplex_all(le.rows, eq.rows, [False] * nvars, goals)
+    points = _simplex_all(le.ints, eq.ints, [False] * nvars, goals)
     results = []
     for c, point in zip(cs, points):
         if isinstance(point, str):
@@ -202,7 +202,7 @@ def conic_combination(
         if point == "infeasible":
             return None
         raise AssertionError("feasibility program cannot be unbounded")
-    if any(IntegerRows.cleared(eq).scaled_slacks(point)):
+    if any(ExactMatrix.from_ints((row, 1) for row in eq).scaled_slacks(point)):
         raise AssertionError("solver returned a point off the target")
     if any(x < 0 for x in point[: nvars - free]):
         raise AssertionError("solver returned a negative multiplier")
@@ -220,18 +220,18 @@ def _simplex(
     """`_simplex_all` over rational rows, with the one objective `goal`:
     the entry the differential tests drive with a reference's inputs."""
     goals = [clear_denominators(goal)[0]]
-    le, eq = IntegerRows(le_rows, le_rhs).rows, IntegerRows(eq_rows, eq_rhs).rows
+    le, eq = ExactMatrix.system(le_rows, le_rhs).ints, ExactMatrix.system(eq_rows, eq_rhs).ints
     return _simplex_all(le, eq, nonneg, goals)[0]
 
 
 def _simplex_all(
-    le: list[list[int]],
-    eq: list[list[int]],
+    le: Sequence[Sequence[int]],
+    eq: Sequence[Sequence[int]],
     nonneg: list[bool],
     goals: list[list[int]],
 ) -> list[list[Fraction] | str]:
     """Core solver, maximization: a point or a status string per goal.
-    `le` and `eq` hold `IntegerRows.rows`, right-hand side last, and `goals`
+    `le` and `eq` hold `ExactMatrix.ints`, right-hand side last, and `goals`
     the objectives times their common denominators; none is modified."""
     nvars = len(nonneg)
     nonneg = list(nonneg)
@@ -283,7 +283,7 @@ def _simplex_all(
     basis: list[int] = []
     art_cols: set[int] = set()
     for i, kind in enumerate(kinds):
-        rows.append(body[i][:-1] + [-(i == f) for f in flipped] + body[i][-1:])
+        rows.append([*body[i][:-1], *[-(i == f) for f in flipped], body[i][-1]])
         if kind == "slack":
             basis.append(nstruct + i)
         else:

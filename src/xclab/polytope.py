@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import InputError
 from .exactla import (
     ExactMatrix,
-    IntegerRows,
     PinnedSolve,
     conic_combination,
     format_rational,
@@ -116,7 +115,7 @@ class Polytope:
         """The index of the first point outside the system, with the first
         row it violates, inequalities before equalities; None when every
         point satisfies the system."""
-        system, m = IntegerRows(*self.all_rows()), self.n_ineqs
+        system, m = ExactMatrix.system(*self.all_rows()), self.n_ineqs
         for j, v in enumerate(points):
             for i, s in enumerate(system.scaled_slacks(v)):
                 if i < m and s < 0:
@@ -175,8 +174,8 @@ def slack_matrix(
     if not idx:
         raise InputError("row filter keeps no rows")
     rows, rhs = poly.ineqs
-    system = IntegerRows([rows[i] for i in idx], [rhs[i] for i in idx])
-    return ExactMatrix(zip(*(system.slacks(v) for v in poly.vertices)))
+    system = ExactMatrix.system([rows[i] for i in idx], [rhs[i] for i in idx])
+    return system.slack_matrix(poly.vertices)
 
 
 def verify_vertices(poly: Polytope) -> tuple[bool, int | None]:
@@ -205,7 +204,7 @@ def verify_vertices(poly: Polytope) -> tuple[bool, int | None]:
         if all(x in ends for x, ends in zip(v, extremes)):
             continue
         if system is None:
-            system = IntegerRows(*poly.all_rows())
+            system = ExactMatrix.system(*poly.all_rows())
         if _rank_certifies_vertex(poly, system, v):
             continue
         others = [verts[i] + (Fraction(1),) for i in range(len(verts)) if i != j]
@@ -215,13 +214,13 @@ def verify_vertices(poly: Polytope) -> tuple[bool, int | None]:
     return True, None
 
 
-def _rank_certifies_vertex(poly: Polytope, system: IntegerRows, v) -> bool:
+def _rank_certifies_vertex(poly: Polytope, system: ExactMatrix, v) -> bool:
     """Whether v, a point of P(H), is the only solution of its tight rows
     plus the equalities, that is, they have rank dim.  `system` holds the
-    rows of `poly.all_rows()`."""
+    rows of `poly.all_rows()`; b_T = A_T . v adds no rank to the tight rows."""
     slacks = system.scaled_slacks(v)
     tight = (i for i, s in enumerate(slacks) if s == 0)  # every equality is tight at v
-    return system.rank(tight, poly.dim) == poly.dim
+    return system.rank_of_rows(tight, poly.dim) == poly.dim
 
 
 def face(poly: Polytope, tight_rows: Sequence[int]) -> Polytope:
@@ -240,7 +239,7 @@ def face(poly: Polytope, tight_rows: Sequence[int]) -> Polytope:
 
     rows, rhs = poly.ineqs
     moved_rows, moved_rhs = tuple(rows[i] for i in tight), tuple(rhs[i] for i in tight)
-    moved = IntegerRows(moved_rows, moved_rhs)
+    moved = ExactMatrix.system(moved_rows, moved_rhs)
     vert_idx = [j for j, v in enumerate(poly.vertices) if not any(moved.scaled_slacks(v))]
     if not vert_idx:
         raise InputError("face is empty: no vertex is tight on all chosen rows")
@@ -287,7 +286,7 @@ class LiftPlan:
 
     def __init__(self, system: XYSystem):
         self.system = system
-        self.ineqs = IntegerRows(*system.ineqs)
+        self.ineqs = ExactMatrix.system(*system.ineqs)
         self.eqs = PinnedSolve(*system.eqs, system.x_dim, system.y_dim)
         self.y_blocks = [
             [row[system.x_dim :] for row in rows] for rows, _ in (system.ineqs, system.eqs)

@@ -163,8 +163,8 @@ def factorization_from_extension(poly: Polytope, system: XYSystem) -> Factorizat
         cols.append(plan.ineqs.slacks(tuple(x) + tuple(_lex_min_lift(plan, x, j))))
     right = ExactMatrix(cols).transpose()
 
-    eq_rows = [[*row, f] for row, f in zip(*system.eqs)]
-    big = ExactMatrix([[*row, d] for row, d in zip(*system.ineqs)] + eq_rows)
+    (rows, rhs), (eq_rows, eq_rhs) = system.ineqs, system.eqs
+    big = ExactMatrix.system([*rows, *eq_rows], [*rhs, *eq_rhs])
 
     zeros_y = (Fraction(0),) * system.y_dim
     left_rows = []

@@ -40,6 +40,7 @@ from xclab.polytope import (
 from xclab.sepmeasure import q_class_size
 from xclab.yannakakis import (
     extension_from_factorization,
+    formulation,
     formulation_to_json,
     slack_variable_factorization,
     verify_factorization,
@@ -417,6 +418,45 @@ def test_verify_vertices_failure(tmp_path):
     assert rc == 1
     assert env["result"]["ok"] is False
     assert env["result"]["first_bad"] == 4
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 6: verify --input does not check that the vertex list is complete",
+)
+def test_verify_refuses_a_vertex_list_without_a_vertex(tmp_path):
+    cube = hypercube_polytope(3)
+    keep = [j for j, v in enumerate(cube.vertices) if v != (1, 1, 1)]
+    partial = Polytope.build(
+        *cube.ineqs,
+        [cube.vertices[j] for j in keep],
+        row_labels=cube.row_labels,
+        vertex_labels=[cube.vertex_labels[j] for j in keep],
+    )
+    write_polytope(str(tmp_path / "p.json"), partial)
+    rc, _ = run(["verify", "--input", tmp_path / "p.json"], tmp_path / "v.json")
+    assert rc == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: verify --system samples proj(Q) <= P on seeded objectives only",
+)
+def test_verify_refuses_a_system_whose_projection_is_larger(tmp_path):
+    # Q is the slack-variable extension of a pentagon: the unit square
+    # plus the point (101/100, 1/2), which no objective at seed 0 reaches.
+    half, cent = Fraction(1, 2), Fraction(1, 100)
+    rows = [(-1, 0), (0, -1), (0, 1), (half, -cent), (half, cent)]
+    rhs = [0, 0, 1, half, Fraction(51, 100)]
+    eq_rows = [[*row, *(int(i == k) for k in range(5))] for i, row in enumerate(rows)]
+    system = formulation(2, 5, eq_rows, rhs)
+    write_polytope(str(tmp_path / "p.json"), hypercube_polytope(2))
+    (tmp_path / "q.json").write_text(json.dumps(formulation_to_json(system)))
+    contract = ["contract", "--input", tmp_path / "p.json", "--system", tmp_path / "q.json"]
+    assert run(contract, tmp_path / "c.json")[0] == 2
+    verify = ["verify", "--input", tmp_path / "p.json", "--system", tmp_path / "q.json"]
+    rc, _ = run(verify + ["--seed", 0], tmp_path / "v.json")
+    assert rc == 1
 
 
 def test_cover_optimal_and_exceeded(square_file, tmp_path):

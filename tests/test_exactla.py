@@ -13,14 +13,13 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xclab
 from xclab.errors import InputError
 from xclab.exactla import (
     ExactMatrix,
-    IntegerRows,
     LPResult,
     PinnedSolve,
     common_denominator,
@@ -194,6 +193,87 @@ def test_rank_invariant_under_positive_row_scaling(data):
 def test_matrix_json_round_trip(rows):
     m = ExactMatrix(rows)
     assert ExactMatrix(matrix_to_json(m.rows())) == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_matrix_form_matches_a_fraction_reference(data):
+    """An ExactMatrix holds integer rows over per-row scales; everything it
+    reports equals the same computation on its rows as Fractions, for
+    entries with denominators up to 6 and zero rows.  Equal rows in other
+    forms ("2/4" against 1/2) give an equal matrix with an equal hash."""
+    entry = st.fractions(-6, 6, max_denominator=6)
+
+    def draw_rows(nrows, ncols):
+        rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols).map(tuple),
+                                  min_size=nrows, max_size=nrows))
+        for i in data.draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+            rows[i] = (F(0),) * ncols
+        return rows
+
+    nrows, ncols, inner = (data.draw(st.integers(1, 4)) for _ in range(3))
+    rows = draw_rows(nrows, ncols)
+    m = ExactMatrix(rows)
+    assert m.rows() == tuple(rows)
+    assert [m.row(i) for i in range(nrows)] == rows
+    assert [m.column(j) for j in range(ncols)] == list(zip(*rows))
+    assert all(m.entry(i, j) == rows[i][j] for i in range(nrows) for j in range(ncols))
+    assert all(type(x) is F for row in m.rows() for x in row)
+
+    def other_form(x):
+        k = data.draw(st.integers(0, 3))
+        return x if k == 0 else f"{x.numerator * k}/{x.denominator * k}"
+    same = ExactMatrix([[other_form(x) for x in row] for row in rows])
+    assert same == m and hash(same) == hash(m)
+    other = [list(row) for row in rows]
+    if data.draw(st.booleans()):
+        other[data.draw(st.integers(0, nrows - 1))][data.draw(st.integers(0, ncols - 1))] = (
+            data.draw(entry)
+        )
+    other = [tuple(row) for row in other]
+    assert (ExactMatrix(other) == m) == (other == rows)
+    if other == rows:
+        assert hash(ExactMatrix(other)) == hash(m)
+
+    assert m.transpose().rows() == tuple(zip(*rows))
+    right = draw_rows(ncols, inner)
+    product = [
+        tuple(sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*right))
+        for row in rows
+    ]
+    assert (m @ ExactMatrix(right)).rows() == tuple(product)
+    assert m @ ExactMatrix(right) == ExactMatrix(product)
+    assert m.max_norm() == max(abs(x) for row in rows for x in row)
+    assert m.is_nonnegative() == all(x >= 0 for row in rows for x in row)
+    assert m.cleared_columns() == tuple(
+        (tuple(int(x * d) for x in col), d)
+        for col in zip(*rows)
+        for d in [common_denominator(col)]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.from_regex(r"\A\s?[+-]?[0-9_]{0,5}([./][0-9_]{0,3})?([eE][+-]?[0-9]{1,2})?\s?\Z"),
+        st.integers().map(str),
+        st.sampled_from(["+3", "-0", "1_0", " 7 ", "1e3", "3.0", "\u0663", "\u0661\u0662/4",
+                         "\u00a07\u2003", "1/0", "x/y", "", " ", "1__0", "_1", "1_"]),
+    )
+)
+@example("1" + "0" * 5000)
+def test_rat_reads_a_token_as_fraction_reads_it(token):
+    """Each string reads as `Fraction(token.strip())` reads it, or both
+    refuse it; a token over the int-to-str digit limit is refused."""
+    try:
+        want = F(token.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError, match="cannot parse rational token"):
+            rat(token)
+        return
+    got = rat(token)
+    assert got == want and type(got) is F
 
 
 def test_lp_bounded_single_variable():
@@ -382,14 +462,17 @@ def test_pinned_solve_agrees_with_rank(data):
         assert out == "not unique"
     else:
         assert all(sum((a * z for a, z in zip(row, out)), F(0)) == b for row, b in zip(zrows, rest))
-    # IntegerRows.rank: the rank of any subset of rows, counted up to a
-    # limit, leaving the held rows alone.
-    system = IntegerRows(rows, rhs)
-    held = [list(row) for row in system.rows]
+    # ExactMatrix.rank_of_rows: the rank of any subset of rows, over every
+    # column, counted up to a limit.
     idx = data.draw(st.lists(st.integers(0, len(rows) - 1), unique=True))
     limit = data.draw(st.integers(1, ncols))
-    assert system.rank(idx, limit) == min(_ref_rank([rows[i] for i in idx]), limit)
-    assert system.rows == held
+    system = ExactMatrix.system(rows, rhs)
+    assert system.rank_of_rows(idx, limit) == min(
+        _ref_rank([rows[i] + [rhs[i]] for i in idx]), limit
+    )
+    assert ExactMatrix(rows).rank_of_rows(idx, limit) == min(
+        _ref_rank([rows[i] for i in idx]), limit
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -560,7 +643,8 @@ def test_integer_rows_slacks_match_a_fraction_reference(data):
     `scaled_slacks(x)` is its true slack times the row's scale times the
     common denominator of x, for rows with denominators up to 6, zero rows,
     negative right-hand sides, the zero point, points with mixed
-    denominators, and rows made by `IntegerRows.cleared` at scale 1."""
+    denominators, and rows made by `ExactMatrix.from_ints` at scale 1;
+    `slack_matrix` holds the same slacks, a column per point."""
     ncols = data.draw(st.integers(1, 4))
     entry = st.fractions(-6, 6, max_denominator=6)
     rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4))
@@ -572,8 +656,12 @@ def test_integer_rows_slacks_match_a_fraction_reference(data):
     ints = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=ncols + 1,
                                        max_size=ncols + 1), max_size=3))
     cases = [
-        (IntegerRows(rows, rhs), rows, rhs),
-        (IntegerRows.cleared(ints), [row[:-1] for row in ints], [row[-1] for row in ints]),
+        (ExactMatrix.system(rows, rhs), rows, rhs),
+        (
+            ExactMatrix.from_ints((row, 1) for row in ints),
+            [row[:-1] for row in ints],
+            [row[-1] for row in ints],
+        ),
     ]
     for (system, ref_rows, ref_rhs), point in itertools.product(cases, (x, [F(0)] * ncols)):
         true = [
@@ -585,6 +673,14 @@ def test_integer_rows_slacks_match_a_fraction_reference(data):
         assert all(type(s) is int for s in scaled)
         assert scaled == [t * c * den for t, c in zip(true, system.scales)]
         assert all(c > 0 for c in system.scales)
+    # The slacks at several points as one matrix, a column per point.
+    for system, ref_rows, ref_rhs in cases:
+        points = [x, [F(0)] * ncols, [v / 5 for v in x]]
+        want = [
+            tuple(b - sum((a * v for a, v in zip(row, p)), F(0)) for p in points)
+            for row, b in zip(ref_rows, ref_rhs)
+        ]
+        assert system.slack_matrix(points).rows() == tuple(want)
 
 
 def test_shared_matrix_solves_like_a_fresh_copy():

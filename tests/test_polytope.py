@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from xclab.errors import InputError
 from xclab.exactla import (
     ExactMatrix,
-    IntegerRows,
     conic_combination,
     format_rational,
     lp_solve,
@@ -226,7 +225,7 @@ def test_verify_vertices_counts_its_certificates(monkeypatch):
     no rank elimination and no LP.  The vertices ±e_i of the 3-cross
     polytope are not box corners, so each takes a rank certificate."""
     ranks, conics = [], []
-    rank = IntegerRows.rank
+    rank = ExactMatrix.rank_of_rows
 
     def counting_rank(self, *args):
         ranks.append(1)
@@ -236,7 +235,7 @@ def test_verify_vertices_counts_its_certificates(monkeypatch):
         conics.append(1)
         return conic_combination(*args, **kwargs)
 
-    monkeypatch.setattr(IntegerRows, "rank", counting_rank)
+    monkeypatch.setattr(ExactMatrix, "rank_of_rows", counting_rank)
     monkeypatch.setattr("xclab.polytope.conic_combination", counting_conic)
     ppm8 = perfect_matching_polytope(8)
     assert len(ppm8.vertices) == 105
